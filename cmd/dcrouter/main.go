@@ -1,5 +1,5 @@
 // Command dcrouter fronts a fleet of dcserve workers: it speaks both
-// serving protocols (the text line protocol and the binary wire v2
+// serving protocols (the text line protocol and the binary internal/wire
 // protocol) on one listen address and fans the work across workers over
 // pooled, pipelined binary connections. Workers are replicas — each holds
 // the full oracle — so any query can go to any worker; batches split into

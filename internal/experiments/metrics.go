@@ -3,8 +3,8 @@ package experiments
 import (
 	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/routing"
 	"repro/internal/rng"
+	"repro/internal/routing"
 	"repro/internal/spanner"
 )
 

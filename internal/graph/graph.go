@@ -17,8 +17,9 @@
 // scratch, BitBFS and its BitParallelBFS* drivers advancing 64 sources per
 // adjacency walk into row-major FlatDist tables, the adaptive
 // MultiSourceBFSFrom / MultiSourceBFSSweep dispatchers that pick between
-// the two by graph density alone, ParallelEdgeSweep for per-edge work, and
-// ParallelRangeWorkers as the generic chunked loop. All of them honor one
+// the two by graph density alone, ParallelForEachEdge for per-edge work,
+// and ParallelRangeWorkers, the one chunked pool all of them run on (it
+// re-raises a worker panic on the caller). All of them honor one
 // determinism contract — for a fixed input, results are identical for
 // every worker count — which is what lets the experiment harness
 // (internal/experiments), spanner validation (internal/spanner), and

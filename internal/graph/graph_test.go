@@ -393,21 +393,6 @@ func randomGraph(r *rng.RNG, n, m int) *Graph {
 	return b.BuildDedup()
 }
 
-func TestParallelRangeCoversAll(t *testing.T) {
-	n := 1000
-	hit := make([]bool, n)
-	ParallelRange(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			hit[i] = true
-		}
-	})
-	for i, h := range hit {
-		if !h {
-			t.Fatalf("index %d not visited", i)
-		}
-	}
-}
-
 func TestParallelForEachEdge(t *testing.T) {
 	g := complete(t, 12)
 	seen := make([]int32, g.M())

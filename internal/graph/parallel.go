@@ -32,8 +32,8 @@ func clampWorkers(workers, items int) int {
 }
 
 // ParallelRangeWorkers processes [0, n) on a pool of exactly `workers`
-// goroutines (0 means Workers()). Unlike ParallelRange it hands out work
-// in small dynamically-claimed chunks, so uneven per-item cost (a BFS that
+// goroutines (0 means Workers()). It hands out work in small
+// dynamically-claimed chunks, so uneven per-item cost (a BFS that
 // terminates early, a cache hit) does not straggle the pool, and it passes
 // the worker index w in [0, workers) to fn so each worker can own reusable
 // scratch (a BFSScratch, a distance buffer) across all chunks it claims.
@@ -44,6 +44,10 @@ func clampWorkers(workers, items int) int {
 // order-independently afterwards. Under that discipline the result is
 // byte-identical for every worker count, including workers == 1, which
 // runs fn(0, 0, n) inline with no goroutines at all.
+//
+// A panic in fn reaches the caller: the pool recovers the first worker
+// panic, stops handing out chunks, and re-panics with the same value on
+// the calling goroutine once every worker has returned.
 func ParallelRangeWorkers(n, workers int, fn func(w, lo, hi int)) {
 	if n <= 0 {
 		return
@@ -62,10 +66,18 @@ func ParallelRangeWorkers(n, workers int, fn func(w, lo, hi int)) {
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	var panicOnce sync.Once
+	var panicked any
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					panicOnce.Do(func() { panicked = r })
+					next.Store(int64(n))
+				}
+			}()
 			for {
 				lo := int(next.Add(int64(chunk))) - chunk
 				if lo >= n {
@@ -80,37 +92,9 @@ func ParallelRangeWorkers(n, workers int, fn func(w, lo, hi int)) {
 		}(w)
 	}
 	wg.Wait()
-}
-
-// ParallelRange splits [0, n) into contiguous chunks and invokes fn(lo, hi)
-// for each chunk on a bounded pool of workers. fn must be safe to call
-// concurrently for disjoint ranges. It is a no-op for n <= 0.
-func ParallelRange(n int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
+	if panicked != nil {
+		panic(panicked)
 	}
-	w := Workers()
-	if w > n {
-		w = n
-	}
-	if w == 1 {
-		fn(0, n)
-		return
-	}
-	chunk := (n + w - 1) / w
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // ParallelForEachEdge invokes fn(i, e) for every edge index i in parallel
@@ -118,18 +102,9 @@ func ParallelRange(n int, fn func(lo, hi int)) {
 // the idiomatic pattern is writing to out[i].
 func (g *Graph) ParallelForEachEdge(fn func(i int, e Edge)) {
 	edges := g.edges
-	ParallelRange(len(edges), func(lo, hi int) {
+	ParallelRangeWorkers(len(edges), 0, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			fn(i, edges[i])
-		}
-	})
-}
-
-// ParallelForEachVertex invokes fn(v) for every vertex in parallel chunks.
-func (g *Graph) ParallelForEachVertex(fn func(v int32)) {
-	ParallelRange(g.n, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			fn(int32(v))
 		}
 	})
 }
@@ -330,24 +305,4 @@ func (g *Graph) ParallelBFSSweep(sources []int32, workers int, visit func(i int,
 			visit(i, sources[i], st.dist)
 		}
 	})
-}
-
-// ParallelEdgeSweep invokes fn for dynamically-balanced contiguous ranges
-// of the edge list on a pool of `workers` goroutines (0 means Workers()).
-// The worker index w lets fn key per-worker scratch; edges is the graph's
-// full edge slice (do not modify). It is the parallel edge-sweep helper
-// behind the per-edge stretch verification kernel: fn typically runs a
-// bounded BFS per edge and writes one result per edge index.
-func (g *Graph) ParallelEdgeSweep(workers int, fn func(w, lo, hi int, edges []Edge)) {
-	edges := g.edges
-	ParallelRangeWorkers(len(edges), workers, func(w, lo, hi int) {
-		fn(w, lo, hi, edges)
-	})
-}
-
-// ParallelAllDistancesFrom computes BFS distances from each source in
-// sources concurrently with the default worker count, returning the flat
-// distance table. It is ParallelBFSFrom(sources, 0).
-func (g *Graph) ParallelAllDistancesFrom(sources []int32) *FlatDist {
-	return g.ParallelBFSFrom(sources, 0)
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"errors"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -49,6 +50,24 @@ func TestParallelRangeWorkersCoversRangeExactlyOnce(t *testing.T) {
 	ParallelRangeWorkers(-3, 4, func(w, lo, hi int) { t.Error("fn called for n<0") })
 }
 
+// A worker panic must surface on the caller's goroutine, where a recover
+// can see it, instead of killing the process from inside the pool.
+func TestParallelRangeWorkersRepanicsOnCaller(t *testing.T) {
+	boom := errors.New("worker boom")
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		ParallelRangeWorkers(1000, 4, func(w, lo, hi int) {
+			if lo <= 500 && 500 < hi {
+				panic(boom)
+			}
+		})
+	}()
+	if got != boom {
+		t.Fatalf("caller recovered %v, want the worker's panic value", got)
+	}
+}
+
 func TestParallelBFSFromMatchesSerialBFS(t *testing.T) {
 	g := randomKernelGraph(400, 1500, 11)
 	sources := make([]int32, 0, 50)
@@ -92,29 +111,6 @@ func TestParallelBFSSweepStreamsEverySource(t *testing.T) {
 		})
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d: sweep distances differ from serial BFS", workers)
-		}
-	}
-}
-
-func TestParallelEdgeSweepVisitsEveryEdgeOnce(t *testing.T) {
-	g := randomKernelGraph(150, 700, 9)
-	for _, workers := range []int{1, 4} {
-		visited := make([]atomic.Int32, g.M())
-		g.ParallelEdgeSweep(workers, func(w, lo, hi int, edges []Edge) {
-			if len(edges) != g.M() {
-				t.Errorf("edge slice has %d edges, want %d", len(edges), g.M())
-			}
-			for i := lo; i < hi; i++ {
-				if edges[i] != g.Edges()[i] {
-					t.Errorf("edge %d mismatch", i)
-				}
-				visited[i].Add(1)
-			}
-		})
-		for i := range visited {
-			if got := visited[i].Load(); got != 1 {
-				t.Fatalf("workers=%d: edge %d visited %d times", workers, i, got)
-			}
 		}
 	}
 }

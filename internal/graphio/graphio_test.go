@@ -44,18 +44,18 @@ func TestReadEdgeListCommentsAndBlank(t *testing.T) {
 
 func TestReadEdgeListErrors(t *testing.T) {
 	cases := []string{
-		"",                  // missing header
-		"0 1\n",             // edge before header
-		"n -3\n",            // bad count
-		"n 3\n0\n",          // malformed edge
-		"n 3\n0 9\n",        // out of range
-		"n 3\n-1 2\n",       // negative vertex
-		"n 3\n1 1\n",        // self loop
-		"n 3\n0 1\n1 0\n",   // duplicate
-		"n x\n",             // bad header value
-		"header nonsense\n", // bad header
-		"n 3\n0 1 2\n",      // too many fields
-		"n 3\nzero one\n",   // non-numeric
+		"",                              // missing header
+		"0 1\n",                         // edge before header
+		"n -3\n",                        // bad count
+		"n 3\n0\n",                      // malformed edge
+		"n 3\n0 9\n",                    // out of range
+		"n 3\n-1 2\n",                   // negative vertex
+		"n 3\n1 1\n",                    // self loop
+		"n 3\n0 1\n1 0\n",               // duplicate
+		"n x\n",                         // bad header value
+		"header nonsense\n",             // bad header
+		"n 3\n0 1 2\n",                  // too many fields
+		"n 3\nzero one\n",               // non-numeric
 		"n 3\n99999999999999999999 1\n", // beyond int64
 	}
 	for _, in := range cases {

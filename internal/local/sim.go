@@ -110,7 +110,7 @@ func (n *Network) Graph() *graph.Graph { return n.g }
 func (n *Network) RunRound(h Handler) {
 	numNodes := n.g.N()
 	ctxs := make([]*NodeCtx, numNodes)
-	graph.ParallelRange(numNodes, func(lo, hi int) {
+	graph.ParallelRangeWorkers(numNodes, 0, func(_, lo, hi int) {
 		for v := lo; v < hi; v++ {
 			ctx := &NodeCtx{ID: int32(v), Round: n.RoundsRun, Inbox: n.inboxes[v], net: n}
 			h(ctx)
@@ -121,7 +121,7 @@ func (n *Network) RunRound(h Handler) {
 	next := make([][]Message, numNodes)
 	var sent int64
 	var mu sync.Mutex
-	graph.ParallelRange(numNodes, func(lo, hi int) {
+	graph.ParallelRangeWorkers(numNodes, 0, func(_, lo, hi int) {
 		local := int64(0)
 		for v := lo; v < hi; v++ {
 			local += int64(len(ctxs[v].outbox))

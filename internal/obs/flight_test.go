@@ -27,9 +27,9 @@ func TestFlightRecorderRings(t *testing.T) {
 	for i := 1; i <= 6; i++ {
 		fr.Record(rec(i, 100, "")) // fast, clean: recent ring only
 	}
-	fr.Record(rec(7, 20_000, ""))   // over threshold
-	fr.Record(rec(8, 50, "boom"))   // errored but fast
-	fr.Record(rec(9, 10_000, ""))   // exactly at threshold counts as slow
+	fr.Record(rec(7, 20_000, "")) // over threshold
+	fr.Record(rec(8, 50, "boom")) // errored but fast
+	fr.Record(rec(9, 10_000, "")) // exactly at threshold counts as slow
 	if got := fr.Recorded(); got != 9 {
 		t.Fatalf("Recorded = %d, want 9", got)
 	}

@@ -67,7 +67,9 @@ const (
 // bucket in the exposition (OpenMetrics-style `# {trace_id="…"} v`).
 // Store is one atomic pointer swap; an Exemplar is nil-safe so unsampled
 // hot paths skip it entirely.
-type Exemplar struct{ p atomic.Pointer[exemplarSample] }
+type Exemplar struct {
+	p atomic.Pointer[exemplarSample]
+}
 
 type exemplarSample struct {
 	traceID uint64

@@ -95,26 +95,15 @@ type Backend interface {
 	// after the serving spanner changed from its current graph to h —
 	// the dynamic-graph path, which repairs backends in place instead of
 	// tearing down and rebuilding the oracle (counters, caches slots,
-	// pools, and metric registrations all survive). up describes the
-	// base-graph mutation that triggered the change, letting backends
-	// patch incrementally where they can (the exact table applies a
-	// per-edge relaxation for pure insertions and rewrites only affected
-	// rows for deletions). The contract, enforced by internal/check's
-	// incremental differential: after refresh, every answer must equal
-	// the answer of a backend freshly built on h with the same Options.
-	// Callers serialize refresh against Dist/AnswerBatch (oracle.Dynamic
-	// holds its update lock).
-	refresh(h *graph.Graph, up GraphUpdate)
-}
-
-// GraphUpdate describes one applied base-graph edge mutation, handed to
-// Backend.refresh so engines can invalidate precisely instead of
-// rebuilding.
-type GraphUpdate struct {
-	// U, V are the mutated edge's endpoints.
-	U, V int32
-	// Add distinguishes an insertion from a deletion.
-	Add bool
+	// pools, and metric registrations all survive). Backends that patch
+	// incrementally diff their current spanner against h (the exact table
+	// applies a per-edge relaxation for inserted spanner edges and
+	// rewrites only affected rows for removed ones). The contract,
+	// enforced by internal/check's incremental differential: after
+	// refresh, every answer must equal the answer of a backend freshly
+	// built on h with the same Options. Callers serialize refresh against
+	// Dist/AnswerBatch (oracle.Dynamic holds its update lock).
+	refresh(h *graph.Graph)
 }
 
 // BackendStats is a point-in-time snapshot of one backend's counters and

@@ -116,7 +116,7 @@ func (b *exactBackend) AnswerBatch(qs []Query, out []Answer) (uint8, bool) {
 // The diff is taken between the old and new spanners (not the base-graph
 // update, whose spanner footprint can be several edges), so the rule
 // stays exact no matter what the maintenance layer did upstream.
-func (b *exactBackend) refresh(h *graph.Graph, _ GraphUpdate) {
+func (b *exactBackend) refresh(h *graph.Graph) {
 	added, removed := diffEdges(b.h.Edges(), h.Edges())
 	b.h = h
 	n := int32(h.N())

@@ -42,10 +42,6 @@ func newLandmarkBackend(h *graph.Graph, opts Options, workers int, trace *obs.Sp
 	if k == 0 {
 		k = 16
 	}
-	shards := opts.Shards
-	if shards <= 0 {
-		shards = 4 * workers
-	}
 	cacheSize := opts.CacheSize
 	if cacheSize == 0 {
 		cacheSize = 1 << 16
@@ -61,7 +57,7 @@ func newLandmarkBackend(h *graph.Graph, opts Options, workers int, trace *obs.Sp
 	b := &landmarkBackend{
 		h:        h,
 		lm:       lm,
-		cache:    newShardedCache(cacheSize, shards),
+		cache:    newShardedCache(cacheSize, 4*workers),
 		maxDist:  maxDist,
 		workers:  workers,
 		lmCount:  k,
@@ -226,7 +222,7 @@ func (b *landmarkBackend) AnswerBatch(qs []Query, out []Answer) (uint8, bool) {
 // pool (scratch is sized by n, which updates never change), and metric
 // registrations (their closures read b.lm/b.cache through the receiver)
 // all survive.
-func (b *landmarkBackend) refresh(h *graph.Graph, _ GraphUpdate) {
+func (b *landmarkBackend) refresh(h *graph.Graph) {
 	b.h = h
 	b.lm = buildLandmarkTable(h, b.lmCount, b.seed)
 	if b.cache != nil {

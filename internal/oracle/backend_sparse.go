@@ -140,7 +140,7 @@ func (b *sparseBackend) rebuild(h *graph.Graph) {
 // along a path), so the backend recomputes hubs and bunches in place via
 // rebuild. Path counters and metric registrations survive — the gauge
 // closures read b.hubs/b.bunchW through the receiver.
-func (b *sparseBackend) refresh(h *graph.Graph, _ GraphUpdate) {
+func (b *sparseBackend) refresh(h *graph.Graph) {
 	b.rebuild(h)
 }
 

@@ -2,8 +2,6 @@ package oracle
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/graph"
@@ -86,58 +84,24 @@ func (o *Oracle) accountBatch(qs []Query, out []Answer, t0 time.Time) {
 }
 
 // answerMany runs the per-query arm over the worker pool and returns the
-// OR of the resolution-path bits taken.
+// OR of the resolution-path bits taken. Each worker folds its chunk's bits
+// into its own mask byte, so the per-query path pays no atomics.
 func (o *Oracle) answerMany(qs []Query, out []Answer) uint8 {
-	w := o.workers
-	if w > len(qs) {
-		w = len(qs)
-	}
-	if w <= 1 {
+	masks := make([]uint8, o.workers)
+	graph.ParallelRangeWorkers(len(qs), o.workers, func(w, lo, hi int) {
 		var mask uint8
-		for i, q := range qs {
+		for j := lo; j < hi; j++ {
 			var p uint8
-			out[i], p = o.answerTimed(q)
+			out[j], p = o.answerTimed(qs[j])
 			mask |= p
 		}
-		return mask
+		masks[w] |= mask
+	})
+	var mask uint8
+	for _, m := range masks {
+		mask |= m
 	}
-	// Work-stealing by chunked atomic counter: cheap, and per-answer cost
-	// varies enough (cache hit vs full search) that static chunking would
-	// straggle.
-	const chunk = 16
-	var next atomic.Int64
-	var paths atomic.Uint32
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var mask uint8
-			for {
-				lo := int(next.Add(chunk)) - chunk
-				if lo >= len(qs) {
-					// One atomic fold per worker, not per query.
-					for {
-						old := paths.Load()
-						if old|uint32(mask) == old || paths.CompareAndSwap(old, old|uint32(mask)) {
-							return
-						}
-					}
-				}
-				hi := lo + chunk
-				if hi > len(qs) {
-					hi = len(qs)
-				}
-				for j := lo; j < hi; j++ {
-					var p uint8
-					out[j], p = o.answerTimed(qs[j])
-					mask |= p
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return uint8(paths.Load())
+	return mask
 }
 
 // answerTimed is one batch element: answer with latency accounting,

@@ -115,7 +115,7 @@ func (d *Dynamic) Update(u, v int32, add bool) (UpdateResult, error) {
 		return res, err
 	}
 	s := d.inc.Spanner()
-	d.o.applyUpdate(s.Base, s.H, GraphUpdate{U: u, V: v, Add: add})
+	d.o.applyUpdate(s.Base, s.H)
 	return res, nil
 }
 

@@ -99,7 +99,7 @@ func TestExactRefreshPatchesTable(t *testing.T) {
 				edges = append(edges, e)
 			}
 		}
-		b.refresh(graph.FromEdges(n, edges), GraphUpdate{})
+		b.refresh(graph.FromEdges(n, edges))
 		check(stage)
 	}
 
@@ -136,7 +136,7 @@ func TestLandmarkRefreshRebuildsTableAndFlushesCache(t *testing.T) {
 		t.Fatal("warm-up queries cached nothing")
 	}
 	h1 := graph.FromEdges(64, append(h0.Edges(), graph.Edge{U: 0, V: 63}))
-	b.refresh(h1, GraphUpdate{U: 0, V: 63, Add: true})
+	b.refresh(h1)
 	fresh := newLandmarkBackend(h1, opts, 2, nil)
 	got, want := b.lm.Bytes(), fresh.lm.Bytes()
 	if string(got) != string(want) {
@@ -158,7 +158,7 @@ func TestSparseRefreshMatchesFreshBuild(t *testing.T) {
 	b := newSparseBackend(h0, opts, 2, nil)
 	edges := h0.Edges()
 	h1 := graph.FromEdges(56, append(edges[:len(edges)-3:len(edges)-3], graph.Edge{U: 2, V: 55}))
-	b.refresh(h1, GraphUpdate{})
+	b.refresh(h1)
 	fresh := newSparseBackend(h1, opts, 2, nil)
 	if string(b.hubs.Bytes()) != string(fresh.hubs.Bytes()) {
 		t.Fatal("refreshed hub table differs from a fresh build")

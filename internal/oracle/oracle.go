@@ -94,13 +94,10 @@ type Options struct {
 	// Seed keys landmark/hub selection; 0 inherits the spanner's build
 	// seed (so oracle determinism follows spanner determinism).
 	Seed uint64
-	// CacheSize is the landmark-bibfs backend's total LRU capacity across
-	// shards; 0 means the default 1<<16 entries, negative disables
-	// caching.
+	// CacheSize is the landmark-bibfs backend's total LRU capacity,
+	// split over 4×Workers shards (rounded up to a power of two); 0 means
+	// the default 1<<16 entries, negative disables caching.
 	CacheSize int
-	// Shards is the cache shard count (rounded up to a power of two); 0
-	// means 4× the parallel worker count.
-	Shards int
 	// Workers bounds AnswerBatch's worker pool; 0 means GOMAXPROCS.
 	Workers int
 	// SampleEvery verifies every k-th Dist query against an exact BFS on
@@ -410,10 +407,10 @@ func (o *Oracle) LandmarkBytes() []byte {
 // the metric closures — carries over untouched. NOT safe against
 // concurrent queries: the caller must hold an exclusive lock over the
 // oracle (oracle.Dynamic holds its update lock here).
-func (o *Oracle) applyUpdate(g, h *graph.Graph, up GraphUpdate) {
+func (o *Oracle) applyUpdate(g, h *graph.Graph) {
 	o.g = g
 	o.h = h
-	o.backend.refresh(h, up)
+	o.backend.refresh(h)
 }
 
 // Dist answers a single distance query. Safe for concurrent use. The

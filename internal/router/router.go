@@ -360,9 +360,8 @@ func (r *Router) tryShard(sh *shard, fn func(c *wire.Client) error) bool {
 }
 
 // reqCtx is the wire trace context a traced request propagates to a
-// worker: the trace id with the sampling bit, or the zero context for
-// untraced requests (v3 workers see id 0 / unsampled; v2 workers see no
-// trace field at all).
+// worker: the trace id with the sampling bit, or the zero context (id 0,
+// unsampled) for untraced requests.
 func reqCtx(tr *obs.ReqTrace) wire.TraceContext {
 	if tr == nil {
 		return wire.TraceContext{}
@@ -379,7 +378,7 @@ func (r *Router) Dist(u, v int32) (oracle.Answer, error) {
 // DistTrace implements server.TracedBackend: the answer is identical to
 // Dist, and a non-nil trace gains one hop per worker attempt (send
 // through merge of the wire round trip), retry events, and the worker's
-// resolution-path bits carried back in the v3 response flags.
+// resolution-path bits carried back in the response trace flags.
 func (r *Router) DistTrace(u, v int32, tr *obs.ReqTrace) (oracle.Answer, error) {
 	r.counters.Add("dist", 1)
 	var ans oracle.Answer

@@ -28,7 +28,7 @@ func (e *errOnce) set(err error) {
 func ShortestPaths(g *graph.Graph, prob Problem) (*Routing, error) {
 	paths := make([]Path, len(prob))
 	var eo errOnce
-	graph.ParallelRange(len(prob), func(lo, hi int) {
+	graph.ParallelRangeWorkers(len(prob), 0, func(_, lo, hi int) {
 		scratch := graph.NewBFSScratch(g.N())
 		parent := make([]int32, g.N())
 		for i := lo; i < hi; i++ {
@@ -61,7 +61,7 @@ func Valiant(g *graph.Graph, prob Problem, r *rng.RNG) (*Routing, error) {
 	}
 	paths := make([]Path, len(prob))
 	var eo errOnce
-	graph.ParallelRange(len(prob), func(lo, hi int) {
+	graph.ParallelRangeWorkers(len(prob), 0, func(_, lo, hi int) {
 		scratch := graph.NewBFSScratch(n)
 		parent := make([]int32, n)
 		for i := lo; i < hi; i++ {

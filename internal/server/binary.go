@@ -19,16 +19,13 @@ import (
 // connection must not be able to occupy the whole process.
 const maxBinaryInflight = 8
 
-// binSession is one binary (wire v2–v4) connection's state. Requests run
-// concurrently up to maxBinaryInflight and may complete out of order;
-// responses are serialized by wmu. Frames are encoded at the negotiated
-// version: a v3 session carries trace context both ways, a v2 session
-// frames identically to the pre-trace protocol.
+// binSession is one binary (internal/wire) connection's state. Requests
+// run concurrently up to maxBinaryInflight and may complete out of order;
+// responses are serialized by wmu.
 type binSession struct {
-	srv     *Server
-	br      *bufio.Reader
-	dl      deadliner
-	version uint16
+	srv *Server
+	br  *bufio.Reader
+	dl  deadliner
 
 	wmu sync.Mutex
 	w   *bufio.Writer
@@ -64,7 +61,6 @@ func (s *Server) runBinarySession(br *bufio.Reader, out io.Writer, dl deadliner)
 	if !bs.writeRaw(wire.AppendHelloReply(nil, version)) {
 		return
 	}
-	bs.version = version
 
 	sem := make(chan struct{}, maxBinaryInflight)
 	for {
@@ -74,7 +70,7 @@ func (s *Server) runBinarySession(br *bufio.Reader, out io.Writer, dl deadliner)
 		if dl != nil && s.cfg.IdleTimeout > 0 {
 			dl.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
 		}
-		f, err := wire.ReadFrameV(br, s.cfg.MaxFrameBytes, version)
+		f, err := wire.ReadFrame(br, s.cfg.MaxFrameBytes)
 		if err != nil {
 			switch {
 			case isTimeout(err) && !s.draining.Load():
@@ -119,7 +115,7 @@ func (bs *binSession) maybeTrace(f wire.Frame) *obs.ReqTrace {
 }
 
 // handle answers one request frame. Runs on its own goroutine; everything
-// it touches is either owned (the frame — ReadFrameV allocates per frame)
+// it touches is either owned (the frame — ReadFrame allocates per frame)
 // or internally synchronized. tr is nil for untraced requests; all
 // tracing calls below are nil-safe, so the untraced path pays only the
 // nil checks.
@@ -218,8 +214,8 @@ func (bs *binSession) handle(f wire.Frame, tr *obs.ReqTrace) {
 }
 
 // respond sends a successful data response, stamping the trace context
-// (trace id, sampled bit, resolution-path mask — dropped on the wire for
-// v2 peers) and completing the trace into the flight recorder.
+// (trace id, sampled bit, resolution-path mask) and completing the trace
+// into the flight recorder.
 func (bs *binSession) respond(req wire.Frame, tr *obs.ReqTrace, resp wire.Frame) {
 	if tr == nil {
 		// Untraced: echo the client's trace id (if any) with no sampled
@@ -265,7 +261,7 @@ func (bs *binSession) writeFrame(f wire.Frame) {
 		return
 	}
 	bs.armWriteDeadline()
-	err := wire.WriteFrameV(bs.w, f, bs.srv.cfg.MaxFrameBytes, bs.version)
+	err := wire.WriteFrame(bs.w, f, bs.srv.cfg.MaxFrameBytes)
 	if err == nil {
 		err = bs.w.Flush()
 	}

@@ -158,29 +158,32 @@ func TestBinaryFrameCorruptionCloses(t *testing.T) {
 	}
 }
 
-// TestBinaryVersionRejected checks a client advertising only unknown
-// versions gets a version-0 reply.
+// TestBinaryVersionRejected checks a client advertising only versions
+// the server does not speak — newer ones, or the retired binary versions
+// 2 and 3 — gets a version-0 reply.
 func TestBinaryVersionRejected(t *testing.T) {
 	srv := New(testOracle(t), Config{})
 	addr, _, _ := startTCP(t, srv)
 
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	conn.Write(wire.AppendHello(nil, 99, 120))
-	var reply [wire.HelloLen]byte
-	if _, err := io.ReadFull(conn, reply[:]); err != nil {
-		t.Fatalf("hello reply: %v", err)
-	}
-	v, err := wire.ParseHelloReply(reply[:])
-	if err != nil {
-		t.Fatalf("ParseHelloReply: %v", err)
-	}
-	if v != 0 {
-		t.Fatalf("negotiated version %d for a [99,120] client, want 0", v)
+	for _, offer := range [][2]uint16{{99, 120}, {2, 3}} {
+		conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		conn.Write(wire.AppendHello(nil, offer[0], offer[1]))
+		var reply [wire.HelloLen]byte
+		if _, err := io.ReadFull(conn, reply[:]); err != nil {
+			t.Fatalf("%v: hello reply: %v", offer, err)
+		}
+		v, err := wire.ParseHelloReply(reply[:])
+		if err != nil {
+			t.Fatalf("%v: ParseHelloReply: %v", offer, err)
+		}
+		if v != 0 {
+			t.Fatalf("negotiated version %d for a %v client, want 0", v, offer)
+		}
+		conn.Close()
 	}
 }
 

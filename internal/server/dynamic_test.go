@@ -108,9 +108,6 @@ func TestBinaryUpdateSnapshot(t *testing.T) {
 		t.Fatalf("Dial: %v", err)
 	}
 	defer c.Close()
-	if c.Version() != 4 {
-		t.Fatalf("negotiated %d, want 4", c.Version())
-	}
 
 	info0, err := c.Snap(false)
 	if err != nil || info0.N != 64 {

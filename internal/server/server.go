@@ -92,10 +92,10 @@ type Config struct {
 	// DrainTimeout bounds graceful shutdown: connections still open this
 	// long after the context is cancelled are force-closed.
 	DrainTimeout time.Duration
-	// MaxFrameBytes bounds one binary (wire v2) frame body. The zero value
-	// picks the larger of wire.DefaultMaxFrameBytes and whatever a
-	// MaxBatch-sized batch frame needs, so the two limits can never
-	// disagree.
+	// MaxFrameBytes bounds one binary (internal/wire) frame body. The
+	// zero value picks the larger of wire.DefaultMaxFrameBytes and
+	// whatever a MaxBatch-sized batch frame needs, so the two limits can
+	// never disagree.
 	MaxFrameBytes int
 	// Log, when set, receives serve-loop and session diagnostics (accept
 	// errors, drain progress) as structured records under
@@ -275,7 +275,6 @@ func (s *Server) Active() int {
 	defer s.mu.Unlock()
 	return len(s.conns)
 }
-
 
 // Serve accepts connections on l until ctx is cancelled, then drains
 // gracefully: the listener closes, blocked reads are woken, every session

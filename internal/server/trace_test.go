@@ -4,6 +4,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/oracle"
@@ -17,6 +18,16 @@ func hopNames(rec *obs.TraceRecord) []string {
 		names[i] = h.Name
 	}
 	return names
+}
+
+// waitRecorded waits up to 5s for the flight recorder to count want
+// finished traces. A binary session completes a trace just after it
+// flushes the response, so a client can hold the answer a moment before
+// the trace lands; the callers' own assertions report a shortfall.
+func waitRecorded(flight *obs.FlightRecorder, want int64) {
+	for deadline := time.Now().Add(5 * time.Second); flight.Recorded() < want && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestTraceVerb: the text protocol's `trace u v` answers the distance
@@ -57,7 +68,7 @@ func TestTraceVerb(t *testing.T) {
 	}
 }
 
-// TestBinaryTraceEndToEnd: a v3 client that sets the sampling bit gets
+// TestBinaryTraceEndToEnd: a client that sets the sampling bit gets
 // back its own trace id, the sampled bit, and a resolution-path mask,
 // and the server records queue/oracle/write hops in the flight recorder.
 func TestBinaryTraceEndToEnd(t *testing.T) {
@@ -66,9 +77,6 @@ func TestBinaryTraceEndToEnd(t *testing.T) {
 	srv := New(testOracle(t), Config{Flight: flight, Registry: reg})
 	addr, _, _ := startTCP(t, srv)
 	c := dialWire(t, addr)
-	if c.Version() != wire.VersionMax {
-		t.Fatalf("negotiated v%d, want v%d", c.Version(), wire.VersionMax)
-	}
 
 	const id = 0xfeed0001
 	a, rtc, err := c.DistTraced(0, 1, wire.SampledContext(id))
@@ -93,6 +101,7 @@ func TestBinaryTraceEndToEnd(t *testing.T) {
 		t.Fatalf("batch response trace ctx %+v", rtc)
 	}
 
+	waitRecorded(flight, 2)
 	recent := flight.Recent()
 	if len(recent) != 2 {
 		t.Fatalf("flight recorder holds %d traces, want 2", len(recent))
@@ -164,6 +173,7 @@ func TestBinaryServerSampling(t *testing.T) {
 			t.Fatalf("Dist %d: %v", i, err)
 		}
 	}
+	waitRecorded(flight, 3)
 	if got := flight.Recorded(); got != 3 {
 		t.Fatalf("1-in-2 sampling recorded %d of 6, want 3", got)
 	}
@@ -171,36 +181,5 @@ func TestBinaryServerSampling(t *testing.T) {
 		if rec.ID == "0000000000000000" {
 			t.Error("server-elected trace kept id 0")
 		}
-	}
-}
-
-// TestBinaryTraceV2Dropped: a pinned-v2 client against a tracing server
-// gets plain v2 service — the trace context does not survive the
-// downgrade in either direction, and nothing is recorded.
-func TestBinaryTraceV2Dropped(t *testing.T) {
-	flight := obs.NewFlightRecorder(8, 4, 0)
-	srv := New(testOracle(t), Config{Flight: flight})
-	addr, _, _ := startTCP(t, srv)
-
-	c, err := wire.Dial(addr, wire.ClientOptions{MaxVersion: 2})
-	if err != nil {
-		t.Fatalf("Dial v2: %v", err)
-	}
-	t.Cleanup(func() { c.Close() })
-	if c.Version() != 2 {
-		t.Fatalf("negotiated v%d, want 2", c.Version())
-	}
-	a, rtc, err := c.DistTraced(0, 1, wire.SampledContext(0xbeef))
-	if err != nil {
-		t.Fatalf("DistTraced over v2: %v", err)
-	}
-	if a.U != 0 || a.V != 1 {
-		t.Fatalf("answer %+v", a)
-	}
-	if rtc != (wire.TraceContext{}) {
-		t.Fatalf("v2 response returned trace ctx %+v, want zero", rtc)
-	}
-	if flight.Recorded() != 0 {
-		t.Fatalf("v2 request recorded %d traces", flight.Recorded())
 	}
 }

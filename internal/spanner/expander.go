@@ -109,7 +109,7 @@ func sampleEdges(g *graph.Graph, p float64, r *rng.RNG) *graph.Graph {
 	for i := range streams {
 		streams[i] = r.Split()
 	}
-	graph.ParallelRange(numChunks, func(lo, hi int) {
+	graph.ParallelRangeWorkers(numChunks, 0, func(_, lo, hi int) {
 		for c := lo; c < hi; c++ {
 			cr := streams[c]
 			start := c * chunk

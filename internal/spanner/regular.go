@@ -188,7 +188,7 @@ func BuildRegular(g *graph.Graph, opts RegularOptions) (*RegularResult, error) {
 		// edges; reinsert those without one.
 		edges := g.Edges()
 		missing := make([]bool, len(needCheck))
-		graph.ParallelRange(len(needCheck), func(lo, hi int) {
+		graph.ParallelRangeWorkers(len(needCheck), 0, func(_, lo, hi int) {
 			scratch := graph.NewBFSScratch(n)
 			for k := lo; k < hi; k++ {
 				e := edges[needCheck[k]]

@@ -20,7 +20,7 @@ import (
 // MatVec computes y = A·x for the adjacency matrix of g, in parallel over
 // vertex chunks. len(x) and len(y) must equal g.N().
 func MatVec(g *graph.Graph, x, y []float64) {
-	graph.ParallelRange(g.N(), func(lo, hi int) {
+	graph.ParallelRangeWorkers(g.N(), 0, func(_, lo, hi int) {
 		for v := lo; v < hi; v++ {
 			sum := 0.0
 			for _, w := range g.Neighbors(int32(v)) {

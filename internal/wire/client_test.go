@@ -16,12 +16,6 @@ import (
 // (nil return = drop the request silently). Responses go out as fn
 // returns, which lets tests answer out of order.
 func stubServer(t *testing.T, fn func(f Frame) *Frame) (addr string) {
-	return stubServerV(t, VersionMin, VersionMax, fn)
-}
-
-// stubServerV is stubServer with an explicit served version range — the
-// cross-version matrix tests pin sMax to 2 to emulate an old fleet.
-func stubServerV(t *testing.T, sMin, sMax uint16, fn func(f Frame) *Frame) (addr string) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -42,7 +36,7 @@ func stubServerV(t *testing.T, sMin, sMax uint16, fn func(f Frame) *Frame) (addr
 		if err != nil {
 			return
 		}
-		v, _ := Negotiate(cMin, cMax, sMin, sMax)
+		v, _ := Negotiate(cMin, cMax, VersionMin, VersionMax)
 		conn.Write(AppendHelloReply(nil, v))
 		if v == 0 {
 			return
@@ -50,7 +44,7 @@ func stubServerV(t *testing.T, sMin, sMax uint16, fn func(f Frame) *Frame) (addr
 		br := bufio.NewReader(conn)
 		var wmu sync.Mutex
 		for {
-			f, err := ReadFrameV(br, DefaultMaxFrameBytes, v)
+			f, err := ReadFrame(br, DefaultMaxFrameBytes)
 			if err != nil {
 				return
 			}
@@ -58,7 +52,7 @@ func stubServerV(t *testing.T, sMin, sMax uint16, fn func(f Frame) *Frame) (addr
 				if resp := fn(f); resp != nil {
 					wmu.Lock()
 					defer wmu.Unlock()
-					WriteFrameV(conn, *resp, DefaultMaxFrameBytes, v)
+					WriteFrame(conn, *resp, DefaultMaxFrameBytes)
 				}
 			}(f)
 		}
@@ -89,9 +83,6 @@ func TestClientPipelinesOutOfOrder(t *testing.T) {
 		t.Fatalf("Dial: %v", err)
 	}
 	defer c.Close()
-	if c.Version() != VersionMax {
-		t.Fatalf("negotiated version %d, want %d", c.Version(), VersionMax)
-	}
 
 	type result struct {
 		a   oracle.Answer

@@ -8,11 +8,11 @@ import (
 	"repro/internal/oracle"
 )
 
-// echoStub answers dist queries and echoes the request trace context
-// back with a fixed path mask, so tests can observe what survived the
-// negotiated version.
-func echoStub(t *testing.T, sMin, sMax uint16) string {
-	return stubServerV(t, sMin, sMax, func(f Frame) *Frame {
+// TestCrossVersionV4ClientV4Server: a sampled request's trace context
+// reaches the server, and the response echoes the trace id, the sampled
+// bit and the server's path mask.
+func TestCrossVersionV4ClientV4Server(t *testing.T) {
+	addr := stubServer(t, func(f Frame) *Frame {
 		q, err := DecodeQuery(f.Payload)
 		if err != nil {
 			return &Frame{Type: MsgErr, ID: f.ID, Payload: []byte(err.Error())}
@@ -24,114 +24,17 @@ func echoStub(t *testing.T, sMin, sMax uint16) string {
 			Payload: AppendAnswer(nil, oracle.Answer{U: q.U, V: q.V, Dist: q.U + q.V, Exact: true}),
 		}
 	})
-}
-
-func TestCrossVersionV4ClientV4Server(t *testing.T) {
-	addr := echoStub(t, VersionMin, VersionMax)
 	c, err := Dial(addr, ClientOptions{RequestTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
 	defer c.Close()
-	if c.Version() != 4 {
-		t.Fatalf("negotiated %d, want 4", c.Version())
-	}
 	a, tc, err := c.DistTraced(2, 3, SampledContext(0xdeadbeef))
 	if err != nil || a.Dist != 5 {
 		t.Fatalf("DistTraced = (%+v, %v), want dist 5", a, err)
 	}
 	if tc.ID != 0xdeadbeef || !tc.Sampled() || tc.PathMask() != 0x4 {
 		t.Fatalf("echoed trace = %+v, want id 0xdeadbeef sampled path 0x4", tc)
-	}
-}
-
-func TestCrossVersionV4ClientV3Server(t *testing.T) {
-	// A modern client against a fleet frozen at v3: negotiation lands on
-	// 3, tracing still works, and the dynamic-graph calls fail fast
-	// client-side — no frame is sent, so the old server never sees an
-	// unknown message type.
-	addr := echoStub(t, 2, 3)
-	c, err := Dial(addr, ClientOptions{RequestTimeout: 5 * time.Second})
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer c.Close()
-	if c.Version() != 3 {
-		t.Fatalf("negotiated %d, want 3", c.Version())
-	}
-	a, tc, err := c.DistTraced(2, 3, SampledContext(0xdeadbeef))
-	if err != nil || a.Dist != 5 {
-		t.Fatalf("DistTraced = (%+v, %v), want dist 5", a, err)
-	}
-	if !tc.Sampled() {
-		t.Fatalf("v3 connection dropped the trace context: %+v", tc)
-	}
-	if _, err := c.Update(0, 1, true); err == nil {
-		t.Fatal("Update succeeded on a v3 connection")
-	}
-	if _, err := c.Snap(true); err == nil {
-		t.Fatal("Snap succeeded on a v3 connection")
-	}
-	if !c.Healthy() {
-		t.Fatal("client-side version gate killed the connection")
-	}
-}
-
-func TestCrossVersionV3ClientV4Server(t *testing.T) {
-	// An old client pinned at v3 against a modern fleet.
-	addr := echoStub(t, VersionMin, VersionMax)
-	c, err := Dial(addr, ClientOptions{RequestTimeout: 5 * time.Second, MaxVersion: 3})
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer c.Close()
-	if c.Version() != 3 {
-		t.Fatalf("negotiated %d, want 3", c.Version())
-	}
-	a, tc, err := c.DistTraced(2, 3, SampledContext(0xdeadbeef))
-	if err != nil || a.Dist != 5 {
-		t.Fatalf("DistTraced = (%+v, %v), want dist 5", a, err)
-	}
-	if tc.ID != 0xdeadbeef || !tc.Sampled() {
-		t.Fatalf("echoed trace = %+v, want id 0xdeadbeef sampled", tc)
-	}
-}
-
-func TestCrossVersionV3ClientV2Server(t *testing.T) {
-	// A modern client against an old fleet: negotiation lands on 2, the
-	// trace context is silently dropped, answers are unaffected.
-	addr := echoStub(t, 2, 2)
-	c, err := Dial(addr, ClientOptions{RequestTimeout: 5 * time.Second})
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer c.Close()
-	if c.Version() != 2 {
-		t.Fatalf("negotiated %d, want 2", c.Version())
-	}
-	a, tc, err := c.DistTraced(2, 3, SampledContext(0xdeadbeef))
-	if err != nil || a.Dist != 5 {
-		t.Fatalf("DistTraced = (%+v, %v), want dist 5", a, err)
-	}
-	if tc != (TraceContext{}) {
-		t.Fatalf("v2 connection returned non-zero trace context %+v", tc)
-	}
-}
-
-func TestCrossVersionV2ClientV3Server(t *testing.T) {
-	// An old client against a modern fleet (MaxVersion pins the hello).
-	addr := echoStub(t, VersionMin, VersionMax)
-	c, err := Dial(addr, ClientOptions{RequestTimeout: 5 * time.Second, MaxVersion: 2})
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer c.Close()
-	if c.Version() != 2 {
-		t.Fatalf("negotiated %d, want 2", c.Version())
-	}
-	a, err := c.Dist(7, 8)
-	if err != nil || a.Dist != 15 {
-		t.Fatalf("Dist = (%+v, %v), want dist 15", a, err)
 	}
 }
 
@@ -174,7 +77,7 @@ func TestUpdateSnapRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFrameV3RoundTrip(t *testing.T) {
+func TestFrameTraceRoundTrip(t *testing.T) {
 	want := Frame{
 		Type:    MsgBatch,
 		ID:      42,
@@ -182,31 +85,18 @@ func TestFrameV3RoundTrip(t *testing.T) {
 		Payload: []byte{1, 2, 3, 4},
 	}
 	var buf bytes.Buffer
-	if err := WriteFrameV(&buf, want, 0, 3); err != nil {
-		t.Fatalf("WriteFrameV: %v", err)
+	if err := WriteFrame(&buf, want, 0); err != nil {
+		t.Fatalf("WriteFrame: %v", err)
 	}
-	got, err := ReadFrameV(&buf, 0, 3)
+	if buf.Len() != frameHeaderLen+frameBodyMin+len(want.Payload) {
+		t.Fatalf("encoded %d bytes, want header + type + id + trace + payload", buf.Len())
+	}
+	got, err := ReadFrame(&buf, 0)
 	if err != nil {
-		t.Fatalf("ReadFrameV: %v", err)
+		t.Fatalf("ReadFrame: %v", err)
 	}
 	if got.Type != want.Type || got.ID != want.ID || got.Trace != want.Trace || !bytes.Equal(got.Payload, want.Payload) {
 		t.Fatalf("round trip = %+v, want %+v", got, want)
-	}
-
-	// The same frame at v2 drops the trace context on the wire.
-	buf.Reset()
-	if err := WriteFrameV(&buf, want, 0, 2); err != nil {
-		t.Fatalf("WriteFrameV v2: %v", err)
-	}
-	got2, err := ReadFrameV(&buf, 0, 2)
-	if err != nil {
-		t.Fatalf("ReadFrameV v2: %v", err)
-	}
-	if got2.Trace != (TraceContext{}) {
-		t.Fatalf("v2 frame decoded trace %+v, want zero", got2.Trace)
-	}
-	if !bytes.Equal(got2.Payload, want.Payload) {
-		t.Fatalf("v2 payload = %v, want %v", got2.Payload, want.Payload)
 	}
 }
 

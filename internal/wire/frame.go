@@ -11,8 +11,7 @@ import (
 // Frame is one decoded protocol frame. ReadFrame allocates Payload per
 // frame, so a frame stays valid while later frames are read — which is
 // what lets a pipelining server hand each frame to its own handler
-// goroutine. Trace is the v3 trace context; it is zero on v2 connections
-// (never encoded) and zero for untraced v3 requests.
+// goroutine. Trace is zero for untraced requests.
 type Frame struct {
 	Type    byte
 	ID      uint64
@@ -20,72 +19,50 @@ type Frame struct {
 	Payload []byte
 }
 
-// bodyMin returns the fixed body prefix length for a negotiated version.
-func bodyMin(version uint16) int {
-	if version >= 3 {
-		return frameBodyMinV3
-	}
-	return frameBodyMin
-}
-
-// AppendFrame appends f's v2 wire encoding to dst and returns the
-// extended slice. The trace context is dropped; see AppendFrameV.
+// AppendFrame appends f's wire encoding to dst and returns the extended
+// slice.
 func AppendFrame(dst []byte, f Frame) []byte {
-	return AppendFrameV(dst, f, VersionMin)
-}
-
-// AppendFrameV appends f's wire encoding at the given negotiated version.
-// Version 3 carries the trace context between id and payload; version 2
-// drops it.
-func AppendFrameV(dst []byte, f Frame, version uint16) []byte {
-	body := bodyMin(version) + len(f.Payload)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(body))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(frameBodyMin+len(f.Payload)))
 	dst = append(dst, f.Type)
 	dst = binary.BigEndian.AppendUint64(dst, f.ID)
-	if version >= 3 {
-		dst = binary.BigEndian.AppendUint64(dst, f.Trace.ID)
-		dst = append(dst, f.Trace.Flags)
-	}
+	dst = binary.BigEndian.AppendUint64(dst, f.Trace.ID)
+	dst = append(dst, f.Trace.Flags)
 	return append(dst, f.Payload...)
 }
 
-// WriteFrame writes one v2 frame. maxBody bounds the frame body exactly
-// like ReadFrame, so a writer never emits a frame its symmetric peer must
+// AppendFrameV is AppendFrame; the version argument is ignored.
+//
+// Deprecated: there is one frame format, so there is no version to
+// select; use AppendFrame. It remains because the servebench module
+// still calls it.
+func AppendFrameV(dst []byte, f Frame, _ uint16) []byte { return AppendFrame(dst, f) }
+
+// WriteFrame writes one frame. maxBody bounds the frame body exactly like
+// ReadFrame, so a writer never emits a frame its symmetric peer must
 // reject (0 means DefaultMaxFrameBytes).
 func WriteFrame(w io.Writer, f Frame, maxBody int) error {
-	return WriteFrameV(w, f, maxBody, VersionMin)
-}
-
-// WriteFrameV writes one frame at the given negotiated version.
-func WriteFrameV(w io.Writer, f Frame, maxBody int, version uint16) error {
 	if maxBody <= 0 {
 		maxBody = DefaultMaxFrameBytes
 	}
-	body := bodyMin(version) + len(f.Payload)
+	body := frameBodyMin + len(f.Payload)
 	if body > maxBody {
 		return fmt.Errorf("%w (payload %d, limit %d)", ErrFrameTooBig, len(f.Payload), maxBody)
 	}
-	_, err := w.Write(AppendFrameV(make([]byte, 0, frameHeaderLen+body), f, version))
+	_, err := w.Write(AppendFrame(make([]byte, 0, frameHeaderLen+body), f))
 	return err
 }
 
-// ReadFrame reads one v2 frame; see ReadFrameV.
+// ReadFrame reads one frame. maxBody bounds the frame body (everything
+// after the length prefix; 0 means DefaultMaxFrameBytes): a length prefix
+// above it returns ErrFrameTooBig before any allocation, so a hostile
+// 4 GiB length costs the server four bytes of reading and nothing else.
+// A length below the fixed body header returns ErrShortFrame. Either
+// corruption error leaves the stream unsynchronized — the connection
+// must close.
 func ReadFrame(r io.Reader, maxBody int) (Frame, error) {
-	return ReadFrameV(r, maxBody, VersionMin)
-}
-
-// ReadFrameV reads one frame at the given negotiated version. maxBody
-// bounds the frame body (everything after the length prefix; 0 means
-// DefaultMaxFrameBytes): a length prefix above it returns ErrFrameTooBig
-// before any allocation, so a hostile 4 GiB length costs the server four
-// bytes of reading and nothing else. A length below the version's fixed
-// body header returns ErrShortFrame. Either corruption error leaves the
-// stream unsynchronized — the connection must close.
-func ReadFrameV(r io.Reader, maxBody int, version uint16) (Frame, error) {
 	if maxBody <= 0 {
 		maxBody = DefaultMaxFrameBytes
 	}
-	min := bodyMin(version)
 	var hdr [frameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return Frame{}, err
@@ -94,7 +71,7 @@ func ReadFrameV(r io.Reader, maxBody int, version uint16) (Frame, error) {
 	if body > uint32(maxBody) {
 		return Frame{}, fmt.Errorf("%w (length %d, limit %d)", ErrFrameTooBig, body, maxBody)
 	}
-	if body < uint32(min) {
+	if body < frameBodyMin {
 		return Frame{}, fmt.Errorf("%w (length %d)", ErrShortFrame, body)
 	}
 	buf := make([]byte, body)
@@ -105,11 +82,12 @@ func ReadFrameV(r io.Reader, maxBody int, version uint16) (Frame, error) {
 		}
 		return Frame{}, err
 	}
-	f := Frame{Type: buf[0], ID: binary.BigEndian.Uint64(buf[1:9]), Payload: buf[min:]}
-	if version >= 3 {
-		f.Trace = TraceContext{ID: binary.BigEndian.Uint64(buf[9:17]), Flags: buf[17]}
-	}
-	return f, nil
+	return Frame{
+		Type:    buf[0],
+		ID:      binary.BigEndian.Uint64(buf[1:9]),
+		Trace:   TraceContext{ID: binary.BigEndian.Uint64(buf[9:17]), Flags: buf[17]},
+		Payload: buf[frameBodyMin:],
+	}, nil
 }
 
 // AppendHello appends the 8-byte client hello advertising [minV, maxV].
@@ -414,8 +392,7 @@ func DecodeInfo(b []byte) (Info, error) {
 
 // BatchFrameBytes returns the frame-body size of a batch request or
 // response carrying n entries — what a Config needs to size its frame
-// limit so its own batch limit fits. It accounts for the largest fixed
-// body prefix any negotiable version uses (v3's trace context included).
+// limit so its own batch limit fits.
 func BatchFrameBytes(n int) int {
-	return frameBodyMinV3 + 4 + n*answerLen
+	return frameBodyMin + 4 + n*answerLen
 }

@@ -1,16 +1,14 @@
-// Package wire is the binary serving wire format: a versioned,
-// length-prefixed frame protocol carrying dist/batch/stats/info requests
-// with pipelining. Version 1 is the human-readable line protocol of
-// internal/server; the binary format starts at 2, version 3 adds an
-// optional trace context to every frame, and version 4 adds the
-// dynamic-graph messages (edge updates and state snapshots) with no
-// frame-format change. The fleet tier is the consumer — cmd/dcrouter
-// fans batches out to workers over pooled connections and cmd/dcload
-// drives either server flavor at load.
+// Package wire is the binary serving wire format: a length-prefixed frame
+// protocol carrying dist/batch/stats/info and edge-update/snapshot
+// requests with pipelining. Version 1 is the human-readable line protocol
+// of internal/server; the binary format is version 4, the only one this
+// package speaks. The fleet tier is the consumer — cmd/dcrouter fans
+// batches out to workers over pooled connections and cmd/dcload drives
+// either server flavor at load.
 //
 // # Connection establishment
 //
-// A v2 connection opens with an 8-byte client hello
+// A connection opens with an 8-byte client hello
 //
 //	magic[4] | minVersion uint16 | maxVersion uint16
 //
@@ -20,20 +18,17 @@
 //
 // where version is the highest protocol version both sides support
 // (Negotiate, modeled on udpx's ProtocolVersionAtLeast discipline:
-// versions are ordered, and each side states the interval it speaks). A
+// versions are ordered, and each side states the interval it speaks).
+// Today both ends speak exactly [VersionMin, VersionMax] = [4, 4]; the
+// interval stays on the wire so a later frame format can negotiate. A
 // reply version of 0 means no overlap; the server closes after sending
 // it. The first magic byte is deliberately non-ASCII, so a server
 // serving both protocols on one port classifies a connection from a
-// single peeked byte: 0xD5 is v2, anything else is the text protocol.
+// single peeked byte: 0xD5 is binary, anything else is the text protocol.
 //
 // # Frames
 //
-// After the handshake both directions speak frames. At version 2:
-//
-//	length uint32 | type uint8 | id uint64 | payload…
-//
-// At version 3 every frame additionally carries a fixed trace context
-// between the id and the payload:
+// After the handshake both directions speak frames:
 //
 //	length uint32 | type uint8 | id uint64 | traceID uint64 | traceFlags uint8 | payload…
 //
@@ -45,15 +40,13 @@
 // answer them out of order (pipelining), which is what makes one pooled
 // connection carry many concurrent batches.
 //
-// The trace context is zero for untraced requests. traceFlags bit 0 is
-// the sampling bit: a request with it set asks the server to record a
-// hop-by-hop trace under traceID (see internal/obs.ReqTrace). Responses
-// echo the trace context with bits 1..4 reporting the oracle resolution
-// paths taken (the obs.Path* mask shifted left by one), so a router can
-// attribute a slow answer to cache/landmark/bibfs/bulk work without a
-// second round trip. A v3 peer talking to a v2 peer negotiates down to
-// v2 and the trace context is silently dropped — tracing degrades,
-// answers do not.
+// The trace context (traceID, traceFlags) is always present and is zero
+// for untraced requests. traceFlags bit 0 is the sampling bit: a request
+// with it set asks the server to record a hop-by-hop trace under traceID
+// (see internal/obs.ReqTrace). Responses echo the trace context with bits
+// 1..6 reporting the oracle resolution paths taken (the obs.Path* mask
+// shifted left by one), so a router can attribute a slow answer to
+// cache/landmark/bibfs/bulk work without a second round trip.
 //
 // # Messages
 //
@@ -61,18 +54,13 @@
 //	MsgBatch  -> MsgBatchR  count-prefixed query slice / Answer slice
 //	MsgStats  -> MsgStatsR  server stats report (UTF-8 text)
 //	MsgInfo   -> MsgInfoR   vertex count + batch limit of the server
-//	MsgUpdate -> MsgUpdateR one edge insert/delete / UpdateResult (v4+)
-//	MsgSnap   -> MsgSnapR   state snapshot, optionally verified (v4+)
+//	MsgUpdate -> MsgUpdateR one edge insert/delete / UpdateResult
+//	MsgSnap   -> MsgSnapR   state snapshot, optionally verified
 //	          <- MsgErr     UTF-8 error text for the echoed id
 //
-// The v4 messages ride the v3 frame format unchanged — negotiation is
-// the only gate. A v4 client on a connection that negotiated down to 3
-// or 2 fails Update/Snap client-side with a version error instead of
-// sending frames an old server would answer with MsgErr; everything
-// else (dist, batch, stats, info, tracing) is unaffected by the
-// downgrade. Servers without a dynamic engine behind them answer
-// MsgUpdate/MsgSnap with MsgErr even at v4 — speaking the version
-// means understanding the frames, not necessarily serving mutations.
+// Servers without a dynamic engine behind them answer MsgUpdate/MsgSnap
+// with MsgErr — speaking the protocol means understanding the frames,
+// not necessarily serving mutations.
 //
 // Batch answers mirror oracle.AnswerBatch exactly — invalid queries
 // answer the Unreachable sentinel at their index instead of failing the
@@ -82,19 +70,19 @@ package wire
 
 import "fmt"
 
-// Magic prefixes every v2 connection in both directions. MagicByte (the
-// first byte) is the protocol discriminator: no text-protocol request
-// can begin with it.
+// Magic prefixes every binary connection in both directions. MagicByte
+// (the first byte) is the protocol discriminator: no text-protocol
+// request can begin with it.
 var Magic = [4]byte{0xD5, 'C', 'P', '2'}
 
 // MagicByte is Magic[0], exported for single-byte protocol sniffing.
 const MagicByte = 0xD5
 
 // The protocol versions this package speaks. Version 1 is the text line
-// protocol (never spoken in frames); the binary format starts at 2.
-// Version 4 (update/snapshot messages) shares version 3's frame format.
+// protocol (never spoken in frames); the one binary frame format is
+// version 4. Older binary versions are refused at the handshake.
 const (
-	VersionMin uint16 = 2
+	VersionMin uint16 = 4
 	VersionMax uint16 = 4
 )
 
@@ -105,14 +93,14 @@ const (
 	MsgBatch   byte = 0x02
 	MsgStats   byte = 0x03
 	MsgInfo    byte = 0x04
-	MsgUpdate  byte = 0x05 // v4+
-	MsgSnap    byte = 0x06 // v4+
+	MsgUpdate  byte = 0x05
+	MsgSnap    byte = 0x06
 	MsgDistR   byte = 0x81
 	MsgBatchR  byte = 0x82
 	MsgStatsR  byte = 0x83
 	MsgInfoR   byte = 0x84
-	MsgUpdateR byte = 0x85 // v4+
-	MsgSnapR   byte = 0x86 // v4+
+	MsgUpdateR byte = 0x85
+	MsgSnapR   byte = 0x86
 	MsgErr     byte = 0xFF
 )
 
@@ -121,12 +109,9 @@ const (
 	HelloLen = 8 // magic[4] + two uint16
 	// frameHeaderLen is the length prefix itself.
 	frameHeaderLen = 4
-	// frameBodyMin is type + id, the smallest legal v2 frame body.
-	frameBodyMin = 1 + 8
-	// traceLen is the v3 trace context: traceID uint64 + flags uint8.
-	traceLen = 8 + 1
-	// frameBodyMinV3 is type + id + trace, the smallest legal v3 body.
-	frameBodyMinV3 = frameBodyMin + traceLen
+	// frameBodyMin is type + id + trace context (traceID uint64 +
+	// flags uint8), the smallest legal frame body.
+	frameBodyMin = 1 + 8 + 8 + 1
 	// queryLen is one encoded Query (u, v int32).
 	queryLen = 8
 	// answerLen is one encoded Answer (u, v, dist, bound int32 + flags).
@@ -143,21 +128,18 @@ const (
 	snapRespLen = 37
 )
 
-// Trace-context flag bits (v3 frames).
+// Trace-context flag bits.
 const (
 	// TraceFlagSampled marks the request for hop-by-hop recording; on a
 	// response it confirms the server traced the request.
 	TraceFlagSampled byte = 1 << 0
 	// tracePathShift positions the obs.Path* resolution mask (6 bits)
-	// inside response flags. Widened from 4 to 6 bits when the oracle
-	// grew backend-specific paths (exact table, hub bunches); peers that
-	// still mask to 4 bits simply drop the new bits, so the widening is
-	// wire-compatible in both directions.
+	// inside response flags.
 	tracePathShift = 1
 	tracePathBits  = 0x3F
 )
 
-// TraceContext is the per-frame trace field carried by v3 frames: a
+// TraceContext is the per-frame trace field every frame carries: a
 // client-assigned 64-bit trace id plus flag bits. The zero value means
 // "untraced" and encodes as nine zero bytes.
 type TraceContext struct {
@@ -187,9 +169,9 @@ func ResponseContext(id uint64, sampled bool, pathMask uint8) TraceContext {
 	return tc
 }
 
-// DefaultMaxFrameBytes bounds one frame body (type + id + payload) when
-// the caller does not choose a limit. It comfortably holds the default
-// server batch limit (16384 answers ≈ 272 KiB).
+// DefaultMaxFrameBytes bounds one frame body (everything after the length
+// prefix) when the caller does not choose a limit. It comfortably holds
+// the default server batch limit (16384 answers ≈ 272 KiB).
 const DefaultMaxFrameBytes = 1 << 20
 
 // Negotiate resolves the version spoken on a connection: the highest

@@ -100,10 +100,13 @@ func TestFrameLimits(t *testing.T) {
 	if _, err := ReadFrame(bytes.NewReader(huge), 1024); !errors.Is(err, ErrFrameTooBig) {
 		t.Fatalf("oversized frame error = %v, want ErrFrameTooBig", err)
 	}
-	// Undersized length prefix (body can't hold type+id).
-	tiny := binary.BigEndian.AppendUint32(nil, 3)
-	if _, err := ReadFrame(bytes.NewReader(tiny), 1024); !errors.Is(err, ErrShortFrame) {
-		t.Fatalf("short frame error = %v, want ErrShortFrame", err)
+	// Undersized length prefixes: too short for type + id, type + id with
+	// no trace context, and one byte short of the full header.
+	for _, body := range []uint32{3, 1 + 8, frameBodyMin - 1} {
+		tiny := binary.BigEndian.AppendUint32(nil, body)
+		if _, err := ReadFrame(bytes.NewReader(tiny), 1024); !errors.Is(err, ErrShortFrame) {
+			t.Fatalf("length %d: short frame error = %v, want ErrShortFrame", body, err)
+		}
 	}
 	// Truncated body.
 	trunc := AppendFrame(nil, Frame{Type: MsgStats, ID: 9, Payload: []byte("abcdef")})

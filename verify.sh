@@ -1,6 +1,7 @@
 #!/bin/sh
-# Extended tier-1 gate: build everything, vet, run the full test suite
-# under the race detector, and smoke-test the dcserve demo path.
+# Extended tier-1 gate: build everything, vet, check gofmt, run the full
+# test suite under the race detector and at GOMAXPROCS 1, 2 and 8, and
+# smoke-test the serving paths end to end.
 set -eu
 
 cd "$(dirname "$0")"
@@ -10,6 +11,10 @@ go build ./...
 
 echo "== go vet ./..."
 go vet ./...
+
+echo "== gofmt (no file may need reformatting)"
+UNFMT=$(gofmt -l .)
+[ -z "$UNFMT" ] || { echo "gofmt -l lists unformatted files:"; echo "$UNFMT"; exit 1; }
 
 echo "== go test -race ./..."
 go test -race ./...
@@ -23,8 +28,13 @@ go test -race -count=1 \
 echo "== server fault-injection suite under -race (oversized lines, slow loris, disconnects, shutdown drain)"
 go test -race -count=1 ./internal/server/
 
-echo "== dccheck differential sweep (optimized == naive references, all gen families)"
-go run ./cmd/dccheck -quick
+echo "== go test + dccheck differential sweep at GOMAXPROCS 1, 2 and 8 (optimized == naive references, all gen families)"
+for procs in 1 2 8; do
+    GOMAXPROCS=$procs go test -count=1 ./... \
+        || { echo "go test failed at GOMAXPROCS=$procs"; exit 1; }
+    GOMAXPROCS=$procs go run ./cmd/dccheck -quick \
+        || { echo "dccheck failed at GOMAXPROCS=$procs"; exit 1; }
+done
 
 echo "== dccheck per-backend sweep (each oracle backend forced, stretch bounds enforced)"
 for be in landmark-bibfs exact-cached sparse-hub; do
@@ -41,11 +51,11 @@ UNDOC=$(awk '
     END { exit bad }' $(ls internal/oracle/*.go | grep -v _test)) \
     || { echo "undocumented exported oracle symbols:"; echo "$UNDOC"; exit 1; }
 
-echo "== wire v2/v3/v4 cross-version matrix (negotiation, trace-context downgrade, update/snapshot gating)"
-go test -race -count=1 -run 'CrossVersion|FrameV3|TraceContext|TraceV2Dropped|BinaryTrace|UpdateSnap|BinaryUpdate|BinaryStatic|BinaryConcurrent' \
+echo "== wire protocol suite (version refusal, trace-context echo, update/snapshot messages)"
+go test -race -count=1 -run 'Negotiate|BinaryVersionRejected|CrossVersionV4ClientV4Server|FrameTraceRoundTrip|TraceContext|BinaryTrace|UpdateSnap|BinaryUpdate|BinaryStatic|BinaryConcurrent' \
     ./internal/wire/ ./internal/server/
 
-echo "== fuzz smoke (line protocol + wire frames v2+v3 + graphio reader, 5s each)"
+echo "== fuzz smoke (line protocol + wire frames + graphio reader, 5s each)"
 go test -run '^$' -fuzz '^FuzzServerProtocol$' -fuzztime 5s ./internal/check/
 go test -run '^$' -fuzz '^FuzzWireFrame$' -fuzztime 5s ./internal/check/
 go test -run '^$' -fuzz '^FuzzGraphioRead$' -fuzztime 5s ./internal/check/
@@ -113,14 +123,14 @@ done
 RTR_DEBUG=$(sed -n 's/^debug listening on //p' /tmp/dcrouter.verify.log)
 [ -n "$RTR_DEBUG" ] || { echo "dcrouter never announced its debug address"; cat /tmp/dcrouter.verify.log; exit 1; }
 # dcload exits 1 on zero answered requests or >1% errors, so its exit
-# status is the assertion; -trace 8 sets the wire v3 sampling bit on
-# every 8th request and verifies the target echoes it.
+# status is the assertion; -trace 8 sets the wire trace-context sampling
+# bit on every 8th request and verifies the target echoes it.
 /tmp/dcload.verify -addr "$RTR_ADDR" -duration 2s -conns 4 -batch 1:3,16:1 -zipf 0.9 -trace 8 \
     >/tmp/dcload.verify.out 2>&1 \
     || { echo "dcload run against the router failed"; cat /tmp/dcload.verify.out /tmp/dcrouter.verify.log; exit 1; }
 cat /tmp/dcload.verify.out
 grep -q '^traced: [1-9][0-9]* requests confirmed sampled' /tmp/dcload.verify.out \
-    || { echo "target never confirmed a sampled trace (v3 negotiation broken?)"; exit 1; }
+    || { echo "target never confirmed a sampled trace (trace-context echo broken?)"; exit 1; }
 echo "== flight recorder e2e (/debug/requests holds well-formed fan-out traces)"
 curl -fsS "http://$RTR_DEBUG/debug/requests" >/tmp/dcrouter.verify.requests
 python3 - <<'PYEOF'
