@@ -126,16 +126,12 @@ func main() {
 		Registry:     reg,
 	}
 
-	// mount wraps whichever engine serves this process: a static Oracle,
-	// or the dynamic live-graph engine that additionally answers the
-	// update/snapshot verbs.
-	var (
-		o     *oracle.Oracle
-		mount func(server.Config) *server.Server
-	)
+	// Both modes build one *oracle.Oracle; a dynamic one additionally
+	// answers the update/snapshot verbs.
+	var o *oracle.Oracle
 	t0 := time.Now()
 	if *dynamic {
-		d, err := oracle.NewDynamic(g, oracle.DynamicOptions{
+		o, err = oracle.NewDynamic(g, oracle.DynamicOptions{
 			Spanner: spanner.IncrementalOptions{Seed: cfg.Seed, RebuildThreshold: *rebuildThr},
 			Oracle:  oracleOpts,
 		})
@@ -143,11 +139,9 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		o = d.Oracle()
-		hm := d.Snapshot(false).HM
+		hm := o.Snapshot(false).HM
 		fmt.Printf("H (incremental-cluster3, dynamic): m=%d (%.1f%% of G), certified alpha=%d\n",
 			hm, 100*float64(hm)/float64(g.M()), spanner.IncrementalAlpha)
-		mount = func(c server.Config) *server.Server { return server.NewBackend(server.DynamicBackend{Dynamic: d}, c) }
 	} else {
 		dc, err := core.Build(g, core.Options{
 			Algorithm: core.Algorithm(*algo),
@@ -168,7 +162,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		mount = func(c server.Config) *server.Server { return server.New(o, c) }
 	}
 	if rep := o.TunerReport(); rep != nil {
 		fmt.Printf("oracle tuner:\n%s", rep)
@@ -203,7 +196,7 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("serving on %s (maxconns=%d maxline=%d idle=%v dynamic=%v)\n", l.Addr(), *maxConns, *maxLine, *idle, *dynamic)
-		if err := mount(srvCfg).Serve(ctx, l); err != nil {
+		if err := server.New(o, srvCfg).Serve(ctx, l); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -211,7 +204,7 @@ func main() {
 	default:
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
-		mount(srvCfg).ServeStream(ctx, os.Stdin, os.Stdout)
+		server.New(o, srvCfg).ServeStream(ctx, os.Stdin, os.Stdout)
 	}
 }
 

@@ -114,7 +114,7 @@ var registry = []Scenario{
 	},
 	{
 		Name:        "churn",
-		Description: "dynamic-graph churn (oracle.Dynamic): a forward pass of edge toggles, a query batch against the mutated state, then the reverse pass restoring the initial state, closing with a verify snapshot; the fingerprint folds per-update edge counts, the mid-state answers, and the state hashes, so it proves the round trip is exact",
+		Description: "dynamic-graph churn (oracle.NewDynamic): a forward pass of edge toggles, a query batch against the mutated state, then the reverse pass restoring the initial state, closing with a verify snapshot; the fingerprint folds per-update edge counts, the mid-state answers, and the state hashes, so it proves the round trip is exact",
 		Prepare:     prepareChurn,
 	},
 }
@@ -290,7 +290,7 @@ func prepareChurn(opt Options, reg *obs.Registry) (Iter, error) {
 	// counter and the update counter), while M/HM/answers/hashes are pure
 	// functions of the toggle position within one iteration.
 	type engine struct {
-		d   *oracle.Dynamic
+		d   *oracle.Oracle
 		cur map[graph.Edge]bool
 	}
 	engines := make(map[int]*engine)

@@ -11,7 +11,7 @@ import (
 
 // checkDynamic is the incremental-maintenance differential: drive seeded
 // batches of edge updates through the incremental spanner and through a
-// full oracle.Dynamic engine per backend, and after EVERY batch assert
+// full oracle.NewDynamic engine per backend, and after EVERY batch assert
 // that the incrementally maintained state is indistinguishable from a
 // from-scratch build on the current edge set.
 //
@@ -173,7 +173,7 @@ func checkDynamic(rep *Report, family string, g *graph.Graph, opts Options, r *r
 // dynEngine pairs a live engine with its backend name for reporting.
 type dynEngine struct {
 	name string
-	d    *oracle.Dynamic
+	d    *oracle.Oracle
 }
 
 // applyInc dispatches one update to a maintained spanner.

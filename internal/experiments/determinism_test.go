@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"testing"
-
-	"repro/internal/obs"
-)
+import "testing"
 
 // The harness-level determinism guarantee (Config.Workers godoc): for a
 // fixed seed, rendered experiment reports are byte-identical for every
@@ -36,27 +32,5 @@ func TestReportsIdenticalAcrossWorkerCounts(t *testing.T) {
 					id, workers, base.Body, workers, got.Body)
 			}
 		}
-	}
-}
-
-// Metrics plumbing: a run with a registry attached records the workers
-// gauge and nonzero sweep counters without perturbing the report.
-func TestMetricsRecordKernelActivity(t *testing.T) {
-	reg := obs.NewRegistry()
-	cfg := Config{Seed: 42, Quick: true, Workers: 2, Metrics: NewMetrics(reg)}
-	cfg.Metrics.setWorkers(cfg.resolvedWorkers())
-	run, _ := Lookup("table1-thm2")
-	if _, err := run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	snap := reg.Snapshot()
-	if got := snap.Gauges["eval_workers"]; got != 2 {
-		t.Errorf("eval_workers gauge = %v, want 2", got)
-	}
-	if snap.Counters["eval_stretch_sweeps"] == 0 {
-		t.Error("eval_stretch_sweeps stayed zero across a Table 1 run")
-	}
-	if snap.Counters["eval_congestion_paths"] == 0 {
-		t.Error("eval_congestion_paths stayed zero across a Table 1 run")
 	}
 }

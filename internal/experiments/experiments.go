@@ -40,9 +40,6 @@ type Config struct {
 	// and every sweep writes only per-index result slots merged
 	// order-independently (see DESIGN.md §9).
 	Workers int
-	// Metrics, when non-nil, receives kernel telemetry: the workers gauge
-	// and per-sweep counters (see NewMetrics). Nil records nothing.
-	Metrics *Metrics
 }
 
 // Result is a rendered experiment report.
@@ -116,7 +113,6 @@ func Lookup(id string) (Runner, bool) {
 // experiment runs under its own child span (named by its id) so the
 // runner's phase tree shows where a slow sweep spends its time.
 func RunAll(cfg Config) []*Result {
-	cfg.Metrics.setWorkers(cfg.resolvedWorkers())
 	out := make([]*Result, 0, len(registry))
 	for _, e := range registry {
 		ecfg := cfg

@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -89,7 +90,10 @@ type Backend interface {
 	// registry, labeled backend="<name>". Called exactly once, on the
 	// backend actually serving — tuner candidates that lose are never
 	// attached, so candidate probing cannot collide on metric names.
-	attachMetrics(reg *obs.Registry)
+	// Closures reading state that refresh replaces (table sizes, bunch
+	// counts) run under rl, the oracle's read lock; atomic counters need
+	// no lock.
+	attachMetrics(reg *obs.Registry, rl sync.Locker)
 
 	// refresh invalidates or patches the backend's precomputed state
 	// after the serving spanner changed from its current graph to h —
@@ -101,8 +105,8 @@ type Backend interface {
 	// rewrites only affected rows for removed ones). The contract,
 	// enforced by internal/check's incremental differential: after
 	// refresh, every answer must equal the answer of a backend freshly
-	// built on h with the same Options. Callers serialize refresh against
-	// Dist/AnswerBatch (oracle.Dynamic holds its update lock).
+	// built on h with the same Options. The Oracle serializes refresh
+	// against every reader: Update holds its lock exclusively here.
 	refresh(h *graph.Graph)
 }
 

@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -241,7 +242,7 @@ func (b *exactBackend) Stats() BackendStats {
 }
 
 // attachMetrics implements Backend.
-func (b *exactBackend) attachMetrics(reg *obs.Registry) {
+func (b *exactBackend) attachMetrics(reg *obs.Registry, _ sync.Locker) {
 	reg.CounterFuncLabeled(metricPathExact, "Resolutions served from the precomputed all-pairs table.",
 		"backend", b.Name(), b.pathExact.Load)
 }

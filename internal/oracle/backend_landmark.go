@@ -255,7 +255,7 @@ func (b *landmarkBackend) Stats() BackendStats {
 // attachMetrics implements Backend: every counter is labeled with the
 // backend's name, so mixed-backend fleets scraped into one place stay
 // distinguishable and per-backend hit rates never blend.
-func (b *landmarkBackend) attachMetrics(reg *obs.Registry) {
+func (b *landmarkBackend) attachMetrics(reg *obs.Registry, rl sync.Locker) {
 	label := b.Name()
 	hits := func() int64 { return 0 }
 	misses := hits
@@ -275,7 +275,6 @@ func (b *landmarkBackend) attachMetrics(reg *obs.Registry) {
 		"backend", label, b.pathBulk.Load)
 	reg.RegisterHistogram(metricFrontierMax,
 		"Largest single-side BFS frontier per exact search (vertices).", b.frontier)
-	reg.GaugeFunc(metricLandmarks, "Landmark BFS trees precomputed on H.", func() float64 {
-		return float64(len(b.lm.roots))
-	})
+	reg.GaugeFunc(metricLandmarks, "Landmark BFS trees precomputed on H.",
+		readLocked(rl, func() float64 { return float64(len(b.lm.roots)) }))
 }

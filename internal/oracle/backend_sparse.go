@@ -3,6 +3,7 @@ package oracle
 import (
 	"math"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -282,14 +283,14 @@ func (b *sparseBackend) Stats() BackendStats {
 }
 
 // attachMetrics implements Backend.
-func (b *sparseBackend) attachMetrics(reg *obs.Registry) {
+func (b *sparseBackend) attachMetrics(reg *obs.Registry, rl sync.Locker) {
 	label := b.Name()
 	reg.CounterFuncLabeled(metricPathBunch, "Resolutions answered exactly from a hub bunch.",
 		"backend", label, b.pathBunch.Load)
 	reg.CounterFuncLabeled(metricPathHub, "Resolutions served the O(k) hub upper bound.",
 		"backend", label, b.pathHub.Load)
 	reg.GaugeFunc(metricSparseHubs, "Hub BFS rows precomputed by the sparse-hub backend.",
-		func() float64 { return float64(len(b.hubs.roots)) })
+		readLocked(rl, func() float64 { return float64(len(b.hubs.roots)) }))
 	reg.GaugeFunc(metricBunchEntries, "Total bunch entries held by the sparse-hub backend.",
-		func() float64 { return float64(len(b.bunchW)) })
+		readLocked(rl, func() float64 { return float64(len(b.bunchW)) }))
 }

@@ -33,6 +33,8 @@ func (o *Oracle) AnswerBatch(qs []Query) []Answer {
 // per-batch nil checks — path bits are folded into a local word per
 // worker either way, never per-query atomics.
 func (o *Oracle) AnswerBatchTrace(qs []Query, tr *obs.ReqTrace) []Answer {
+	o.mu.RLock()
+	defer o.mu.RUnlock()
 	t0 := time.Now()
 	out := make([]Answer, len(qs))
 	if len(qs) == 0 {
@@ -63,7 +65,7 @@ func (o *Oracle) AnswerBatchTrace(qs []Query, tr *obs.ReqTrace) []Answer {
 // Latency is accounted as the batch's wall time amortized uniformly over
 // the accounted queries.
 func (o *Oracle) accountBatch(qs []Query, out []Answer, t0 time.Time) {
-	n := int32(o.h.N())
+	n := int32(o.n)
 	perQuery := time.Since(t0).Seconds() / float64(len(qs))
 	for qi, q := range qs {
 		switch {

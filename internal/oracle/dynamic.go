@@ -1,32 +1,11 @@
 package oracle
 
 import (
-	"sync"
+	"errors"
 
 	"repro/internal/graph"
-	"repro/internal/obs"
-	"repro/internal/routing"
 	"repro/internal/spanner"
 )
-
-// Dynamic is the live-graph serving engine: a mutable base graph, an
-// incrementally maintained stretch-3 cluster spanner over it
-// (spanner.Incremental), and an Oracle answering queries on the current
-// spanner. Updates repair everything in place — the spanner by its local
-// cluster rule, the oracle backend through Backend.refresh — so
-// counters, caches, histograms, and metric registrations survive every
-// mutation instead of being torn down per update.
-//
-// Concurrency: an RWMutex serializes updates (exclusive) against queries
-// (shared). Queries between two updates see a consistent
-// (graph, spanner, backend) triple; the Oracle itself is concurrency-
-// safe under the read lock exactly as it is for a static graph.
-type Dynamic struct {
-	mu   sync.RWMutex
-	inc  *spanner.Incremental
-	o    *Oracle
-	sopt spanner.IncrementalOptions // kept for Snapshot's verify rebuild
-}
 
 // DynamicOptions configures NewDynamic.
 type DynamicOptions struct {
@@ -74,72 +53,97 @@ type SnapshotInfo struct {
 	Verified, Consistent bool
 }
 
-// NewDynamic builds the engine over a starting graph. The oracle serves
-// the incremental spanner with its certified stretch
-// (spanner.IncrementalAlpha).
-func NewDynamic(base *graph.Graph, opts DynamicOptions) (*Dynamic, error) {
+// ErrStatic is Update's refusal on an oracle built by New or
+// NewFromGraphs: only NewDynamic oracles own a live graph.
+var ErrStatic = errors.New("updates not supported (static graph; start the server with a dynamic engine)")
+
+// NewDynamic builds an oracle over a live graph: a mutable base graph and
+// an incrementally maintained stretch-3 cluster spanner over it
+// (spanner.Incremental), served with that spanner's certified stretch
+// (spanner.IncrementalAlpha). Update repairs everything in place — the
+// spanner by its local cluster rule, the backend through Backend.refresh
+// — so counters, caches, histograms, and metric registrations survive
+// every mutation.
+func NewDynamic(base *graph.Graph, opts DynamicOptions) (*Oracle, error) {
 	inc := spanner.NewIncremental(base, opts.Spanner)
 	s := inc.Spanner()
 	o, err := NewFromGraphs(s.Base, s.H, spanner.IncrementalAlpha, opts.Oracle)
 	if err != nil {
 		return nil, err
 	}
-	return &Dynamic{inc: inc, o: o, sopt: opts.Spanner}, nil
+	o.inc, o.sopt = inc, opts.Spanner
+	return o, nil
 }
 
+// IsDynamic reports whether the oracle was built by NewDynamic and so
+// accepts Update.
+func (o *Oracle) IsDynamic() bool { return o.inc != nil }
+
 // Update applies one edge mutation end to end: the live graph, the
-// maintained spanner, and the oracle backend's precomputed state. No-op
-// updates (Applied false) touch nothing. The cost of an applied update
-// is the local spanner rule plus one snapshot materialization plus the
-// backend's refresh.
-func (d *Dynamic) Update(u, v int32, add bool) (UpdateResult, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+// maintained spanner, and the backend's precomputed state, all under the
+// oracle's write lock so queries see either the old or the new
+// (graph, spanner, backend) triple. No-op updates (Applied false) touch
+// nothing. The cost of an applied update is the local spanner rule plus
+// one snapshot materialization plus the backend's refresh. A static
+// oracle answers ErrStatic.
+func (o *Oracle) Update(u, v int32, add bool) (UpdateResult, error) {
+	if o.inc == nil {
+		return UpdateResult{}, ErrStatic
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
 	var (
 		applied, rebuilt bool
 		err              error
 	)
 	if add {
-		applied, rebuilt, err = d.inc.Insert(u, v)
+		applied, rebuilt, err = o.inc.Insert(u, v)
 	} else {
-		applied, rebuilt, err = d.inc.Delete(u, v)
+		applied, rebuilt, err = o.inc.Delete(u, v)
 	}
 	res := UpdateResult{
 		Applied: applied,
 		Rebuilt: rebuilt,
-		M:       d.inc.Graph().M(),
-		HM:      d.inc.HM(),
-		Seq:     d.inc.Seq(),
+		M:       o.inc.Graph().M(),
+		HM:      o.inc.HM(),
+		Seq:     o.inc.Seq(),
 	}
 	if err != nil || !applied {
 		return res, err
 	}
-	s := d.inc.Spanner()
-	d.o.applyUpdate(s.Base, s.H)
+	s := o.inc.Spanner()
+	o.g, o.h = s.Base, s.H
+	o.backend.refresh(s.H)
 	return res, nil
 }
 
-// Snapshot reports the engine's current state. With verify set it also
-// rebuilds the spanner from scratch off the current edge set (same seed)
-// and reports whether the maintained one matches — the wire-reachable
-// form of the incremental-vs-rebuilt differential.
-func (d *Dynamic) Snapshot(verify bool) SnapshotInfo {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	dg := d.inc.Graph()
-	snap := dg.Snapshot()
-	hEdges := d.inc.Edges()
-	info := SnapshotInfo{
-		N:           dg.N(),
-		M:           dg.M(),
-		HM:          len(hEdges),
-		Seq:         dg.Seq(),
-		GraphHash:   edgeSetHash(snap.Edges()),
-		SpannerHash: edgeSetHash(hEdges),
+// Snapshot reports the served state: edge counts, the applied-update
+// counter (0 on a static oracle), and digests of both graphs. With verify
+// set, a dynamic oracle also rebuilds the spanner from scratch off the
+// current edge set (same seed) and reports whether the maintained one
+// matches — the wire-reachable form of the incremental-vs-rebuilt
+// differential. Only the graph pointers are read under the lock; the
+// hashing and the rebuild run after it is released, so a verify snapshot
+// never stalls writers.
+func (o *Oracle) Snapshot(verify bool) SnapshotInfo {
+	o.mu.RLock()
+	g, h := o.g, o.h
+	var seq uint64
+	if o.inc != nil {
+		seq = o.inc.Seq()
 	}
-	if verify {
+	o.mu.RUnlock()
+	info := SnapshotInfo{
+		N:           g.N(),
+		M:           g.M(),
+		HM:          h.M(),
+		Seq:         seq,
+		GraphHash:   edgeSetHash(g.Edges()),
+		SpannerHash: edgeSetHash(h.Edges()),
+	}
+	if verify && o.inc != nil {
 		info.Verified = true
-		fresh := spanner.NewIncremental(snap, d.sopt)
+		fresh := spanner.NewIncremental(g, o.sopt)
 		info.Consistent = edgeSetHash(fresh.Edges()) == info.SpannerHash &&
 			fresh.HM() == info.HM
 	}
@@ -165,58 +169,4 @@ func edgeSetHash(edges []graph.Edge) uint64 {
 		mix(uint32(e.V))
 	}
 	return h
-}
-
-// Oracle returns the serving oracle for read-only introspection (stats,
-// tuner report, registry). The pointer is stable across updates — the
-// engine repairs the oracle in place.
-func (d *Dynamic) Oracle() *Oracle { return d.o }
-
-// N returns the (fixed) vertex count.
-func (d *Dynamic) N() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.o.N()
-}
-
-// Dist answers one distance query on the current spanner.
-func (d *Dynamic) Dist(u, v int32) (Answer, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.o.Dist(u, v)
-}
-
-// DistTrace is Dist recording resolution spans into tr.
-func (d *Dynamic) DistTrace(u, v int32, tr *obs.ReqTrace) (Answer, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.o.DistTrace(u, v, tr)
-}
-
-// AnswerBatch answers a batch on the current spanner.
-func (d *Dynamic) AnswerBatch(qs []Query) []Answer {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.o.AnswerBatch(qs)
-}
-
-// AnswerBatchTrace is AnswerBatch recording resolution spans into tr.
-func (d *Dynamic) AnswerBatchTrace(qs []Query, tr *obs.ReqTrace) []Answer {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.o.AnswerBatchTrace(qs, tr)
-}
-
-// Route answers one routing query on the current spanner.
-func (d *Dynamic) Route(u, v int32) (routing.Path, Answer, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.o.Route(u, v)
-}
-
-// Stats snapshots the serving counters.
-func (d *Dynamic) Stats() Stats {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.o.Stats()
 }

@@ -9,7 +9,7 @@ import (
 	"repro/internal/spanner"
 )
 
-// The backend refresh contract, end to end: an oracle.Dynamic driven
+// The backend refresh contract, end to end: a NewDynamic oracle driven
 // through a random update sequence must answer every pair exactly like
 // an oracle freshly built on the current spanner — for every backend.
 func TestDynamicMatchesFreshOracle(t *testing.T) {

@@ -26,6 +26,13 @@
 // pool; answers are independent of scheduling (resolution is
 // deterministic and the landmark backend's cache stores only exact
 // values, so a hit and a recomputation agree).
+//
+// An oracle built by NewDynamic also serves a live graph: Update applies
+// one edge mutation to the base graph, an incrementally maintained
+// spanner (spanner.Incremental), and the backend's tables in place. One
+// RWMutex inside the Oracle guards exactly that replaceable state —
+// queries, stats, and metric reads take it shared, Update exclusively —
+// and a static oracle is the zero-update case of the same type.
 package oracle
 
 import (
@@ -38,6 +45,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/routing"
+	"repro/internal/spanner"
 	"repro/internal/stats"
 )
 
@@ -203,9 +211,19 @@ type Stats struct {
 // Oracle answers distance and route queries over a DC-spanner through a
 // pluggable resolution backend.
 type Oracle struct {
+	// mu guards the state an Update replaces: g, h, and the backend's
+	// precomputed tables. Readers of that state take it shared; on a
+	// static oracle it is never taken exclusively. No method holding the
+	// read lock may call one that takes it: a nested RLock deadlocks once
+	// a writer waits.
+	mu    sync.RWMutex
 	g     *graph.Graph // base graph G (realized-stretch reference)
 	h     *graph.Graph // spanner H (the serving graph)
+	n     int          // vertex count, fixed for the oracle's lifetime
 	alpha int          // certified distance stretch; 0 = uncertified
+
+	inc  *spanner.Incremental       // live-graph maintenance; nil on a static oracle
+	sopt spanner.IncrementalOptions // inc's options, for Snapshot's verify rebuild
 
 	backend Backend
 	tuner   *TunerReport // non-nil only under Backend "auto"
@@ -281,6 +299,7 @@ func NewFromGraphs(g, h *graph.Graph, alpha int, opts Options) (*Oracle, error) 
 	o := &Oracle{
 		g:            g,
 		h:            h,
+		n:            g.N(),
 		alpha:        alpha,
 		backend:      be,
 		tuner:        tuner,
@@ -292,7 +311,7 @@ func NewFromGraphs(g, h *graph.Graph, alpha int, opts Options) (*Oracle, error) 
 	}
 	o.MarkServingStart()
 	o.routePool.New = func() any {
-		return &routeScratch{bfs: graph.NewBFSScratch(h.N()), parent: make([]int32, h.N())}
+		return &routeScratch{bfs: graph.NewBFSScratch(o.n), parent: make([]int32, o.n)}
 	}
 	o.registerMetrics(opts.Registry)
 	return o, nil
@@ -318,8 +337,8 @@ func (o *Oracle) registerMetrics(reg *obs.Registry) {
 		func() float64 { return float64(o.backend.StretchBound()) })
 	reg.GaugeFunc(metricBackendMemory,
 		"Estimated bytes of the serving backend's precomputed state.",
-		func() float64 { return float64(o.backend.MemoryBytes()) })
-	o.backend.attachMetrics(reg)
+		readLocked(o.mu.RLocker(), func() float64 { return float64(o.backend.MemoryBytes()) }))
+	o.backend.attachMetrics(reg, o.mu.RLocker())
 	reg.RegisterHistogram(metricDistLatency, "Dist query service time.", o.latency)
 	reg.RegisterHistogram(metricRouteLatency, "Route query service time.", o.routeLatency)
 	reg.GaugeFunc(metricStretchN, "Realized-stretch samples taken.", func() float64 {
@@ -356,8 +375,8 @@ func (o *Oracle) registerMetrics(reg *obs.Registry) {
 func (o *Oracle) Registry() *obs.Registry { return o.reg }
 
 // N returns the number of vertices the oracle serves — queries must have
-// both endpoints in [0, N).
-func (o *Oracle) N() int { return o.h.N() }
+// both endpoints in [0, N). Updates never change it.
+func (o *Oracle) N() int { return o.n }
 
 // Backend returns the name of the serving backend — the explicit
 // Options.Backend choice, or the auto-tuner's pick.
@@ -369,7 +388,11 @@ func (o *Oracle) TunerReport() *TunerReport { return o.tuner }
 
 // BackendStats snapshots the serving backend's own counters and
 // declared contract (also embedded in Stats).
-func (o *Oracle) BackendStats() BackendStats { return o.backend.Stats() }
+func (o *Oracle) BackendStats() BackendStats {
+	o.mu.RLock()
+	defer o.mu.RUnlock()
+	return o.backend.Stats()
+}
 
 // MarkServingStart resets the serving clock that Stats.QPS is measured
 // against. New arms it at construction time, which charges the idle gap
@@ -384,8 +407,16 @@ func (o *Oracle) MarkServingStart() {
 // Landmarks returns the sorted landmark vertex ids of the landmark-bibfs
 // backend, or nil when another backend serves.
 func (o *Oracle) Landmarks() []int32 {
+	o.mu.RLock()
+	defer o.mu.RUnlock()
+	return append([]int32(nil), o.landmarks()...)
+}
+
+// landmarks is Landmarks without the lock or the copy, for callers that
+// already hold the read lock.
+func (o *Oracle) landmarks() []int32 {
 	if lb, ok := o.backend.(*landmarkBackend); ok {
-		return append([]int32(nil), lb.lm.roots...)
+		return lb.lm.roots
 	}
 	return nil
 }
@@ -394,23 +425,22 @@ func (o *Oracle) Landmarks() []int32 {
 // two oracles over the same spanner and seed produce identical bytes
 // (the determinism contract) — or nil when another backend serves.
 func (o *Oracle) LandmarkBytes() []byte {
+	o.mu.RLock()
+	defer o.mu.RUnlock()
 	if lb, ok := o.backend.(*landmarkBackend); ok {
 		return lb.lm.Bytes()
 	}
 	return nil
 }
 
-// applyUpdate swings the oracle onto the refreshed base graph and
-// spanner and has the backend repair its precomputed state in place
-// (Backend.refresh). The vertex set never changes, so every n-sized
-// structure — the congestion array, the route and search scratch pools,
-// the metric closures — carries over untouched. NOT safe against
-// concurrent queries: the caller must hold an exclusive lock over the
-// oracle (oracle.Dynamic holds its update lock here).
-func (o *Oracle) applyUpdate(g, h *graph.Graph) {
-	o.g = g
-	o.h = h
-	o.backend.refresh(h)
+// readLocked wraps a gauge closure that reads update-replaced state so it
+// runs under rl (the oracle's read lock).
+func readLocked(rl sync.Locker, f func() float64) func() float64 {
+	return func() float64 {
+		rl.Lock()
+		defer rl.Unlock()
+		return f()
+	}
 }
 
 // Dist answers a single distance query. Safe for concurrent use. The
@@ -425,6 +455,8 @@ func (o *Oracle) Dist(u, v int32) (Answer, error) {
 // recorded as an "oracle" hop. A nil trace costs nothing beyond the nil
 // checks — Dist calls through with nil.
 func (o *Oracle) DistTrace(u, v int32, tr *obs.ReqTrace) (Answer, error) {
+	o.mu.RLock()
+	defer o.mu.RUnlock()
 	t0 := time.Now()
 	a, path, err := o.answer(u, v)
 	if err == nil {
@@ -459,7 +491,7 @@ func (o *Oracle) answer(u, v int32) (Answer, uint8, error) {
 // u ≠ v pairs delegate to the serving backend, which reports the
 // obs.Path* bit its resolution took (0 when no path ran).
 func (o *Oracle) resolve(u, v int32) (Answer, uint8, error) {
-	n := int32(o.h.N())
+	n := int32(o.n)
 	if u < 0 || v < 0 || u >= n || v >= n {
 		return Answer{U: u, V: v, Dist: graph.Unreachable, Bound: graph.Unreachable}, 0,
 			fmt.Errorf("oracle: query (%d,%d) out of range [0,%d)", u, v, n)
@@ -503,6 +535,8 @@ func (o *Oracle) maybeSampleStretch(seq int64, u, v, dh int32) {
 // query totals); the full route service time lands in the route latency
 // histogram instead.
 func (o *Oracle) Route(u, v int32) (routing.Path, Answer, error) {
+	o.mu.RLock()
+	defer o.mu.RUnlock()
 	t0 := time.Now()
 	ans, _, err := o.resolve(u, v)
 	if err != nil {
@@ -552,8 +586,13 @@ func (o *Oracle) Stats() Stats {
 // in the same registry (internal/server) renders its whole stats line
 // from one capture instant. Backend-owned series live in the snapshot
 // under backend-labeled keys; the cache figures here are therefore the
-// serving backend's own, never another engine's.
+// serving backend's own, never another engine's. The backend's contract
+// and table sizes are read under the oracle's read lock, which snap's
+// registry closures also take — so take the snapshot first, never while
+// holding that lock.
 func (o *Oracle) StatsFrom(snap obs.Snapshot) Stats {
+	o.mu.RLock()
+	defer o.mu.RUnlock()
 	name := o.backend.Name()
 	s := Stats{
 		Queries:             snap.Counters[metricDistQueries],
@@ -561,7 +600,7 @@ func (o *Oracle) StatsFrom(snap obs.Snapshot) Stats {
 		CacheHits:           snap.Counters[backendKey(metricCacheHits, name)],
 		CacheMisses:         snap.Counters[backendKey(metricCacheMisses, name)],
 		CertifiedAlpha:      o.alpha,
-		Landmarks:           len(o.Landmarks()),
+		Landmarks:           len(o.landmarks()),
 		StretchSamples:      int(snap.Gauges[metricStretchN]),
 		RealizedAlpha:       snap.Gauges[metricRealizedAlpha],
 		MeanStretch:         snap.Gauges[metricMeanStretch],

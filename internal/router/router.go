@@ -157,14 +157,17 @@ func New(opts Options) (*Router, error) {
 		r.shards = append(r.shards, sh)
 	}
 
-	// First contact: every worker must answer Info and agree on N.
+	// First contact: every worker must answer Info and agree on N. These
+	// connections are dialed before the fleet's MaxBatch is known, so
+	// they close after Info; the pool dials clients sized for it on use.
 	for _, sh := range r.shards {
-		c, err := r.dial(sh)
+		c, err := wire.Dial(sh.addr, r.clientOptions())
 		if err != nil {
 			r.Close()
 			return nil, fmt.Errorf("router: worker %d (%s): %w", sh.idx, sh.addr, err)
 		}
 		info, err := c.Info()
+		c.Close()
 		if err != nil {
 			r.Close()
 			return nil, fmt.Errorf("router: worker %d (%s) info: %w", sh.idx, sh.addr, err)
@@ -255,13 +258,21 @@ func (r *Router) HealthyWorkers() int {
 // retries, failures.
 func (r *Router) Counter(name string) int64 { return r.counters.Get(name) }
 
+// clientOptions configures a wire client to a worker. Its frame limit
+// fits the answer to the largest chunk the router sends, r.maxBatch,
+// which New settles before any pooled client is dialed.
+func (r *Router) clientOptions() wire.ClientOptions {
+	return wire.ClientOptions{
+		DialTimeout:    r.opts.DialTimeout,
+		RequestTimeout: r.opts.RequestTimeout,
+		MaxFrameBytes:  wire.FrameLimit(r.maxBatch),
+	}
+}
+
 // dial adds one pooled connection to sh, under sh.mu only for the pool
 // append (the dial itself runs unlocked).
 func (r *Router) dial(sh *shard) (*wire.Client, error) {
-	c, err := wire.Dial(sh.addr, wire.ClientOptions{
-		DialTimeout:    r.opts.DialTimeout,
-		RequestTimeout: r.opts.RequestTimeout,
-	})
+	c, err := wire.Dial(sh.addr, r.clientOptions())
 	if err != nil {
 		return nil, err
 	}

@@ -17,6 +17,7 @@ import (
 	"repro/internal/rng"
 	"repro/internal/server"
 	"repro/internal/spanner"
+	"repro/internal/wire"
 )
 
 // testOracle builds worker i's replica of the standard 128-node serving
@@ -103,6 +104,45 @@ func TestRoutedBatchMatchesSingleProcess(t *testing.T) {
 	}
 	if r.Counter("chunks") < 3 {
 		t.Fatalf("chunks = %d; the 500-query batch should have fanned out", r.Counter("chunks"))
+	}
+}
+
+// A chunk whose answer frame exceeds the default 1 MiB limit: the worker
+// advertises MaxBatch 100000, so the router sends all 100,000 queries as
+// one chunk and its pooled clients must be sized to read the ~1.7 MB
+// answer frame.
+func TestRoutedBatchOverDefaultFrameLimit(t *testing.T) {
+	const n = 100000
+	if wire.BatchFrameBytes(n) <= wire.DefaultMaxFrameBytes {
+		t.Fatalf("a %d-answer frame (%d bytes) fits the default limit; the test needs a bigger batch",
+			n, wire.BatchFrameBytes(n))
+	}
+	fleet, err := StartLocalFleet(1, testOracle(t), server.Config{MaxBatch: n})
+	if err != nil {
+		t.Fatalf("StartLocalFleet: %v", err)
+	}
+	t.Cleanup(fleet.Close)
+	r, err := New(Options{Workers: fleet.Addrs(), HealthInterval: -1})
+	if err != nil {
+		t.Fatalf("router.New: %v", err)
+	}
+	t.Cleanup(func() { r.Close() })
+	if r.MaxBatch() != n {
+		t.Fatalf("router MaxBatch = %d, want the advertised %d", r.MaxBatch(), n)
+	}
+	qs := testQueries(n)
+	got, err := r.AnswerBatch(qs)
+	if err != nil {
+		t.Fatalf("AnswerBatch(%d): %v", n, err)
+	}
+	want := refOracle(t).AnswerBatch(qs)
+	if len(got) != len(want) {
+		t.Fatalf("AnswerBatch(%d): %d answers, want %d", n, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("answer %d: routed %+v, single-process %+v", i, got[i], want[i])
+		}
 	}
 }
 

@@ -70,7 +70,7 @@ func (s *Server) runBinarySession(br *bufio.Reader, out io.Writer, dl deadliner)
 		if dl != nil && s.cfg.IdleTimeout > 0 {
 			dl.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
 		}
-		f, err := wire.ReadFrame(br, s.cfg.MaxFrameBytes)
+		f, err := wire.ReadFrame(br, wire.FrameLimit(s.cfg.MaxBatch))
 		if err != nil {
 			switch {
 			case isTimeout(err) && !s.draining.Load():
@@ -176,8 +176,9 @@ func (bs *binSession) handle(f wire.Frame, tr *obs.ReqTrace) {
 		bs.respond(f, tr, wire.Frame{Type: wire.MsgBatchR, ID: f.ID,
 			Payload: wire.AppendAnswers(make([]byte, 0, wire.BatchFrameBytes(len(as))), as)})
 	case wire.MsgUpdate:
-		if srv.up == nil {
-			bs.respondErr(f.ID, "updates not supported (static graph; start the server with a dynamic engine)")
+		o, err := srv.dynamicOracle()
+		if err != nil {
+			bs.respondErr(f.ID, err.Error())
 			return
 		}
 		u, v, add, err := wire.DecodeUpdateReq(f.Payload)
@@ -185,15 +186,16 @@ func (bs *binSession) handle(f wire.Frame, tr *obs.ReqTrace) {
 			bs.respondErr(f.ID, err.Error())
 			return
 		}
-		res, err := srv.up.Update(u, v, add)
+		res, err := o.Update(u, v, add)
 		if err != nil {
 			bs.respondErr(f.ID, err.Error())
 			return
 		}
 		bs.writeFrame(wire.Frame{Type: wire.MsgUpdateR, ID: f.ID, Payload: wire.AppendUpdateResult(nil, res)})
 	case wire.MsgSnap:
-		if srv.up == nil {
-			bs.respondErr(f.ID, "updates not supported (static graph; start the server with a dynamic engine)")
+		o, err := srv.dynamicOracle()
+		if err != nil {
+			bs.respondErr(f.ID, err.Error())
 			return
 		}
 		verify, err := wire.DecodeSnapReq(f.Payload)
@@ -202,7 +204,7 @@ func (bs *binSession) handle(f wire.Frame, tr *obs.ReqTrace) {
 			return
 		}
 		bs.writeFrame(wire.Frame{Type: wire.MsgSnapR, ID: f.ID,
-			Payload: wire.AppendSnapshotInfo(nil, srv.up.Snapshot(verify))})
+			Payload: wire.AppendSnapshotInfo(nil, o.Snapshot(verify))})
 	case wire.MsgStats:
 		bs.writeFrame(wire.Frame{Type: wire.MsgStatsR, ID: f.ID, Payload: []byte(srv.statsLine())})
 	case wire.MsgInfo:
@@ -261,7 +263,7 @@ func (bs *binSession) writeFrame(f wire.Frame) {
 		return
 	}
 	bs.armWriteDeadline()
-	err := wire.WriteFrame(bs.w, f, bs.srv.cfg.MaxFrameBytes)
+	err := wire.WriteFrame(bs.w, f, wire.FrameLimit(bs.srv.cfg.MaxBatch))
 	if err == nil {
 		err = bs.w.Flush()
 	}

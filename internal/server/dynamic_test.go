@@ -2,28 +2,31 @@ package server
 
 import (
 	"fmt"
+	"io"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/gen"
+	"repro/internal/obs"
 	"repro/internal/oracle"
 	"repro/internal/rng"
 	"repro/internal/wire"
 )
 
-// testDynamicServer builds a Server over an oracle.Dynamic engine on a
-// 64-vertex Erdős–Rényi graph.
+// testDynamicServer builds a Server over a dynamic oracle on a 64-vertex
+// Erdős–Rényi graph.
 func testDynamicServer(t testing.TB) *Server {
 	t.Helper()
 	base := gen.ErdosRenyi(64, 0.08, rng.New(4))
-	d, err := oracle.NewDynamic(base, oracle.DynamicOptions{
+	o, err := oracle.NewDynamic(base, oracle.DynamicOptions{
 		Oracle: oracle.Options{Backend: oracle.BackendExactCached, Seed: 5},
 	})
 	if err != nil {
 		t.Fatalf("NewDynamic: %v", err)
 	}
-	return NewBackend(DynamicBackend{d}, Config{})
+	return New(o, Config{})
 }
 
 // The update/snapshot text verbs end to end: mutations apply, queries
@@ -209,5 +212,80 @@ func TestBinaryConcurrentUpdatesAndQueries(t *testing.T) {
 	info, err := upd.Snap(true)
 	if err != nil || !info.Consistent {
 		t.Fatalf("final verify snapshot = (%+v, %v)", info, err)
+	}
+}
+
+// Updates racing every reader of the state they replace, once per
+// backend: the stats line (text "stats" and MsgStats), a /metrics
+// scrape, and queries. Each reader must take the oracle's lock, so this
+// test is clean under -race; the verify snapshot at the end proves the
+// racing updates still left a consistent spanner.
+func TestDynamicUpdatesRaceStatsAndMetrics(t *testing.T) {
+	base := gen.ErdosRenyi(64, 0.08, rng.New(4))
+	for _, name := range oracle.BackendNames() {
+		t.Run(name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			o, err := oracle.NewDynamic(base, oracle.DynamicOptions{
+				Oracle: oracle.Options{Backend: name, Seed: 5, Registry: reg},
+			})
+			if err != nil {
+				t.Fatalf("NewDynamic: %v", err)
+			}
+			srv := New(o, Config{Registry: reg})
+			stop := make(chan struct{})
+			done := make(chan struct{})
+			var reads atomic.Int64
+			go func() {
+				defer close(done)
+				qs := []oracle.Query{{U: 0, V: 1}, {U: 2, V: 60}, {U: 5, V: 40}}
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if line := srv.statsLine(); !strings.HasPrefix(line, "backend="+name) {
+						t.Errorf("stats line = %q", line)
+						return
+					}
+					if err := reg.WritePrometheus(io.Discard); err != nil {
+						t.Errorf("WritePrometheus: %v", err)
+						return
+					}
+					if _, err := o.Dist(3, 33); err != nil {
+						t.Errorf("Dist: %v", err)
+						return
+					}
+					if _, _, err := o.Route(3, 33); err != nil {
+						t.Errorf("Route: %v", err)
+						return
+					}
+					o.AnswerBatch(qs)
+					reads.Add(1)
+				}
+			}()
+			r := rng.New(8)
+		updates:
+			for i := 0; i < 40 || reads.Load() < 5; i++ {
+				select {
+				case <-done: // the reader failed and stopped
+					break updates
+				default:
+				}
+				u, v := int32(r.Intn(64)), int32(r.Intn(64))
+				if u == v {
+					continue
+				}
+				if _, err := o.Update(u, v, r.Bernoulli(0.5)); err != nil {
+					t.Errorf("update %d: %v", i, err)
+					break
+				}
+			}
+			close(stop)
+			<-done
+			if info := o.Snapshot(true); !info.Verified || !info.Consistent {
+				t.Fatalf("verify snapshot after racing updates: %+v", info)
+			}
+		})
 	}
 }

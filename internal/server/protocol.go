@@ -70,9 +70,9 @@ func (sess *session) handle(line string) error {
 // before the response goes out — a client that sees the response line
 // queries the updated state.
 func (sess *session) handleUpdate(fields []string) error {
-	srv := sess.srv
-	if srv.up == nil {
-		return sess.respondErrf("updates not supported (static graph; start the server with a dynamic engine)")
+	o, err := sess.srv.dynamicOracle()
+	if err != nil {
+		return sess.respondErrf("%s", err)
 	}
 	if len(fields) != 4 || (fields[3] != "add" && fields[3] != "del") {
 		return sess.respondErrf(`want "update <u> <v> <add|del>"`)
@@ -81,7 +81,7 @@ func (sess *session) handleUpdate(fields []string) error {
 	if err != nil {
 		return sess.respondErrf("%s", err)
 	}
-	res, err := srv.up.Update(u, v, fields[3] == "add")
+	res, err := o.Update(u, v, fields[3] == "add")
 	if err != nil {
 		return sess.respondErrf("%s", err)
 	}
@@ -93,9 +93,9 @@ func (sess *session) handleUpdate(fields []string) error {
 // state digest; verify asks the server to rebuild the spanner from
 // scratch and report whether the maintained one matches.
 func (sess *session) handleSnapshot(fields []string) error {
-	srv := sess.srv
-	if srv.up == nil {
-		return sess.respondErrf("updates not supported (static graph; start the server with a dynamic engine)")
+	o, err := sess.srv.dynamicOracle()
+	if err != nil {
+		return sess.respondErrf("%s", err)
 	}
 	verify := false
 	switch {
@@ -105,7 +105,7 @@ func (sess *session) handleSnapshot(fields []string) error {
 	default:
 		return sess.respondErrf(`want "snapshot [verify]"`)
 	}
-	info := srv.up.Snapshot(verify)
+	info := o.Snapshot(verify)
 	return sess.respond(fmt.Sprintf(
 		"snapshot n=%d m=%d hm=%d seq=%d ghash=%016x hhash=%016x verified=%t consistent=%t",
 		info.N, info.M, info.HM, info.Seq, info.GraphHash, info.SpannerHash, info.Verified, info.Consistent))

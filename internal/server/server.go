@@ -28,8 +28,8 @@
 //	update <u> <v> <add|del>
 //	               ->  applies one edge mutation to a live (dynamic)
 //	                   graph: update <u> <v> <op> = applied=<t|f>
-//	                   rebuilt=<t|f> m=<m> hm=<hm> seq=<seq>; backends
-//	                   without a dynamic engine answer
+//	                   rebuilt=<t|f> m=<m> hm=<hm> seq=<seq>; servers
+//	                   over a static oracle or another backend answer
 //	                   "err updates not supported"
 //	snapshot [verify]
 //	               ->  snapshot n=<n> m=<m> hm=<hm> seq=<seq>
@@ -59,7 +59,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/oracle"
 	"repro/internal/stats"
-	"repro/internal/wire"
 )
 
 // Defaults for the zero Config.
@@ -92,11 +91,6 @@ type Config struct {
 	// DrainTimeout bounds graceful shutdown: connections still open this
 	// long after the context is cancelled are force-closed.
 	DrainTimeout time.Duration
-	// MaxFrameBytes bounds one binary (internal/wire) frame body. The
-	// zero value picks the larger of wire.DefaultMaxFrameBytes and
-	// whatever a MaxBatch-sized batch frame needs, so the two limits can
-	// never disagree.
-	MaxFrameBytes int
 	// Log, when set, receives serve-loop and session diagnostics (accept
 	// errors, drain progress) as structured records under
 	// component=server. Nil discards.
@@ -135,12 +129,6 @@ func (c Config) withDefaults() Config {
 	if c.DrainTimeout == 0 {
 		c.DrainTimeout = DefaultDrainTimeout
 	}
-	if c.MaxFrameBytes <= 0 {
-		c.MaxFrameBytes = wire.DefaultMaxFrameBytes
-		if need := wire.BatchFrameBytes(c.MaxBatch) + 64; need > c.MaxFrameBytes {
-			c.MaxFrameBytes = need
-		}
-	}
 	return c
 }
 
@@ -149,9 +137,8 @@ func (c Config) withDefaults() Config {
 // again.
 type Server struct {
 	b        Backend
-	tb       TracedBackend // b, when it supports traced calls; else nil
-	ss       SnapshotStatser
-	up       Updatable // b, when it serves graph mutations; else nil
+	tb       TracedBackend  // b, when it supports traced calls; else nil
+	o        *oracle.Oracle // the oracle behind b when built by New; else nil
 	cfg      Config
 	log      *slog.Logger
 	counters *stats.Counters
@@ -202,14 +189,20 @@ func (ss stageSet) observe(h *stats.Histogram, ex *obs.Exemplar, traceID uint64,
 	ex.Observe(traceID, sec)
 }
 
-// New builds a Server over a single in-process oracle — the common case,
-// kept as the front door so call sites predating Backend read unchanged.
+// New builds a Server over one in-process oracle. The server also uses o
+// directly: its stats line renders from one registry snapshot, and a
+// dynamic oracle (oracle.NewDynamic) serves the update/snapshot verbs and
+// messages, which a static one refuses. cfg's zero fields take the
+// package defaults.
 func New(o *oracle.Oracle, cfg Config) *Server {
-	return NewBackend(OracleBackend{o}, cfg)
+	s := NewBackend(oracleBackend{o}, cfg)
+	s.o = o
+	return s
 }
 
-// NewBackend builds a Server over any Backend. cfg's zero fields take the
-// package defaults.
+// NewBackend builds a Server over any other Backend — the router, or a
+// wrapper around an oracle. Such a server refuses updates and snapshots.
+// cfg's zero fields take the package defaults.
 func NewBackend(b Backend, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -221,11 +214,9 @@ func NewBackend(b Backend, cfg Config) *Server {
 		sem:   make(chan struct{}, cfg.MaxConns),
 		conns: make(map[net.Conn]struct{}),
 	}
-	// Traced/snapshot capabilities are optional per backend; cache the
-	// assertions once so the hot path does a nil check, not a type switch.
+	// Tracing is optional per backend; cache the assertion once so the
+	// hot path does a nil check, not a type switch.
 	s.tb, _ = b.(TracedBackend)
-	s.ss, _ = b.(SnapshotStatser)
-	s.up, _ = b.(Updatable)
 	if cfg.Registry != nil {
 		cfg.Registry.AttachCounters("server", s.counters)
 		cfg.Registry.GaugeFunc("server_active_conns",
@@ -263,6 +254,16 @@ func (s *Server) batchTrace(qs []oracle.Query, tr *obs.ReqTrace) ([]oracle.Answe
 		return s.tb.AnswerBatchTrace(qs, tr)
 	}
 	return s.b.AnswerBatch(qs)
+}
+
+// dynamicOracle returns the oracle the update/snapshot verbs run on, or
+// oracle.ErrStatic when this server fronts a static oracle or another
+// backend.
+func (s *Server) dynamicOracle() (*oracle.Oracle, error) {
+	if s.o == nil || !s.o.IsDynamic() {
+		return nil, oracle.ErrStatic
+	}
+	return s.o, nil
 }
 
 // Counter exposes a named serving counter (see NewBackend for the set) —
@@ -403,17 +404,16 @@ func (s *Server) closeAll() {
 
 // statsLine renders the extended stats response: the backend's serving
 // report plus the server's connection/request/error counters. When the
-// backend exports its report from a registry snapshot and the server's
-// counters feed the same registry, both halves (and the /metrics
-// endpoint, which renders from the identical snapshot shape) derive from
-// ONE capture instant — a stats line can never show an oracle that
-// answered a query the server half hasn't counted yet. Without a shared
-// registry it falls back to two per-source snapshots.
+// server fronts an oracle and its counters feed a registry, both halves
+// (and the /metrics endpoint, which renders from the identical snapshot
+// shape) derive from ONE capture instant — a stats line can never show
+// an oracle that answered a query the server half hasn't counted yet.
+// Otherwise it falls back to two per-source snapshots.
 func (s *Server) statsLine() string {
 	var b strings.Builder
-	if s.ss != nil && s.cfg.Registry != nil {
+	if s.o != nil && s.cfg.Registry != nil {
 		snap := s.cfg.Registry.Snapshot()
-		b.WriteString(s.ss.StatsLineFrom(snap))
+		b.WriteString(s.o.StatsFrom(snap).String())
 		b.WriteString(" | server")
 		for _, cv := range s.counters.Snapshot() {
 			fmt.Fprintf(&b, " %s=%d", cv.Name, snap.Counters["server_"+cv.Name])

@@ -43,7 +43,7 @@ import (
 // the diff.
 //
 // Incremental does no internal locking; callers serialize updates
-// (oracle.Dynamic holds its update lock across Insert/Delete).
+// (the oracle's Update holds its write lock across Insert/Delete).
 type Incremental struct {
 	dg   *graph.DynGraph
 	seed uint64

@@ -391,8 +391,18 @@ func DecodeInfo(b []byte) (Info, error) {
 }
 
 // BatchFrameBytes returns the frame-body size of a batch request or
-// response carrying n entries — what a Config needs to size its frame
-// limit so its own batch limit fits.
+// response carrying n entries.
 func BatchFrameBytes(n int) int {
 	return frameBodyMin + 4 + n*answerLen
+}
+
+// FrameLimit returns the frame-body limit for a peer whose batch limit
+// is maxBatch: room for a full batch response plus headroom, never below
+// DefaultMaxFrameBytes. A server reads and writes with it, and a client
+// of that server reads with it, so the two limits can never disagree.
+func FrameLimit(maxBatch int) int {
+	if need := BatchFrameBytes(maxBatch) + 64; need > DefaultMaxFrameBytes {
+		return need
+	}
+	return DefaultMaxFrameBytes
 }
