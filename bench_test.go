@@ -225,7 +225,7 @@ func BenchmarkCorollary3Local(b *testing.B) {
 
 // benchOracle builds the standard demo spanner (512-node Δ=96 expander)
 // and an oracle over it for the serving benchmarks.
-func benchOracle(b *testing.B, cacheSize int) *Oracle {
+func benchOracle(b *testing.B) *Oracle {
 	b.Helper()
 	g := gen.MustRandomRegular(512, 96, rng.New(1))
 	dc, err := Build(g, Options{
@@ -235,7 +235,7 @@ func benchOracle(b *testing.B, cacheSize int) *Oracle {
 	if err != nil {
 		b.Fatal(err)
 	}
-	o, err := NewOracle(dc, OracleOptions{CacheSize: cacheSize, SampleEvery: -1})
+	o, err := NewOracle(dc, OracleOptions{SampleEvery: -1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -243,11 +243,10 @@ func benchOracle(b *testing.B, cacheSize int) *Oracle {
 }
 
 // BenchmarkOracleDist measures single-query latency: cold = every query a
-// distinct pair (cache disabled), warm = queries drawn from a small pool
-// with the LRU cache on.
+// random pair, warm = queries cycling through a small pool.
 func BenchmarkOracleDist(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
-		o := benchOracle(b, -1)
+		o := benchOracle(b)
 		r := rng.New(2)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -258,13 +257,13 @@ func BenchmarkOracleDist(b *testing.B) {
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
-		o := benchOracle(b, 1<<16)
+		o := benchOracle(b)
 		pool := make([]OracleQuery, 256)
 		r := rng.New(3)
 		for i := range pool {
 			pool[i] = OracleQuery{U: int32(r.Intn(512)), V: int32(r.Intn(512))}
 		}
-		for _, q := range pool { // prefill the cache
+		for _, q := range pool { // one untimed pass over the pool
 			if _, err := o.Dist(q.U, q.V); err != nil {
 				b.Fatal(err)
 			}
@@ -281,7 +280,8 @@ func BenchmarkOracleDist(b *testing.B) {
 }
 
 // BenchmarkOracleBatch measures AnswerBatch throughput over all cores,
-// cold cache vs warm cache; the metric is queries per second.
+// random pairs (cold) vs pairs drawn from a small pool (warm); the metric
+// is queries per second.
 func BenchmarkOracleBatch(b *testing.B) {
 	const batch = 4096
 	run := func(b *testing.B, o *Oracle, qs []OracleQuery) {
@@ -293,7 +293,7 @@ func BenchmarkOracleBatch(b *testing.B) {
 		b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "queries/s")
 	}
 	b.Run("cold", func(b *testing.B) {
-		o := benchOracle(b, -1)
+		o := benchOracle(b)
 		r := rng.New(4)
 		qs := make([]OracleQuery, batch)
 		for i := range qs {
@@ -302,7 +302,7 @@ func BenchmarkOracleBatch(b *testing.B) {
 		run(b, o, qs)
 	})
 	b.Run("warm", func(b *testing.B) {
-		o := benchOracle(b, 1<<16)
+		o := benchOracle(b)
 		r := rng.New(5)
 		pool := make([]OracleQuery, 256)
 		for i := range pool {
@@ -312,7 +312,7 @@ func BenchmarkOracleBatch(b *testing.B) {
 		for i := range qs {
 			qs[i] = pool[r.Intn(len(pool))]
 		}
-		o.AnswerBatch(qs) // prefill
+		o.AnswerBatch(qs) // one untimed pass
 		run(b, o, qs)
 	})
 }

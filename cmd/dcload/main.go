@@ -15,7 +15,7 @@
 // sent as a single dist frame, larger sizes as batch frames) and draws
 // query endpoints from a Zipf(s) distribution over the target's vertex
 // set (-zipf 0 is uniform) — skew concentrates load on hot vertices the
-// way real traffic does, which exercises worker caches.
+// way real traffic does.
 //
 // Example:
 //

@@ -49,7 +49,6 @@ func main() {
 	backend := flag.String("oracle-backend", "auto",
 		"worker distance-resolution backend: landmark-bibfs|exact-cached|sparse-hub|auto (-spawn mode; auto tunes once on worker 0, replicas reuse the pick)")
 	landmarks := flag.Int("landmarks", 16, "landmark BFS trees per worker oracle (-spawn mode)")
-	cacheSize := flag.Int("cache", 1<<16, "per-worker LRU result-cache entries (negative disables; -spawn mode)")
 	workers := flag.Int("workers", 0, "per-worker batch pool size (0 = GOMAXPROCS; -spawn mode)")
 
 	spawn := flag.Int("spawn", 0, "boot this many in-process worker replicas on loopback")
@@ -127,7 +126,6 @@ func main() {
 			o, err := oracle.New(dc, oracle.Options{
 				Backend:   chosen,
 				Landmarks: *landmarks,
-				CacheSize: *cacheSize,
 				Workers:   *workers,
 			})
 			if err == nil && i == 0 {

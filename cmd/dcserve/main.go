@@ -64,7 +64,6 @@ func main() {
 	landmarks := flag.Int("landmarks", 16, "landmark BFS trees precomputed on the spanner (landmark-bibfs backend)")
 	sparseHubs := flag.Int("sparse-hubs", 0, "hub count for the sparse-hub backend (0 = ceil(sqrt(n)))")
 	memBudget := flag.Int64("oracle-mem", 0, "auto-tuner memory budget in bytes (0 = 128 MiB, negative = unlimited)")
-	cacheSize := flag.Int("cache", 1<<16, "LRU result-cache entries (negative disables)")
 	workers := flag.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
 	maxDist := flag.Int("maxdist", 0, "exact-search depth bound; deeper answers fall back to the landmark bound (0 = unbounded)")
 	sample := flag.Int("sample", 64, "verify every k-th query against exact BFS on G for realized stretch (negative disables)")
@@ -119,7 +118,6 @@ func main() {
 		Landmarks:    *landmarks,
 		SparseHubs:   *sparseHubs,
 		MemoryBudget: *memBudget,
-		CacheSize:    *cacheSize,
 		Workers:      *workers,
 		MaxDist:      *maxDist,
 		SampleEvery:  *sample,
@@ -209,8 +207,8 @@ func main() {
 }
 
 // runDemo answers a mixed random workload — 90% dist (batched), 10%
-// route — drawn from a pair pool a quarter the workload size, so the
-// cache sees realistic re-hits, then prints the serving report.
+// route — drawn from a pair pool a quarter the workload size, so pairs
+// repeat as they do in real traffic, then prints the serving report.
 func runDemo(o *oracle.Oracle, n, total int, seed uint64) {
 	if total < 1 {
 		total = 1
@@ -248,8 +246,7 @@ func runDemo(o *oracle.Oracle, n, total int, seed uint64) {
 	fmt.Printf("latency: p50=%s p95=%s p99=%s mean=%s   route p50=%s p99=%s\n",
 		usec(s.LatencyP50), usec(s.LatencyP95), usec(s.LatencyP99), usec(s.LatencyMean),
 		usec(s.RouteLatencyP50), usec(s.RouteLatencyP99))
-	fmt.Printf("throughput: %.0f qps   cache: hits=%d misses=%d hitRate=%.3f\n",
-		float64(total)/elapsed.Seconds(), s.CacheHits, s.CacheMisses, s.HitRate)
+	fmt.Printf("throughput: %.0f qps\n", float64(total)/elapsed.Seconds())
 	fmt.Printf("stretch: realized alpha=%.3f mean=%.3f over %d samples (certified %d)   maxRouteCong=%d\n",
 		s.RealizedAlpha, s.MeanStretch, s.StretchSamples, s.CertifiedAlpha, s.MaxCongestion)
 	if s.StretchSamples < 100 {

@@ -154,8 +154,8 @@ func MinCongestion(g *Graph, prob Problem, seed uint64) (*Routing, error) {
 // Oracle re-exports: the concurrent DC-spanner query engine serving
 // point-to-point Dist/Route queries with realized-stretch accounting.
 // Distance resolution is pluggable (OracleOptions.Backend): the default
-// landmark-bibfs engine (landmark tables + bounded bidirectional BFS +
-// sharded LRU cache), an exact all-pairs table for small graphs, a
+// landmark-bibfs engine (landmark tables + bidirectional BFS), an
+// exact all-pairs table for small graphs, a
 // stretch-3 hub/bunch structure for sparse graphs, or "auto" to
 // benchmark them at startup and serve the fastest within budget.
 type (

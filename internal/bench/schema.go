@@ -60,7 +60,7 @@ type Measurement struct {
 	Fingerprint   string `json:"fingerprint"` // 16 hex digits, FNV-1a of the results
 
 	// Selected obs counters and gauges snapshotted from the scenario's
-	// registry after the timed runs (e.g. oracle cache hits, sweep sizes).
+	// registry after the timed runs (e.g. oracle path counts, sweep sizes).
 	Counters map[string]int64   `json:"counters,omitempty"`
 	Gauges   map[string]float64 `json:"gauges,omitempty"`
 }

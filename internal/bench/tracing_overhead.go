@@ -50,9 +50,8 @@ func prepareTracingOverhead(opt Options, reg *obs.Registry) (Iter, error) {
 		if !ok {
 			var err error
 			o, err = oracle.NewFromGraphs(g, sp.H, 3, oracle.Options{
-				Workers:   workers,
-				CacheSize: -1,
-				Seed:      opt.Seed,
+				Workers: workers,
+				Seed:    opt.Seed,
 			})
 			if err != nil {
 				return 0, err

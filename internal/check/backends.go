@@ -24,7 +24,7 @@ type backendConfig struct {
 // restricts the sweep to that backend's configurations.
 func backendSweep(opts Options, oSeed uint64) []backendConfig {
 	base := func(name string) oracle.Options {
-		return oracle.Options{Backend: name, Seed: oSeed, CacheSize: -1, Workers: 1, SampleEvery: -1}
+		return oracle.Options{Backend: name, Seed: oSeed, Workers: 1, SampleEvery: -1}
 	}
 	cfgs := []backendConfig{
 		{label: oracle.BackendLandmarkBiBFS, opts: base(oracle.BackendLandmarkBiBFS), boundedMaxDist: -1},

@@ -1,16 +1,17 @@
 // Package check is the differential correctness harness: deliberately
 // naive reference implementations of everything the optimized serving and
 // evaluation paths compute (exact all-pairs distances by repeated BFS,
-// brute-force edge/pair stretch, brute-force node-congestion accounting, a
-// single-lock model LRU), a randomized differential runner that generates
-// graphs from every internal/gen family and asserts optimized == reference,
-// structural invariant checkers callable from any test, and fuzz targets
-// for the dcserve line protocol and the graphio reader.
+// brute-force edge/pair stretch, brute-force node-congestion accounting,
+// realized stretch folded from the exact matrices), a randomized
+// differential runner that generates graphs from every internal/gen
+// family and asserts optimized == reference, structural invariant
+// checkers callable from any test, and fuzz targets for the dcserve line
+// protocol and the graphio reader.
 //
 // The contract it enforces is the one distance-oracle papers state as the
 // definition of correctness: agreement with the exact distance matrix.
-// Every optimized path — oracle.Dist / AnswerBatch (cache on and off, all
-// landmark counts, bounded and unbounded search), the sharded LRU,
+// Every optimized path — oracle.Dist / AnswerBatch (all landmark counts,
+// bounded and unbounded search), the oracle's realized-stretch sampler,
 // spanner.Verify*StretchOpts and routing.NodeCongestion* at every worker
 // count — must agree bit-for-bit with its naive reference on every
 // generator family. The references are kept obviously correct (plain

@@ -3,7 +3,6 @@ package check
 import (
 	"math"
 	"reflect"
-	"sync"
 	"testing"
 
 	"repro/internal/gen"
@@ -133,73 +132,6 @@ func TestCheckAnswerCatchesWrongAnswers(t *testing.T) {
 	checkAnswer(ck, oracle.Answer{U: 0, V: 3, Dist: 3, Bound: 3, Exact: true}, dist, lms, -1)
 	if !rep.OK() {
 		t.Errorf("correct answer flagged: %v", rep.Divergences)
-	}
-}
-
-// TestModelLRU pins the reference cache's own semantics (the model must
-// be right for the differential to mean anything).
-func TestModelLRU(t *testing.T) {
-	m := NewModelLRU(2)
-	m.Put(1, 10)
-	m.Put(2, 20)
-	if v, ok := m.Get(1); !ok || v != 10 {
-		t.Fatalf("Get(1) = (%d,%v), want (10,true)", v, ok)
-	}
-	m.Put(3, 30) // evicts 2: key 1 was promoted by the Get above
-	if _, ok := m.Get(2); ok {
-		t.Fatal("LRU victim 2 still cached")
-	}
-	if v, ok := m.Get(1); !ok || v != 10 {
-		t.Fatalf("Get(1) after eviction round = (%d,%v), want (10,true)", v, ok)
-	}
-	m.Put(1, 11) // update in place, no eviction
-	if v, _ := m.Get(1); v != 11 {
-		t.Fatalf("updated value = %d, want 11", v)
-	}
-	if m.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", m.Len())
-	}
-
-	off := NewModelLRU(0)
-	off.Put(1, 10)
-	if _, ok := off.Get(1); ok || off.Len() != 0 {
-		t.Fatal("disabled model cache stored an entry")
-	}
-}
-
-func TestPairKeyNormalizes(t *testing.T) {
-	if PairKey(3, 7) != PairKey(7, 3) {
-		t.Fatal("PairKey not symmetric")
-	}
-	if PairKey(3, 7) == PairKey(3, 8) {
-		t.Fatal("PairKey collides on distinct pairs")
-	}
-}
-
-// TestCacheProbeConcurrent hammers the probe from many goroutines so the
-// race detector sweeps the sharded cache through the check seam.
-func TestCacheProbeConcurrent(t *testing.T) {
-	probe := oracle.NewCacheProbe(64, 4)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			r := rng.New(uint64(w + 1))
-			for i := 0; i < 2000; i++ {
-				u, v := int32(r.Intn(20)), int32(r.Intn(20))
-				if r.Bernoulli(0.5) {
-					probe.Get(u, v)
-				} else {
-					probe.Put(u, v, int32(r.Intn(50)))
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	hits, misses := probe.Counters()
-	if hits+misses == 0 {
-		t.Fatal("no gets recorded")
 	}
 }
 

@@ -34,8 +34,8 @@ type Options struct {
 	// Backend restricts the backend sweep to one oracle backend (a
 	// Backend* name from the oracle package) and forces it into the
 	// router differential. Empty sweeps every backend. The
-	// landmark-specific differentials (checkOracle's per-path contract,
-	// the cache traces) run only when the landmark backend is in scope.
+	// landmark-specific differential (checkOracle's per-path contract)
+	// runs only when the landmark backend is in scope.
 	Backend string
 	// Logf, when non-nil, receives per-family progress lines.
 	Logf func(format string, args ...any)
@@ -71,10 +71,6 @@ func Run(opts Options) (Report, error) {
 		runFamily(&rep, f, opts)
 		rep.Families++
 		logf("family %-18s checks=%d divergences=%d", f.Name, rep.Checks, len(rep.Divergences)-before)
-	}
-	if landmarkInScope(opts) {
-		runCacheTrace(&rep, opts)
-		logf("cache traces          checks=%d divergences=%d", rep.Checks, len(rep.Divergences))
 	}
 	runRouterDifferential(&rep, opts)
 	logf("router fleet          checks=%d divergences=%d", rep.Checks, len(rep.Divergences))
@@ -133,6 +129,9 @@ func runFamily(rep *Report, f Family, opts Options) {
 		variants = append(variants, variant{name: "random-sub", h: h})
 	}
 
+	// The sampler arm draws from a stream of its own, so the other arms'
+	// inputs do not depend on it.
+	samplerRNG := rng.New(familySeed(opts.Seed, f.Name+"/sampler"))
 	for _, v := range variants {
 		ck := &checker{rep: rep, family: f.Name, check: "spanner-invariants/" + v.name, seed: opts.Seed}
 		if err := SpannerInvariants(g, v.h); !ck.assert(err == nil, "%v", err) {
@@ -145,6 +144,7 @@ func runFamily(rep *Report, f Family, opts Options) {
 		distH := distG
 		if v.h != g {
 			distH = AllPairs(v.h)
+			checkSampler(rep, f.Name, g, v, distG, distH, opts, samplerRNG.Split())
 		}
 		if landmarkInScope(opts) {
 			checkOracle(rep, f.Name, v, distH, opts, r.Split())
@@ -335,9 +335,9 @@ func checkAnswer(ck *checker, a oracle.Answer, distH *graph.TriDist, lms []int32
 }
 
 // checkOracle runs the oracle differential for one spanner variant: every
-// landmark count × cache configuration, two passes (cold then cache-warm),
-// the bounded-search mode, AnswerBatch at every worker count, and invalid
-// queries.
+// landmark count over two passes (the second reuses the pooled search
+// scratch the first left behind), the bounded-search mode, AnswerBatch at
+// every worker count, and invalid queries.
 func checkOracle(rep *Report, family string, v variant, distH *graph.TriDist, opts Options, r *rng.RNG) {
 	n := v.h.N()
 	qn := 150
@@ -347,32 +347,28 @@ func checkOracle(rep *Report, family string, v variant, distH *graph.TriDist, op
 	qs := sampleQueries(n, qn, r)
 	oSeed := r.Uint64() | 1 // nonzero: 0 would mean "inherit build seed"
 
-	landmarkCounts := []int{1, 3, n}
-	cacheSizes := []int{-1, 1 << 12, 3}
-	for _, lc := range landmarkCounts {
-		for _, cs := range cacheSizes {
-			o, err := oracle.NewFromGraphs(v.h, v.h, alpha, oracle.Options{
-				Landmarks: lc, Seed: oSeed, CacheSize: cs, Workers: 1, SampleEvery: -1,
-			})
-			ck := &checker{rep: rep, family: family,
-				check: fmt.Sprintf("oracle-dist/%s/lm=%d/cache=%d", v.name, lc, cs), seed: opts.Seed}
-			if !ck.assert(err == nil, "NewFromGraphs: %v", err) {
-				continue
-			}
-			lms := o.Landmarks()
-			want := lc
-			if want > n {
-				want = n
-			}
-			ck.assert(len(lms) == want, "asked for %d landmarks, got %d", want, len(lms))
-			for pass := 0; pass < 2; pass++ {
-				for _, q := range qs {
-					a, err := o.Dist(q.U, q.V)
-					if !ck.assert(err == nil, "Dist(%d,%d) pass %d: %v", q.U, q.V, pass, err) {
-						continue
-					}
-					checkAnswer(ck, a, distH, lms, -1)
+	for _, lc := range []int{1, 3, n} {
+		o, err := oracle.NewFromGraphs(v.h, v.h, alpha, oracle.Options{
+			Landmarks: lc, Seed: oSeed, Workers: 1, SampleEvery: -1,
+		})
+		ck := &checker{rep: rep, family: family,
+			check: fmt.Sprintf("oracle-dist/%s/lm=%d", v.name, lc), seed: opts.Seed}
+		if !ck.assert(err == nil, "NewFromGraphs: %v", err) {
+			continue
+		}
+		lms := o.Landmarks()
+		want := lc
+		if want > n {
+			want = n
+		}
+		ck.assert(len(lms) == want, "asked for %d landmarks, got %d", want, len(lms))
+		for pass := 0; pass < 2; pass++ {
+			for _, q := range qs {
+				a, err := o.Dist(q.U, q.V)
+				if !ck.assert(err == nil, "Dist(%d,%d) pass %d: %v", q.U, q.V, pass, err) {
+					continue
 				}
+				checkAnswer(ck, a, distH, lms, -1)
 			}
 		}
 	}
@@ -380,7 +376,7 @@ func checkOracle(rep *Report, family string, v variant, distH *graph.TriDist, op
 	// Bounded search: answers past MaxDist fall back to the landmark bound.
 	{
 		o, err := oracle.NewFromGraphs(v.h, v.h, alpha, oracle.Options{
-			Landmarks: 3, Seed: oSeed, CacheSize: -1, Workers: 1, SampleEvery: -1, MaxDist: 3,
+			Landmarks: 3, Seed: oSeed, Workers: 1, SampleEvery: -1, MaxDist: 3,
 		})
 		ck := &checker{rep: rep, family: family, check: "oracle-dist/" + v.name + "/maxdist=3", seed: opts.Seed}
 		if ck.assert(err == nil, "NewFromGraphs: %v", err) {
@@ -403,7 +399,7 @@ func checkOracle(rep *Report, family string, v variant, distH *graph.TriDist, op
 	var first []oracle.Answer
 	for _, w := range workerCounts {
 		o, err := oracle.NewFromGraphs(v.h, v.h, alpha, oracle.Options{
-			Landmarks: 3, Seed: oSeed, CacheSize: 1 << 12, Workers: w, SampleEvery: -1,
+			Landmarks: 3, Seed: oSeed, Workers: w, SampleEvery: -1,
 		})
 		ck := &checker{rep: rep, family: family,
 			check: fmt.Sprintf("oracle-batch/%s/workers=%d", v.name, w), seed: opts.Seed}
@@ -518,117 +514,4 @@ func intsEqual(a, b []int) bool {
 		}
 	}
 	return true
-}
-
-// cacheTraceOp is one recorded cache operation.
-type cacheTraceOp struct {
-	get  bool
-	u, v int32
-	val  int32
-}
-
-// recordTrace draws a random get/put trace over a small key space —
-// small enough that keys collide and evictions churn.
-func recordTrace(r *rng.RNG, ops int) []cacheTraceOp {
-	trace := make([]cacheTraceOp, ops)
-	for i := range trace {
-		u, v := int32(r.Intn(12)), int32(r.Intn(12))
-		trace[i] = cacheTraceOp{
-			get: r.Bernoulli(0.6),
-			u:   u, v: v,
-			val: int32(r.Intn(100)),
-		}
-	}
-	return trace
-}
-
-// runCacheTrace replays recorded op traces against the oracle's sharded
-// LRU. Single-shard configurations must match the model LRU op for op;
-// multi-shard configurations (shard-local eviction order is a different
-// policy by design) are held to the weaker per-key invariants.
-func runCacheTrace(rep *Report, opts Options) {
-	ops := 4000
-	if opts.Quick {
-		ops = 1500
-	}
-	trace := recordTrace(rng.New(opts.Seed^0xcac4e17ace), ops)
-
-	for _, capacity := range []int{1, 2, 7, 64} {
-		ck := &checker{rep: rep, family: "", seed: opts.Seed,
-			check: fmt.Sprintf("cache-exact/cap=%d", capacity)}
-		probe := oracle.NewCacheProbe(capacity, 1)
-		if !ck.assert(probe.Slots() == capacity, "single shard has %d slots for capacity %d", probe.Slots(), capacity) {
-			continue
-		}
-		model := NewModelLRU(capacity)
-		for i, op := range trace {
-			if op.get {
-				gd, gok := probe.Get(op.u, op.v)
-				md, mok := model.Get(PairKey(op.u, op.v))
-				if !ck.assert(gok == mok && (!gok || gd == md),
-					"op %d: Get(%d,%d) = (%d,%v), model says (%d,%v)", i, op.u, op.v, gd, gok, md, mok) {
-					break
-				}
-			} else {
-				probe.Put(op.u, op.v, op.val)
-				model.Put(PairKey(op.u, op.v), op.val)
-			}
-		}
-		hits, misses := probe.Counters()
-		gets := int64(0)
-		for _, op := range trace {
-			if op.get {
-				gets++
-			}
-		}
-		ck.assert(hits+misses == gets, "hits %d + misses %d != gets %d", hits, misses, gets)
-	}
-
-	// Disabled cache: every get misses, puts are dropped.
-	{
-		ck := &checker{rep: rep, family: "", seed: opts.Seed, check: "cache-disabled"}
-		probe := oracle.NewCacheProbe(-1, 0)
-		ck.assert(probe.Slots() == 0, "disabled cache reports %d slots", probe.Slots())
-		probe.Put(1, 2, 3)
-		_, ok := probe.Get(1, 2)
-		ck.assert(!ok, "disabled cache served a hit")
-	}
-
-	for _, cfg := range [][2]int{{64, 8}, {13, 4}, {100, 7}} {
-		capacity, shards := cfg[0], cfg[1]
-		ck := &checker{rep: rep, family: "", seed: opts.Seed,
-			check: fmt.Sprintf("cache-sharded/cap=%d/shards=%d", capacity, shards)}
-		probe := oracle.NewCacheProbe(capacity, shards)
-		ck.assert(probe.Slots() >= capacity, "total slots %d below capacity %d", probe.Slots(), capacity)
-		ck.assert(probe.Shards() >= 1 && probe.Shards()&(probe.Shards()-1) == 0,
-			"shard count %d not a power of two", probe.Shards())
-		last := make(map[uint64]int32)
-		gets := int64(0)
-		for i, op := range trace {
-			key := PairKey(op.u, op.v)
-			if op.get {
-				gets++
-				if d, ok := probe.Get(op.u, op.v); ok {
-					want, ever := last[key]
-					if !ck.assert(ever && d == want,
-						"op %d: Get(%d,%d) hit %d, last put was (%d, present=%v)", i, op.u, op.v, d, want, ever) {
-						break
-					}
-				}
-			} else {
-				probe.Put(op.u, op.v, op.val)
-				last[key] = op.val
-				// Single-threaded put-then-get on the same key must hit:
-				// only other puts to the same shard could evict it.
-				d, ok := probe.Get(op.u, op.v)
-				gets++
-				if !ck.assert(ok && d == op.val,
-					"op %d: Get(%d,%d) right after Put = (%d,%v), want (%d,true)", i, op.u, op.v, d, ok, op.val) {
-					break
-				}
-			}
-		}
-		hits, misses := probe.Counters()
-		ck.assert(hits+misses == gets, "hits %d + misses %d != gets %d", hits, misses, gets)
-	}
 }

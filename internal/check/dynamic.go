@@ -52,7 +52,7 @@ func checkDynamic(rep *Report, family string, g *graph.Graph, opts Options, r *r
 		ck := &checker{rep: rep, family: family, check: "dynamic-engine/" + name, seed: opts.Seed}
 		d, err := oracle.NewDynamic(g, oracle.DynamicOptions{
 			Spanner: sopt,
-			Oracle:  oracle.Options{Backend: name, Seed: oSeed, CacheSize: 1 << 10, Workers: 1, SampleEvery: -1},
+			Oracle:  oracle.Options{Backend: name, Seed: oSeed, Workers: 1, SampleEvery: -1},
 		})
 		if !ck.assert(err == nil, "NewDynamic: %v", err) {
 			continue
@@ -130,7 +130,7 @@ func checkDynamic(rep *Report, family string, g *graph.Graph, opts Options, r *r
 			eck.assert(si.HM == fresh.HM(), "engine HM=%d, fresh build has %d", si.HM, fresh.HM())
 
 			freshO, err := oracle.NewFromGraphs(s.Base, s.H, spanner.IncrementalAlpha,
-				oracle.Options{Backend: en.name, Seed: oSeed, CacheSize: -1, Workers: 1, SampleEvery: -1})
+				oracle.Options{Backend: en.name, Seed: oSeed, Workers: 1, SampleEvery: -1})
 			if !eck.assert(err == nil, "fresh oracle: %v", err) {
 				continue
 			}

@@ -1,10 +1,10 @@
 package check
 
 import (
-	"container/list"
 	"math"
 
 	"repro/internal/graph"
+	"repro/internal/oracle"
 	"repro/internal/routing"
 	"repro/internal/spanner"
 )
@@ -12,7 +12,7 @@ import (
 // This file holds the naive reference implementations the differential
 // runner compares the optimized paths against. They are intentionally
 // slow and intentionally boring: one plain BFS per source, one map per
-// path, one mutex-free linked-list LRU. Do not optimize them — their
+// path. Do not optimize them — their
 // value is that a reviewer can see they are correct at a glance.
 
 // AllPairs returns the exact all-pairs hop-distance table of g via one
@@ -126,69 +126,46 @@ func NodeCongestion(paths []routing.Path, n int) int {
 	return max
 }
 
-// ModelLRU is the single-threaded model cache the sharded LRU is checked
-// against: a textbook map + doubly-linked-list LRU with no sharding, no
-// pooling, and no concurrency. With shard count 1 the optimized cache
-// must agree with it on every operation of any trace.
-type ModelLRU struct {
-	capacity int
-	order    *list.List // front = most recently used; values are *modelEntry
-	entries  map[uint64]*list.Element
+// SampledStretch is the realized-stretch accounting an oracle built with
+// SampleEvery every must report after answering qs in order with exact
+// answers: each in-range query advances a sequence number (self queries
+// included), and each every-th one whose endpoints differ and are
+// connected in H adds the ratio dist_H/dist_G. The fold is the straight
+// serial sum in stream order, so the floats agree bit for bit with an
+// oracle that samples in the same order.
+type SampledStretch struct {
+	Samples int
+	Max     float64 // 0 with no samples
+	Mean    float64 // 0 with no samples
 }
 
-type modelEntry struct {
-	key uint64
-	val int32
+// FoldSampledStretch computes SampledStretch for the stream qs over the
+// exact distance tables of g and h on n vertices.
+func FoldSampledStretch(distG, distH *graph.TriDist, n int, qs []oracle.Query, every int) SampledStretch {
+	var s SampledStretch
+	seq, total := 0, 0.0
+	for _, q := range qs {
+		u, v := q.U, q.V
+		if u < 0 || v < 0 || int(u) >= n || int(v) >= n {
+			continue
+		}
+		seq++
+		if seq%every != 0 || u == v {
+			continue
+		}
+		dh, dg := distH.At(u, v), distG.At(u, v)
+		if dh == graph.Unreachable || dg == graph.Unreachable {
+			continue
+		}
+		ratio := float64(dh) / float64(dg)
+		s.Samples++
+		total += ratio
+		if ratio > s.Max {
+			s.Max = ratio
+		}
+	}
+	if s.Samples > 0 {
+		s.Mean = total / float64(s.Samples)
+	}
+	return s
 }
-
-// NewModelLRU builds a model cache. capacity <= 0 means disabled (all
-// gets miss, puts are dropped), mirroring oracle.Options.CacheSize.
-func NewModelLRU(capacity int) *ModelLRU {
-	return &ModelLRU{
-		capacity: capacity,
-		order:    list.New(),
-		entries:  make(map[uint64]*list.Element),
-	}
-}
-
-// PairKey packs an unordered vertex pair the same way the oracle cache
-// does: normalized u <= v, 32 bits each.
-func PairKey(u, v int32) uint64 {
-	if u > v {
-		u, v = v, u
-	}
-	return uint64(uint32(u))<<32 | uint64(uint32(v))
-}
-
-// Get returns the cached value and whether it was present, promoting the
-// entry to most recently used.
-func (m *ModelLRU) Get(key uint64) (int32, bool) {
-	el, ok := m.entries[key]
-	if !ok {
-		return 0, false
-	}
-	m.order.MoveToFront(el)
-	return el.Value.(*modelEntry).val, true
-}
-
-// Put inserts or refreshes key -> val, evicting the least recently used
-// entry when full.
-func (m *ModelLRU) Put(key uint64, val int32) {
-	if m.capacity <= 0 {
-		return
-	}
-	if el, ok := m.entries[key]; ok {
-		el.Value.(*modelEntry).val = val
-		m.order.MoveToFront(el)
-		return
-	}
-	if m.order.Len() >= m.capacity {
-		tail := m.order.Back()
-		m.order.Remove(tail)
-		delete(m.entries, tail.Value.(*modelEntry).key)
-	}
-	m.entries[key] = m.order.PushFront(&modelEntry{key: key, val: val})
-}
-
-// Len returns the number of cached entries.
-func (m *ModelLRU) Len() int { return m.order.Len() }

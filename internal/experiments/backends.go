@@ -58,7 +58,7 @@ func OracleBackends(cfg Config) (*Result, error) {
 		}
 		base := oracle.Options{
 			Backend: oracle.BackendAuto, Seed: cfg.Seed, Workers: 1,
-			CacheSize: -1, SampleEvery: -1, TunerProbes: 512,
+			SampleEvery: -1, TunerProbes: 512,
 		}
 		tight := base
 		tight.MemoryBudget = tightBudget

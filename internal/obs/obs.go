@@ -176,7 +176,7 @@ func (r *Registry) Counter(name, help string) *Counter {
 
 // CounterFunc registers a counter whose value is produced by fn at
 // export/snapshot time — the adapter for pre-existing atomics (the
-// oracle's query counters, cache hit counts).
+// oracle's query and resolution-path counters).
 func (r *Registry) CounterFunc(name, help string, fn func() int64) {
 	r.register(&metric{name: name, help: help, kind: kindCounter, readInt: fn})
 }

@@ -10,20 +10,21 @@ import (
 
 // Resolution-path bits: how the oracle answered a query. A request trace
 // ORs the bit of every path its queries took, so a batch that mixed
-// cache hits with bidirectional searches reports both. The mask travels
-// in the wire response trace flags (see internal/wire.ResponseContext),
-// which is why it must stay within six bits — the flags byte spends one
-// bit on sampling and reserves the top bit.
+// landmark fallbacks with bidirectional searches reports both. The mask
+// travels in the wire response trace flags (see
+// internal/wire.ResponseContext), which is why it must stay within six
+// bits — the flags byte spends one bit on sampling and reserves the top
+// bit — and why a bit keeps its value across builds: bit 0 belonged to
+// a retired result cache and stays unassigned.
 const (
-	PathCache    uint8 = 1 << iota // sharded-LRU cache hit (landmark-bibfs backend)
-	PathLandmark                   // landmark upper bound was tight enough
-	PathBiBFS                      // bounded bidirectional BFS
+	PathLandmark uint8 = 2 << iota // landmark upper bound served (search depth budget exhausted)
+	PathBiBFS                      // bidirectional BFS
 	PathBulk                       // bulk multi-source BFS sweep (batch arm)
 	PathExact                      // precomputed all-pairs table (exact-cached backend)
 	PathHub                        // hub bunch hit or hub upper bound (sparse-hub backend)
 )
 
-// PathString renders a path mask ("cache|bibfs"; "none" for zero).
+// PathString renders a path mask ("landmark|bibfs"; "none" for zero).
 func PathString(mask uint8) string {
 	if mask == 0 {
 		return "none"
@@ -32,7 +33,7 @@ func PathString(mask uint8) string {
 	for _, p := range [...]struct {
 		bit  uint8
 		name string
-	}{{PathCache, "cache"}, {PathLandmark, "landmark"}, {PathBiBFS, "bibfs"}, {PathBulk, "bulk"},
+	}{{PathLandmark, "landmark"}, {PathBiBFS, "bibfs"}, {PathBulk, "bulk"},
 		{PathExact, "exact"}, {PathHub, "hub"}} {
 		if mask&p.bit != 0 {
 			parts = append(parts, p.name)

@@ -13,17 +13,24 @@ func TestPathString(t *testing.T) {
 		want string
 	}{
 		{0, "none"},
-		{PathCache, "cache"},
 		{PathLandmark, "landmark"},
 		{PathBiBFS, "bibfs"},
 		{PathBulk, "bulk"},
-		{PathCache | PathBiBFS, "cache|bibfs"},
-		{PathCache | PathLandmark | PathBiBFS | PathBulk, "cache|landmark|bibfs|bulk"},
+		{PathExact, "exact"},
+		{PathHub, "hub"},
+		{PathLandmark | PathBiBFS, "landmark|bibfs"},
+		{PathLandmark | PathBiBFS | PathBulk | PathExact | PathHub, "landmark|bibfs|bulk|exact|hub"},
 	}
 	for _, c := range cases {
 		if got := PathString(c.mask); got != c.want {
 			t.Errorf("PathString(%#x) = %q, want %q", c.mask, got, c.want)
 		}
+	}
+	// The bits travel in wire trace flags between builds: their values
+	// are fixed.
+	if PathLandmark != 1<<1 || PathBiBFS != 1<<2 || PathBulk != 1<<3 || PathExact != 1<<4 || PathHub != 1<<5 {
+		t.Errorf("path bits moved: landmark=%#x bibfs=%#x bulk=%#x exact=%#x hub=%#x",
+			PathLandmark, PathBiBFS, PathBulk, PathExact, PathHub)
 	}
 }
 
@@ -48,7 +55,7 @@ func TestNilReqTraceSafe(t *testing.T) {
 	tr.SetVerb("dist", "u=1 v=2")
 	tr.Hop("queue", time.Now(), "")
 	tr.Event("retry", "")
-	tr.OrPath(PathCache)
+	tr.OrPath(PathBiBFS)
 	if tr.ID() != 0 || tr.Path() != 0 || tr.Hops() != nil || !tr.Start().IsZero() {
 		t.Error("nil trace accessors not zero")
 	}
@@ -67,9 +74,9 @@ func TestReqTraceLifecycle(t *testing.T) {
 	time.Sleep(time.Millisecond)
 	tr.Hop("queue", h0, "")
 	tr.Event("retry", "chunk=0 worker=1")
-	tr.OrPath(PathCache)
+	tr.OrPath(PathLandmark)
 	tr.OrPath(PathBulk)
-	if tr.Path() != PathCache|PathBulk {
+	if tr.Path() != PathLandmark|PathBulk {
 		t.Fatalf("path = %#x", tr.Path())
 	}
 
@@ -81,7 +88,7 @@ func TestReqTraceLifecycle(t *testing.T) {
 	if rec.ID != "0000000000000042" || rec.Verb != "batch" || rec.Detail != "n=16" {
 		t.Errorf("record header = %q %q %q", rec.ID, rec.Verb, rec.Detail)
 	}
-	if rec.Path != "cache|bulk" {
+	if rec.Path != "landmark|bulk" {
 		t.Errorf("record path = %q", rec.Path)
 	}
 	if len(rec.Hops) != 2 || rec.Hops[0].Name != "queue" || rec.Hops[1].Name != "retry" {
@@ -101,7 +108,7 @@ func TestReqTraceLifecycle(t *testing.T) {
 	}
 
 	line := rec.Line()
-	for _, want := range []string{"id=0000000000000042", "path=cache|bulk", "queue +", "retry +", "(chunk=0 worker=1)"} {
+	for _, want := range []string{"id=0000000000000042", "path=landmark|bulk", "queue +", "retry +", "(chunk=0 worker=1)"} {
 		if !strings.Contains(line, want) {
 			t.Errorf("Line() misses %q: %s", want, line)
 		}
@@ -143,7 +150,7 @@ func TestReqTraceConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				tr.Hop("shard", time.Now(), "")
-				tr.OrPath(1 << (uint(s) % 4))
+				tr.OrPath(PathLandmark << (uint(s) % 4))
 			}
 		}(s)
 	}
@@ -151,7 +158,7 @@ func TestReqTraceConcurrent(t *testing.T) {
 	if got := len(tr.Hops()); got != shards*100 {
 		t.Fatalf("hops = %d, want %d", got, shards*100)
 	}
-	if tr.Path() != PathCache|PathLandmark|PathBiBFS|PathBulk {
+	if tr.Path() != PathLandmark|PathBiBFS|PathBulk|PathExact {
 		t.Fatalf("path = %#x", tr.Path())
 	}
 }

@@ -14,9 +14,9 @@ import (
 // baselines and differential fingerprints are unaffected by the backend
 // layer's existence.
 const (
-	// BackendLandmarkBiBFS is the original three-tier engine: sharded LRU
-	// result cache, landmark upper bounds, bounded bidirectional BFS.
-	// Space O(k·n + cache); query O(k) on a bound, O(d·deg) on an exact
+	// BackendLandmarkBiBFS is the original engine: landmark upper bounds
+	// plus a bidirectional BFS for the exact spanner distance.
+	// Space O(k·n); query O(k) on a bound, O(d·deg) on an exact
 	// search. Stretch bound 1 when unbounded (every answer exact on H);
 	// no declared bound when Options.MaxDist caps the search.
 	BackendLandmarkBiBFS = "landmark-bibfs"
@@ -67,8 +67,8 @@ type Backend interface {
 	// against the exact matrix for every generator family.
 	StretchBound() int
 	// MemoryBytes estimates the backend's resident precomputed state
-	// (tables, bunches, cache slots) — the figure the startup tuner
-	// gates candidates on.
+	// (landmark rows, the all-pairs table, hub rows and bunches) — the
+	// figure the startup tuner gates candidates on.
 	MemoryBytes() int64
 	// Dist resolves one query with both endpoints validated in range and
 	// u ≠ v. It returns the filled Answer and the obs.Path* bit of the
@@ -82,8 +82,8 @@ type Backend interface {
 	// batch to the Oracle's per-query worker pool, which calls Dist.
 	AnswerBatch(qs []Query, out []Answer) (mask uint8, handled bool)
 	// Stats snapshots the backend's own counters (resolution paths,
-	// cache hits) alongside its declared contract. The map keys are
-	// stable short names ("path_bibfs", "cache_hits", ...).
+	// table sizes) alongside its declared contract. The map keys are
+	// stable short names ("path_bibfs", "landmarks", ...).
 	Stats() BackendStats
 
 	// attachMetrics registers the backend's counters into the oracle's
@@ -98,8 +98,8 @@ type Backend interface {
 	// refresh invalidates or patches the backend's precomputed state
 	// after the serving spanner changed from its current graph to h —
 	// the dynamic-graph path, which repairs backends in place instead of
-	// tearing down and rebuilding the oracle (counters, caches slots,
-	// pools, and metric registrations all survive). Backends that patch
+	// tearing down and rebuilding the oracle (counters, pools, and
+	// metric registrations all survive). Backends that patch
 	// incrementally diff their current spanner against h (the exact table
 	// applies a per-edge relaxation for inserted spanner edges and
 	// rewrites only affected rows for removed ones). The contract,
@@ -131,8 +131,8 @@ func backendKey(name, backend string) string {
 }
 
 // buildBackend constructs the named backend over the spanner h. The
-// Options carry every knob a backend reads (landmark count, cache size,
-// MaxDist, SparseHubs, Seed, Workers); name must be a concrete backend
+// Options carry every knob a backend reads (landmark count, MaxDist,
+// SparseHubs, Seed, Workers); name must be a concrete backend
 // name — BackendAuto is resolved by the tuner before this is called.
 func buildBackend(name string, h *graph.Graph, opts Options, workers int, trace *obs.Span) (Backend, error) {
 	switch name {

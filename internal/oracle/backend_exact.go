@@ -14,8 +14,8 @@ import (
 // ~4·n²/2 bytes, which is why the tuner gates it on the memory budget —
 // but queries are a single O(1) table load and every answer is exact on
 // H (declared stretch bound 1). It is the backend of choice for small
-// graphs, where the table fits comfortably and beats both the cache
-// probe and the bidirectional search.
+// graphs, where the table fits comfortably and beats the bidirectional
+// search.
 type exactBackend struct {
 	h       *graph.Graph
 	tri     *graph.TriDist

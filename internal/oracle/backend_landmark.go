@@ -10,22 +10,20 @@ import (
 )
 
 // landmarkBackend is the original serving engine (see the package doc):
-// a sharded LRU result cache, a k-landmark upper-bound table, and a
-// bounded bidirectional BFS for the exact-on-spanner distance, plus a
-// bulk multi-source BFS arm for large batches. Unbounded (maxDist < 0)
+// a k-landmark upper-bound table and a bidirectional BFS for the
+// exact-on-spanner distance, plus a bulk multi-source BFS arm for large
+// batches. Unbounded (maxDist < 0)
 // it declares stretch bound 1 — every answer is exact on H; with a
 // depth bound it declares no constant stretch, because a query past the
 // bound serves the landmark upper bound, which has no worst-case ratio.
 type landmarkBackend struct {
 	h       *graph.Graph
 	lm      *landmarkTable
-	cache   *shardedCache
 	maxDist int32
 	workers int
 	lmCount int    // resolved landmark count, kept for refresh
 	seed    uint64 // landmark-selection seed, kept for refresh
 
-	pathCacheHit atomic.Int64
 	pathLandmark atomic.Int64
 	pathBiBFS    atomic.Int64
 	pathBulk     atomic.Int64
@@ -34,17 +32,12 @@ type landmarkBackend struct {
 	searchPool sync.Pool // *biScratch
 }
 
-// newLandmarkBackend builds the landmark table and cache per the
-// Options defaults: 16 landmarks, a 1<<16-entry cache over 4×workers
-// shards, unbounded search.
+// newLandmarkBackend builds the landmark table per the Options
+// defaults: 16 landmarks, unbounded search.
 func newLandmarkBackend(h *graph.Graph, opts Options, workers int, trace *obs.Span) *landmarkBackend {
 	k := opts.Landmarks
 	if k == 0 {
 		k = 16
-	}
-	cacheSize := opts.CacheSize
-	if cacheSize == 0 {
-		cacheSize = 1 << 16
 	}
 	maxDist := int32(opts.MaxDist)
 	if maxDist <= 0 {
@@ -57,7 +50,6 @@ func newLandmarkBackend(h *graph.Graph, opts Options, workers int, trace *obs.Sp
 	b := &landmarkBackend{
 		h:        h,
 		lm:       lm,
-		cache:    newShardedCache(cacheSize, 4*workers),
 		maxDist:  maxDist,
 		workers:  workers,
 		lmCount:  k,
@@ -80,36 +72,24 @@ func (b *landmarkBackend) StretchBound() int {
 	return 0
 }
 
-// MemoryBytes implements Backend: the landmark rows plus the cache's
-// slot arrays (each entry holds a key, value, and two list links).
+// MemoryBytes implements Backend: the landmark rows.
 func (b *landmarkBackend) MemoryBytes() int64 {
-	bytes := int64(4 * len(b.lm.roots) * (1 + b.h.N())) // roots + k×n rows
-	if b.cache != nil {
-		bytes += int64(b.cache.slots()) * 24 // key 8 + val 4 + prev/next 8 + map slot ~4
-	}
-	return bytes
+	return int64(4 * len(b.lm.roots) * (1 + b.h.N())) // roots + k×n rows
 }
 
-// Dist implements Backend: cache probe, then bounded bidirectional BFS
-// pruned by the landmark bound, falling back to the bound itself when
-// the depth budget is exhausted.
+// Dist implements Backend: a bidirectional BFS for the exact spanner
+// distance, falling back to the landmark bound when the MaxDist depth
+// budget is exhausted. The bound is computed for every query (it rides
+// in Answer.Bound) but does not prune the search.
 func (b *landmarkBackend) Dist(u, v int32) (Answer, uint8) {
 	ans := Answer{U: u, V: v, Exact: true}
 	ans.Bound = b.lm.upperBound(u, v)
-	key := packKey(u, v)
-	if b.cache != nil {
-		if d, ok := b.cache.get(key); ok {
-			b.pathCacheHit.Add(1)
-			ans.Dist = d
-			return ans, obs.PathCache
-		}
-	}
 	sc := b.searchPool.Get().(*biScratch)
-	d, exact := sc.distance(b.h, u, v, b.maxDist, ans.Bound)
+	d, exact := sc.distance(b.h, u, v, b.maxDist)
 	b.frontier.Observe(float64(sc.maxFrontier))
 	b.searchPool.Put(sc)
 	if !exact {
-		// Depth budget exhausted: serve the landmark bound, uncached.
+		// Depth budget exhausted: serve the landmark bound.
 		b.pathLandmark.Add(1)
 		ans.Dist = ans.Bound
 		ans.Exact = false
@@ -117,9 +97,6 @@ func (b *landmarkBackend) Dist(u, v int32) (Answer, uint8) {
 	}
 	b.pathBiBFS.Add(1)
 	ans.Dist = d
-	if b.cache != nil {
-		b.cache.put(key, d)
-	}
 	return ans, obs.PathBiBFS
 }
 
@@ -146,10 +123,8 @@ const bulkMinBatch = 128
 //     the sweep's cost is per-source while the per-query path's is
 //     per-query.
 //
-// The bulk path never touches the result cache (it neither reads nor
-// seeds it — the sweep is cheaper than n cache probes, and a full row
-// would flood the LRU); served queries land in the oracle_path_bulk
-// counter instead of the per-query resolution-path counters.
+// Served queries land in the oracle_path_bulk counter instead of the
+// per-query resolution-path counters.
 func (b *landmarkBackend) AnswerBatch(qs []Query, out []Answer) (uint8, bool) {
 	if b.maxDist >= 0 || len(qs) < bulkMinBatch {
 		return 0, false
@@ -217,33 +192,22 @@ func (b *landmarkBackend) AnswerBatch(qs []Query, out []Answer) (uint8, bool) {
 // refresh implements Backend: rebuild the landmark table on the new
 // spanner with the original (count, seed) — selection is deterministic
 // in (seed, h), so a refreshed backend holds the exact table a fresh
-// build would — and flush the result cache, whose entries were exact
-// only on the old spanner. Counters, the frontier histogram, the search
-// pool (scratch is sized by n, which updates never change), and metric
-// registrations (their closures read b.lm/b.cache through the receiver)
-// all survive.
+// build would. Counters, the frontier histogram, the search pool
+// (scratch is sized by n, which updates never change), and metric
+// registrations (their closures read b.lm through the receiver) all
+// survive.
 func (b *landmarkBackend) refresh(h *graph.Graph) {
 	b.h = h
 	b.lm = buildLandmarkTable(h, b.lmCount, b.seed)
-	if b.cache != nil {
-		b.cache.flush()
-	}
 }
 
 // Stats implements Backend.
 func (b *landmarkBackend) Stats() BackendStats {
-	hits, misses := int64(0), int64(0)
-	if b.cache != nil {
-		hits, misses = b.cache.counters()
-	}
 	return BackendStats{
 		Name:         b.Name(),
 		StretchBound: b.StretchBound(),
 		MemoryBytes:  b.MemoryBytes(),
 		Counters: map[string]int64{
-			"cache_hits":    hits,
-			"cache_misses":  misses,
-			"path_cache":    b.pathCacheHit.Load(),
 			"path_landmark": b.pathLandmark.Load(),
 			"path_bibfs":    b.pathBiBFS.Load(),
 			"path_bulk":     b.pathBulk.Load(),
@@ -254,19 +218,9 @@ func (b *landmarkBackend) Stats() BackendStats {
 
 // attachMetrics implements Backend: every counter is labeled with the
 // backend's name, so mixed-backend fleets scraped into one place stay
-// distinguishable and per-backend hit rates never blend.
+// distinguishable and per-backend path counts never blend.
 func (b *landmarkBackend) attachMetrics(reg *obs.Registry, rl sync.Locker) {
 	label := b.Name()
-	hits := func() int64 { return 0 }
-	misses := hits
-	if b.cache != nil {
-		hits = func() int64 { h, _ := b.cache.counters(); return h }
-		misses = func() int64 { _, m := b.cache.counters(); return m }
-	}
-	reg.CounterFuncLabeled(metricCacheHits, "Result-cache hits.", "backend", label, hits)
-	reg.CounterFuncLabeled(metricCacheMisses, "Result-cache misses.", "backend", label, misses)
-	reg.CounterFuncLabeled(metricPathCacheHit, "Resolutions served from the result cache.",
-		"backend", label, b.pathCacheHit.Load)
 	reg.CounterFuncLabeled(metricPathLandmark, "Resolutions falling back to the landmark upper bound.",
 		"backend", label, b.pathLandmark.Load)
 	reg.CounterFuncLabeled(metricPathBiBFS, "Resolutions answered exactly by bidirectional BFS.",

@@ -26,7 +26,7 @@ func TestBackendsRespectDeclaredStretch(t *testing.T) {
 		qs[i] = Query{U: int32(r.Intn(h.N())), V: int32(r.Intn(h.N()))}
 	}
 	for _, name := range BackendNames() {
-		o, err := New(dc, Options{Backend: name, CacheSize: -1, SampleEvery: -1, Workers: 1})
+		o, err := New(dc, Options{Backend: name, SampleEvery: -1, Workers: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -76,7 +76,7 @@ func TestBackendBatchMatchesSequential(t *testing.T) {
 	qs = append(qs, Query{U: 5, V: 5}, Query{U: -2, V: 1}, Query{U: 1, V: int32(n)})
 	for _, name := range BackendNames() {
 		want := make([]Answer, len(qs))
-		seqO, err := New(dc, Options{Backend: name, CacheSize: -1, SampleEvery: -1, Workers: 1})
+		seqO, err := New(dc, Options{Backend: name, SampleEvery: -1, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +88,7 @@ func TestBackendBatchMatchesSequential(t *testing.T) {
 			want[i] = a
 		}
 		for _, workers := range []int{1, 2, 8} {
-			o, err := New(dc, Options{Backend: name, CacheSize: -1, SampleEvery: -1, Workers: workers})
+			o, err := New(dc, Options{Backend: name, SampleEvery: -1, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}

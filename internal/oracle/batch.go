@@ -15,8 +15,8 @@ import (
 // poison a batch.
 //
 // Answers are identical to answering the queries sequentially: every
-// backend's resolution is deterministic (and the landmark backend's cache
-// stores only exact values), so scheduling cannot change an answer. A
+// backend's resolution is deterministic, so scheduling cannot change an
+// answer. A
 // backend may serve the whole batch through a bulk arm when that is
 // cheaper — the landmark backend's multi-source BFS sweep for large
 // unbounded batches, the exact backend's parallel table fill — and the

@@ -14,7 +14,7 @@ import (
 func TestAnswerBulkMatchesPerQueryPath(t *testing.T) {
 	dc := buildTestSpanner(t, 128, 32, 13)
 	mk := func(workers int) *Oracle {
-		o, err := New(dc, Options{Landmarks: 6, Workers: workers, CacheSize: -1, SampleEvery: -1})
+		o, err := New(dc, Options{Landmarks: 6, Workers: workers, SampleEvery: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,8 +73,7 @@ func TestAnswerBulkMatchesPerQueryPath(t *testing.T) {
 		if got := snap.Counters[backendKey(metricPathBulk, BackendLandmarkBiBFS)]; got != validNonSelf {
 			t.Fatalf("workers=%d: bulk counter %d, want %d", workers, got, validNonSelf)
 		}
-		if snap.Counters[backendKey(metricPathBiBFS, BackendLandmarkBiBFS)] != 0 ||
-			snap.Counters[backendKey(metricPathCacheHit, BackendLandmarkBiBFS)] != 0 {
+		if snap.Counters[backendKey(metricPathBiBFS, BackendLandmarkBiBFS)] != 0 {
 			t.Fatalf("workers=%d: bulk batch leaked into per-query path counters", workers)
 		}
 	}
@@ -85,7 +84,7 @@ func TestAnswerBulkMatchesPerQueryPath(t *testing.T) {
 // BFS row cannot mirror.
 func TestAnswerBulkSkipsBoundedOracles(t *testing.T) {
 	dc := buildTestSpanner(t, 128, 32, 13)
-	o, err := New(dc, Options{Landmarks: 6, Workers: 2, CacheSize: -1, SampleEvery: -1, MaxDist: 1})
+	o, err := New(dc, Options{Landmarks: 6, Workers: 2, SampleEvery: -1, MaxDist: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

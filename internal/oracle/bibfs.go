@@ -30,9 +30,9 @@ func newBiScratch(n int) *biScratch {
 // level-synchronized bidirectional BFS.
 //
 // The second return is false when maxDist >= 0 and the distance provably
-// exceeds it (the caller falls back to the landmark bound). ub, when not
-// graph.Unreachable, is a known upper bound on the true distance and only
-// affects work, never the answer.
+// exceeds it (the caller falls back to the landmark bound). No outside
+// bound prunes the search: the stopping rule alone caps the explored
+// radius at the distance itself.
 //
 // Correctness of the stopping rule: after fully expanding a levels from u
 // and b levels from v, every vertex within those radii is settled with its
@@ -42,7 +42,7 @@ func newBiScratch(n int) *biScratch {
 // it. Hence once best <= a+b+1 no shorter path can remain undiscovered and
 // best is exact; and if best is still unset with a+b >= maxDist, the
 // distance exceeds maxDist.
-func (s *biScratch) distance(h *graph.Graph, u, v, maxDist, ub int32) (int32, bool) {
+func (s *biScratch) distance(h *graph.Graph, u, v, maxDist int32) (int32, bool) {
 	s.gen++
 	if s.gen == 0 { // stamp wrap: invalidate everything once per 2^31 queries
 		for i := range s.su {
@@ -59,7 +59,6 @@ func (s *biScratch) distance(h *graph.Graph, u, v, maxDist, ub int32) (int32, bo
 	var depthU, depthV int32
 	best := graph.Unreachable
 	s.maxFrontier = 1
-	_ = ub // the stopping rule already bounds work by 2·dist; ub kept for the API contract
 
 	for len(s.qu) > 0 && len(s.qv) > 0 {
 		if best != graph.Unreachable && depthU+depthV >= best-1 {

@@ -22,7 +22,7 @@ import (
 func exactDistContract(t *testing.T, g *graph.Graph, maxDist int32, seed uint64) {
 	t.Helper()
 	o, err := NewFromGraphs(g, g, 3, Options{
-		Landmarks: 3, Seed: seed, CacheSize: -1, SampleEvery: -1, MaxDist: int(maxDist),
+		Landmarks: 3, Seed: seed, SampleEvery: -1, MaxDist: int(maxDist),
 	})
 	if err != nil {
 		t.Fatalf("NewFromGraphs: %v", err)

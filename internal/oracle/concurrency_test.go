@@ -10,24 +10,21 @@ import (
 // TestAnswerBatchConcurrentHammer drives AnswerBatch from many goroutines
 // at once (run with -race) and asserts every concurrent result is
 // identical to the sequential answer for the same query. This is the
-// oracle's core concurrency contract: scheduling and cache interleaving
+// oracle's core concurrency contract: scheduling and pooled-scratch reuse
 // must never change an answer.
 func TestAnswerBatchConcurrentHammer(t *testing.T) {
 	dc := buildTestSpanner(t, 128, 32, 23)
-	o, err := New(dc, Options{Landmarks: 8, Workers: 4, CacheSize: 256})
+	o, err := New(dc, Options{Landmarks: 8, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A query pool small enough that the LRU cache churns (256 entries,
-	// ~2000 distinct pairs) while goroutines race on the same shards.
 	r := rng.New(31)
 	pool := make([]Query, 2000)
 	for i := range pool {
 		pool[i] = Query{U: int32(r.Intn(128)), V: int32(r.Intn(128))}
 	}
-	// Sequential ground truth, computed on a second oracle so the hammered
-	// oracle's cache state stays adversarial.
-	ref, err := New(dc, Options{Landmarks: 8, Workers: 1, CacheSize: -1})
+	// Sequential ground truth, computed on a second oracle.
+	ref, err := New(dc, Options{Landmarks: 8, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +47,7 @@ func TestAnswerBatchConcurrentHammer(t *testing.T) {
 			// Each hammer runs a rotated view of the pool so different
 			// goroutines compute the same keys in different orders. Batches
 			// stay below bulkMinBatch so every query takes the per-query
-			// cache path — the contract this test hammers; the bulk sweep
+			// search path — the contract this test hammers; the bulk sweep
 			// path has its own differential in batch_test.go.
 			qs := make([]Query, len(pool))
 			for i := range pool {
@@ -80,9 +77,6 @@ func TestAnswerBatchConcurrentHammer(t *testing.T) {
 	s := o.Stats()
 	if s.Queries != hammers*int64(len(pool)) {
 		t.Fatalf("queries = %d, want %d", s.Queries, hammers*len(pool))
-	}
-	if s.CacheHits == 0 {
-		t.Fatal("hammer produced no cache hits; test is not exercising the cache")
 	}
 }
 

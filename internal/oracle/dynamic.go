@@ -62,8 +62,8 @@ var ErrStatic = errors.New("updates not supported (static graph; start the serve
 // (spanner.Incremental), served with that spanner's certified stretch
 // (spanner.IncrementalAlpha). Update repairs everything in place — the
 // spanner by its local cluster rule, the backend through Backend.refresh
-// — so counters, caches, histograms, and metric registrations survive
-// every mutation.
+// — so counters, histograms, and metric registrations survive every
+// mutation.
 func NewDynamic(base *graph.Graph, opts DynamicOptions) (*Oracle, error) {
 	inc := spanner.NewIncremental(base, opts.Spanner)
 	s := inc.Spanner()

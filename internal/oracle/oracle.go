@@ -6,10 +6,10 @@
 // Distance resolution is pluggable behind the Backend interface; three
 // engines ship (see Options.Backend and DESIGN.md §14):
 //
-//   - landmark-bibfs (the default): a sharded LRU result cache, a
-//     k-landmark upper-bound table answering min_l d(u,l)+d(l,v) in
-//     O(k), and a bounded bidirectional BFS for the exact-on-spanner
-//     distance, pruned by the landmark bound;
+//   - landmark-bibfs (the default): a k-landmark upper-bound table
+//     answering min_l d(u,l)+d(l,v) in O(k), and a bidirectional BFS
+//     for the exact-on-spanner distance (depth-capped by MaxDist, past
+//     which the landmark bound is served);
 //   - exact-cached: a precomputed all-pairs table for small graphs —
 //     O(n²) space, O(1) queries, every answer exact;
 //   - sparse-hub: the two-level hub/bunch design for sparse graphs —
@@ -23,9 +23,8 @@
 // empirically by re-answering a deterministic sample of queries with an
 // exact BFS on G and tracking the realized stretch. All structures are
 // safe for concurrent use and AnswerBatch fans queries out over a worker
-// pool; answers are independent of scheduling (resolution is
-// deterministic and the landmark backend's cache stores only exact
-// values, so a hit and a recomputation agree).
+// pool; answers are independent of scheduling because resolution is
+// deterministic.
 //
 // An oracle built by NewDynamic also serves a live graph: Update applies
 // one edge mutation to the base graph, an incrementally maintained
@@ -52,16 +51,12 @@ import (
 // Metric names the oracle registers (counters are exposed with the
 // _total suffix on /metrics). One oracle per registry: a second oracle
 // registering into the same registry panics on the duplicate names.
-// Backend-owned families (cache, resolution paths) carry a
-// backend="<name>" label so mixed-backend fleets scraped together stay
-// distinguishable; oracle-level families (queries, latency, stretch)
-// are unlabeled.
+// Backend-owned families (resolution paths) carry a backend="<name>"
+// label so mixed-backend fleets scraped together stay distinguishable;
+// oracle-level families (queries, latency, stretch) are unlabeled.
 const (
 	metricDistQueries   = "oracle_dist_queries"
 	metricRouteQueries  = "oracle_route_queries"
-	metricCacheHits     = "oracle_cache_hits"
-	metricCacheMisses   = "oracle_cache_misses"
-	metricPathCacheHit  = "oracle_path_cache_hit"
 	metricPathLandmark  = "oracle_path_landmark"
 	metricPathBiBFS     = "oracle_path_bibfs"
 	metricPathBulk      = "oracle_path_bulk"
@@ -102,10 +97,6 @@ type Options struct {
 	// Seed keys landmark/hub selection; 0 inherits the spanner's build
 	// seed (so oracle determinism follows spanner determinism).
 	Seed uint64
-	// CacheSize is the landmark-bibfs backend's total LRU capacity,
-	// split over 4×Workers shards (rounded up to a power of two); 0 means
-	// the default 1<<16 entries, negative disables caching.
-	CacheSize int
 	// Workers bounds AnswerBatch's worker pool; 0 means GOMAXPROCS.
 	Workers int
 	// SampleEvery verifies every k-th Dist query against an exact BFS on
@@ -162,11 +153,8 @@ type Answer struct {
 
 // Stats is a point-in-time snapshot of the oracle's serving metrics.
 type Stats struct {
-	Queries     int64 // Dist queries (Route lookups are counted in Routes only)
-	Routes      int64
-	CacheHits   int64   // landmark-bibfs result cache; 0 for cacheless backends
-	CacheMisses int64   // ditto
-	HitRate     float64 // hits / (hits+misses); 0 when cache disabled or idle
+	Queries int64 // Dist queries (Route lookups are counted in Routes only)
+	Routes  int64
 
 	LatencyMean float64 // seconds, Dist queries
 	LatencyP50  float64
@@ -199,8 +187,8 @@ type Stats struct {
 	Landmarks     int // landmark-bibfs BFS trees; 0 for other backends
 
 	// Per-backend reporting: the serving backend's name, declared
-	// contract, and own counters. Hit rates and resolution-path counts
-	// are attributed to this backend alone — a fleet mixing backends
+	// contract, and own counters. Resolution-path counts are
+	// attributed to this backend alone — a fleet mixing backends
 	// aggregates per-name, never blending counters across engines.
 	Backend             string
 	BackendStretchBound int
@@ -571,12 +559,8 @@ func (o *Oracle) finishRoute(t0 time.Time) {
 
 // Stats snapshots the serving metrics. The snapshot is taken through the
 // metrics registry in one pass — every atomic is read exactly once and
-// all derived figures (hit rate, QPS, quantiles) come from those same
-// reads, so a snapshot under load is internally consistent. Because a
-// cache lookup precedes its query's counter increment on the hot path, a
-// racing read can still observe marginally more cache operations than
-// finished queries; the hit counters are clamped to the query totals and
-// HitRate to [0, 1] so no consumer sees an impossible figure.
+// all derived figures (QPS, quantiles) come from those same reads, so a
+// snapshot under load is internally consistent.
 func (o *Oracle) Stats() Stats {
 	return o.StatsFrom(o.reg.Snapshot())
 }
@@ -584,9 +568,7 @@ func (o *Oracle) Stats() Stats {
 // StatsFrom derives the Stats view from an already-taken registry
 // snapshot — the path by which a serving layer that also owns counters
 // in the same registry (internal/server) renders its whole stats line
-// from one capture instant. Backend-owned series live in the snapshot
-// under backend-labeled keys; the cache figures here are therefore the
-// serving backend's own, never another engine's. The backend's contract
+// from one capture instant. The backend's contract
 // and table sizes are read under the oracle's read lock, which snap's
 // registry closures also take — so take the snapshot first, never while
 // holding that lock.
@@ -597,8 +579,6 @@ func (o *Oracle) StatsFrom(snap obs.Snapshot) Stats {
 	s := Stats{
 		Queries:             snap.Counters[metricDistQueries],
 		Routes:              snap.Counters[metricRouteQueries],
-		CacheHits:           snap.Counters[backendKey(metricCacheHits, name)],
-		CacheMisses:         snap.Counters[backendKey(metricCacheMisses, name)],
 		CertifiedAlpha:      o.alpha,
 		Landmarks:           len(o.landmarks()),
 		StretchSamples:      int(snap.Gauges[metricStretchN]),
@@ -609,15 +589,6 @@ func (o *Oracle) StatsFrom(snap obs.Snapshot) Stats {
 		BackendStretchBound: o.backend.StretchBound(),
 		BackendMemoryBytes:  o.backend.MemoryBytes(),
 		BackendCounters:     o.backend.Stats().Counters,
-	}
-	if total := s.Queries + s.Routes; s.CacheHits > total {
-		s.CacheHits = total
-	}
-	if lookups := s.CacheHits + s.CacheMisses; lookups > 0 {
-		s.HitRate = float64(s.CacheHits) / float64(lookups)
-		if s.HitRate > 1 {
-			s.HitRate = 1
-		}
 	}
 	lat := snap.Histograms[metricDistLatency]
 	s.LatencyMean = lat.Mean()
@@ -638,8 +609,8 @@ func (o *Oracle) StatsFrom(snap obs.Snapshot) Stats {
 // String renders the snapshot as a single report line.
 func (s Stats) String() string {
 	return fmt.Sprintf(
-		"backend=%s queries=%d routes=%d hitRate=%.3f p50=%.3gs p95=%.3gs p99=%.3gs routeP50=%.3gs routeP99=%.3gs qps=%.0f realizedAlpha=%.3f (certified %d, %d samples) maxCong=%d landmarks=%d",
-		s.Backend, s.Queries, s.Routes, s.HitRate, s.LatencyP50, s.LatencyP95, s.LatencyP99,
+		"backend=%s queries=%d routes=%d p50=%.3gs p95=%.3gs p99=%.3gs routeP50=%.3gs routeP99=%.3gs qps=%.0f realizedAlpha=%.3f (certified %d, %d samples) maxCong=%d landmarks=%d",
+		s.Backend, s.Queries, s.Routes, s.LatencyP50, s.LatencyP95, s.LatencyP99,
 		s.RouteLatencyP50, s.RouteLatencyP99,
 		s.QPS, s.RealizedAlpha, s.CertifiedAlpha, s.StretchSamples, s.MaxCongestion, s.Landmarks)
 }

@@ -107,12 +107,11 @@ const tunerQueryTolerance = 0.05
 // preference alone decides) drawn from a seed-keyed stream (so two boots
 // of the same graph and seed probe the same mix), answered serially
 // through Backend.Dist — the figure is per-query resolution cost,
-// deliberately excluding batch-arm and cache effects that depend on
-// traffic shape.
+// deliberately excluding batch-arm effects that depend on traffic
+// shape.
 //
-// The winner is served as built: its probe answers stay in its counters
-// (and, for the landmark backend, its result cache), which reads as a
-// small warm-up rather than a distortion.
+// The winner is served as built: its probe answers stay in its counters,
+// which reads as a small warm-up rather than a distortion.
 func autoTune(h *graph.Graph, opts Options, workers int, trace *obs.Span) (Backend, *TunerReport, error) {
 	budget := opts.MemoryBudget
 	if budget == 0 {

@@ -46,7 +46,7 @@
 // (see internal/obs.ReqTrace). Responses echo the trace context with bits
 // 1..6 reporting the oracle resolution paths taken (the obs.Path* mask
 // shifted left by one), so a router can attribute a slow answer to
-// cache/landmark/bibfs/bulk work without a second round trip.
+// landmark/bibfs/bulk/exact/hub work without a second round trip.
 //
 // # Messages
 //

@@ -1,7 +1,8 @@
 #!/bin/sh
-# Extended tier-1 gate: build everything, vet, check gofmt, run the full
-# test suite under the race detector and at GOMAXPROCS 1, 2 and 8, and
-# smoke-test the serving paths end to end.
+# Extended tier-1 gate: build everything, vet, vet and test the
+# servebench module, check gofmt, run the full test suite under the race
+# detector and at GOMAXPROCS 1, 2 and 8, and smoke-test the serving paths
+# end to end.
 set -eu
 
 cd "$(dirname "$0")"
@@ -11,6 +12,9 @@ go build ./...
 
 echo "== go vet ./..."
 go vet ./...
+
+echo "== servebench module (its own go.mod, so ./... skips it): vet + tests"
+(cd servebench && go vet . && go test -count=1 .)
 
 echo "== gofmt (no file may need reformatting)"
 UNFMT=$(gofmt -l .)
@@ -66,9 +70,9 @@ go run ./cmd/dcserve -demo -queries 10000
 echo "== dcserve debug endpoint (/healthz, /metrics scrape)"
 go build -o /tmp/dcserve.verify ./cmd/dcserve
 rm -f /tmp/dcserve.verify.log
-# The landmark backend is forced so the cache/path metric families the
-# scrape below asserts on are the ones registered (auto would pick the
-# exact table on a 512-node graph, which has no cache).
+# The landmark backend is forced so the bibfs path family the scrape
+# below asserts on is registered (auto would pick the exact table on a
+# 512-node graph, which counts table loads instead).
 /tmp/dcserve.verify -listen 127.0.0.1:0 -debug-addr 127.0.0.1:0 \
     -oracle-backend landmark-bibfs \
     >/tmp/dcserve.verify.log 2>&1 &
@@ -91,7 +95,7 @@ done
 grep -q '^serving on ' /tmp/dcserve.verify.log || { echo "dcserve never started serving"; cat /tmp/dcserve.verify.log; exit 1; }
 curl -fsS "http://$DEBUG_ADDR/healthz" | grep -q ok || { echo "/healthz failed"; exit 1; }
 curl -fsS "http://$DEBUG_ADDR/metrics" >/tmp/dcserve.verify.metrics
-for fam in oracle_dist_queries_total oracle_cache_hits_total \
+for fam in oracle_dist_queries_total oracle_path_bibfs_total \
            oracle_backend_info oracle_backend_stretch_bound \
            oracle_dist_latency_seconds_bucket server_requests_total \
            server_active_conns go_goroutines; do
