@@ -66,7 +66,7 @@ func main() {
 	memBudget := flag.Int64("oracle-mem", 0, "auto-tuner memory budget in bytes (0 = 128 MiB, negative = unlimited)")
 	workers := flag.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
 	maxDist := flag.Int("maxdist", 0, "exact-search depth bound; deeper answers fall back to the landmark bound (0 = unbounded)")
-	sample := flag.Int("sample", 64, "verify every k-th query against exact BFS on G for realized stretch (negative disables)")
+	sample := flag.Int("sample", 64, "verify every k-th query against the exact distance on G (bidirectional BFS) for realized stretch (negative disables)")
 	listen := flag.String("listen", "", "serve the line protocol on this TCP address instead of stdin")
 	demo := flag.Bool("demo", false, "answer -queries mixed random queries, print the latency report, and exit")
 	queries := flag.Int("queries", 10000, "demo query count")

@@ -29,6 +29,13 @@ import (
 //     answers of an oracle freshly built on the same (base, spanner)
 //     pair, and must satisfy the backend answer contract against an
 //     exact all-pairs reference on the current spanner.
+//
+// One more landmark-bibfs engine samples realized stretch every
+// samplerEvery queries. It takes every update but answers nothing until
+// the last batch is done; then a fixed stream through it must report the
+// StretchSamples, RealizedAlpha and MeanStretch that FoldSampledStretch
+// computes over the current G and H, so its sampler measures against the
+// base graph the updates left behind.
 func checkDynamic(rep *Report, family string, g *graph.Graph, opts Options, r *rng.RNG) {
 	n := g.N()
 	if n < 2 {
@@ -45,19 +52,27 @@ func checkDynamic(rep *Report, family string, g *graph.Graph, opts Options, r *r
 
 	oSeed := r.Uint64() | 1
 	var engines []*dynEngine
-	for _, name := range []string{oracle.BackendLandmarkBiBFS, oracle.BackendExactCached, oracle.BackendSparseHub} {
-		if opts.Backend != "" && opts.Backend != name {
-			continue
-		}
+	addEngine := func(name, backend string, sampleEvery int) *dynEngine {
 		ck := &checker{rep: rep, family: family, check: "dynamic-engine/" + name, seed: opts.Seed}
 		d, err := oracle.NewDynamic(g, oracle.DynamicOptions{
 			Spanner: sopt,
-			Oracle:  oracle.Options{Backend: name, Seed: oSeed, Workers: 1, SampleEvery: -1},
+			Oracle:  oracle.Options{Backend: backend, Seed: oSeed, Workers: 1, SampleEvery: sampleEvery},
 		})
 		if !ck.assert(err == nil, "NewDynamic: %v", err) {
-			continue
+			return nil
 		}
-		engines = append(engines, &dynEngine{name: name, d: d})
+		en := &dynEngine{name: name, d: d}
+		engines = append(engines, en)
+		return en
+	}
+	for _, name := range []string{oracle.BackendLandmarkBiBFS, oracle.BackendExactCached, oracle.BackendSparseHub} {
+		if opts.Backend == "" || opts.Backend == name {
+			addEngine(name, name, -1)
+		}
+	}
+	var sampler *dynEngine
+	if opts.Backend == "" || opts.Backend == oracle.BackendLandmarkBiBFS {
+		sampler = addEngine("sampler", oracle.BackendLandmarkBiBFS, samplerEvery)
 	}
 
 	// cur mirrors the live edge set so every generated update is a real
@@ -121,6 +136,9 @@ func checkDynamic(rep *Report, family string, g *graph.Graph, opts Options, r *r
 		distH := AllPairs(s.H)
 		qs := sampleQueries(n, pick(opts.Quick, 40, 90), r.Split())
 		for _, en := range engines {
+			if en == sampler {
+				continue // answers nothing until the last batch is done
+			}
 			eck := &checker{rep: rep, family: family,
 				check: fmt.Sprintf("dynamic-backend/%s/batch=%d", en.name, b), seed: opts.Seed}
 			si := en.d.Snapshot(true)
@@ -148,6 +166,20 @@ func checkDynamic(rep *Report, family string, g *graph.Graph, opts Options, r *r
 				checkBackendAnswer(eck, live, distH, sb, -1)
 			}
 		}
+	}
+
+	if sampler != nil {
+		ck := &checker{rep: rep, family: family, check: "dynamic-sampler", seed: opts.Seed}
+		s := incAuto.Spanner()
+		qs := sampleQueries(n, pick(opts.Quick, 120, 300), r.Split())
+		want := FoldSampledStretch(AllPairs(s.Base), AllPairs(s.H), n, qs, samplerEvery)
+		for _, q := range qs {
+			sampler.d.Dist(q.U, q.V)
+		}
+		st := sampler.d.Stats()
+		got := SampledStretch{Samples: st.StretchSamples, Max: st.RealizedAlpha, Mean: st.MeanStretch}
+		ck.assert(got == want, "after %d updates the sampler reports %+v, reference over the current G and H %+v",
+			applied, got, want)
 	}
 
 	// No-op and invalid updates must change nothing.

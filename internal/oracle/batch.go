@@ -62,25 +62,36 @@ func (o *Oracle) AnswerBatchTrace(qs []Query, tr *obs.ReqTrace) []Answer {
 // Invalid queries get the sentinel Answer and no accounting, self queries
 // count as queries but take no resolution path, backend-served queries
 // count and feed the deterministic stretch sampler in batch order.
-// Latency is accounted as the batch's wall time amortized uniformly over
-// the accounted queries.
+// The k accounted queries claim k consecutive sequence numbers with one
+// atomic add, and latency is accounted as the batch's wall time amortized
+// uniformly over them, in one histogram call.
 func (o *Oracle) accountBatch(qs []Query, out []Answer, t0 time.Time) {
 	n := int32(o.n)
-	perQuery := time.Since(t0).Seconds() / float64(len(qs))
+	invalid := func(q Query) bool { return q.U < 0 || q.V < 0 || q.U >= n || q.V >= n }
+	k := 0
 	for qi, q := range qs {
 		switch {
-		case q.U < 0 || q.V < 0 || q.U >= n || q.V >= n:
+		case invalid(q):
 			out[qi] = Answer{U: q.U, V: q.V, Dist: graph.Unreachable, Bound: graph.Unreachable}
 		case q.U == q.V:
 			out[qi] = Answer{U: q.U, V: q.V, Exact: true}
-			o.queries.Add(1)
-			o.latency.Observe(perQuery)
+			k++
 		default:
-			seq := o.queries.Add(1)
-			if out[qi].Exact {
-				o.maybeSampleStretch(seq, q.U, q.V, out[qi].Dist)
-			}
-			o.latency.Observe(perQuery)
+			k++
+		}
+	}
+	if k == 0 {
+		return
+	}
+	o.latency.ObserveN(time.Since(t0).Seconds()/float64(k), int64(k))
+	seq := o.queries.Add(int64(k)) - int64(k)
+	for qi, q := range qs {
+		if invalid(q) {
+			continue
+		}
+		seq++
+		if q.U != q.V && out[qi].Exact {
+			o.maybeSampleStretch(seq, q.U, q.V, out[qi].Dist)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -97,5 +98,37 @@ func TestAnswerBulkSkipsBoundedOracles(t *testing.T) {
 	snap := o.Registry().Snapshot()
 	if got := snap.Counters[backendKey(metricPathBulk, BackendLandmarkBiBFS)]; got != 0 {
 		t.Fatalf("bounded oracle served %d queries through the bulk path", got)
+	}
+}
+
+// A bulk-arm batch charges its wall time to the queries it accounts, not
+// to every query sent: one valid query among 1,023 out-of-range ones is
+// observed once, with (up to the work outside the timed span) the whole
+// batch's wall time. Dividing by the batch length instead would record at
+// most 1/1024 of it.
+func TestBulkBatchLatencyAmortizedOverAccountedQueries(t *testing.T) {
+	dc := buildTestSpanner(t, 128, 32, 13)
+	o, err := New(dc, Options{Backend: BackendExactCached, Workers: 1, SampleEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := make([]Query, 1024)
+	for i := range qs {
+		qs[i] = Query{U: -1, V: int32(i)}
+	}
+	qs[0] = Query{U: 1, V: 2}
+	best := 0.0
+	for i := 0; i < 50; i++ {
+		count, sum := o.latency.Count(), o.latency.Sum()
+		t0 := time.Now()
+		o.AnswerBatch(qs)
+		elapsed := time.Since(t0).Seconds()
+		if got := o.latency.Count() - count; got != 1 {
+			t.Fatalf("batch observed %d latencies, want 1 (one accounted query)", got)
+		}
+		best = max(best, (o.latency.Sum()-sum)/elapsed)
+	}
+	if best < 1.0/16 {
+		t.Fatalf("recorded latency is at most %.4f of the batch's wall time, want the whole batch charged to its one query", best)
 	}
 }

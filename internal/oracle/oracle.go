@@ -20,10 +20,11 @@
 //
 // Because H is an (α, β)-DC-spanner, the exact-on-H distance is within
 // the certified α of the true distance on G; the oracle verifies this
-// empirically by re-answering a deterministic sample of queries with an
-// exact BFS on G and tracking the realized stretch. All structures are
-// safe for concurrent use and AnswerBatch fans queries out over a worker
-// pool; answers are independent of scheduling because resolution is
+// empirically by re-answering a deterministic sample of queries exactly
+// on G, with the same pooled bidirectional BFS the landmark backend runs
+// on H, and tracking the realized stretch. All structures are safe for
+// concurrent use and AnswerBatch fans queries out over a worker pool;
+// answers are independent of scheduling because resolution is
 // deterministic.
 //
 // An oracle built by NewDynamic also serves a live graph: Update applies
@@ -99,9 +100,10 @@ type Options struct {
 	Seed uint64
 	// Workers bounds AnswerBatch's worker pool; 0 means GOMAXPROCS.
 	Workers int
-	// SampleEvery verifies every k-th Dist query against an exact BFS on
-	// the base graph and records the realized stretch; 0 means the default
-	// 64, negative disables sampling.
+	// SampleEvery verifies every k-th Dist query against the exact
+	// distance on the base graph, found by a pooled bidirectional BFS, and
+	// records the realized stretch; 0 means the default 64, negative
+	// disables sampling.
 	SampleEvery int
 	// MaxDist bounds the landmark-bibfs backend's exact bidirectional
 	// search depth: queries whose spanner distance exceeds it fall back
@@ -236,7 +238,8 @@ type Oracle struct {
 	stretchSum float64
 	stretchMax float64
 
-	routePool sync.Pool // *routeScratch
+	routePool  sync.Pool // *routeScratch
+	samplePool sync.Pool // *biScratch for the stretch sampler's search on G
 }
 
 type routeScratch struct {
@@ -301,6 +304,7 @@ func NewFromGraphs(g, h *graph.Graph, alpha int, opts Options) (*Oracle, error) 
 	o.routePool.New = func() any {
 		return &routeScratch{bfs: graph.NewBFSScratch(o.n), parent: make([]int32, o.n)}
 	}
+	o.samplePool.New = func() any { return newBiScratch(o.n) }
 	o.registerMetrics(opts.Registry)
 	return o, nil
 }
@@ -491,13 +495,18 @@ func (o *Oracle) resolve(u, v int32) (Answer, uint8, error) {
 	return a, path, nil
 }
 
-// maybeSampleStretch re-answers every sampleEvery-th query exactly on G
-// and records the realized stretch dist_H / dist_G.
+// maybeSampleStretch re-answers every sampleEvery-th query u ≠ v exactly
+// on G, with a pooled bidirectional BFS (the search the landmark backend
+// runs on H), and records the realized stretch dist_H / dist_G. The
+// scratch is sized n, which updates never change, so the pool outlives
+// every Update's swap of o.g.
 func (o *Oracle) maybeSampleStretch(seq int64, u, v, dh int32) {
 	if o.sampleEvery <= 0 || seq%o.sampleEvery != 0 || dh == graph.Unreachable {
 		return
 	}
-	dg := o.g.Dist(u, v)
+	sc := o.samplePool.Get().(*biScratch)
+	dg, _ := sc.distance(o.g, u, v, -1)
+	o.samplePool.Put(sc)
 	if dg <= 0 {
 		return
 	}

@@ -79,15 +79,22 @@ func (h *Histogram) bucketFor(v float64) int {
 // Observe records one value. Safe for concurrent use. NaN observations
 // are dropped (not counted): a single NaN would otherwise poison the
 // CAS-accumulated sum and every Mean/Stats report derived from it.
-func (h *Histogram) Observe(v float64) {
-	if math.IsNaN(v) {
+func (h *Histogram) Observe(v float64) { h.ObserveN(v, 1) }
+
+// ObserveN records k observations of the same value v — the state k
+// Observe(v) calls leave (Count, buckets, Max, quantiles; Sum up to
+// rounding, since it adds v·k once) at the cost of one call. Safe for
+// concurrent use. NaN values and k <= 0 are dropped.
+func (h *Histogram) ObserveN(v float64, k int64) {
+	if math.IsNaN(v) || k <= 0 {
 		return
 	}
-	h.counts[h.bucketFor(v)].Add(1)
-	h.total.Add(1)
+	h.counts[h.bucketFor(v)].Add(k)
+	h.total.Add(k)
+	add := v * float64(k)
 	for {
 		old := h.sum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
+		next := math.Float64bits(math.Float64frombits(old) + add)
 		if h.sum.CompareAndSwap(old, next) {
 			break
 		}

@@ -120,3 +120,83 @@ func TestExpBucketsPanics(t *testing.T) {
 		}()
 	}
 }
+
+// ObserveN(v, k) leaves the histogram where k Observe(v) calls do: the
+// same count, buckets, max and quantiles, and the same sum up to the
+// rounding of adding v·k once instead of v k times.
+func TestObserveNMatchesRepeatedObserve(t *testing.T) {
+	values := []float64{0, 3e-7, 2.5e-5, 1.7e-3, 0.42, 50} // 50 s overflows
+	for _, k := range []int64{1, 2, 7, 512} {
+		one, many := NewLatencyHistogram(), NewLatencyHistogram()
+		for _, v := range values {
+			one.ObserveN(v, k)
+			for i := int64(0); i < k; i++ {
+				many.Observe(v)
+			}
+		}
+		got, want := one.Buckets(), many.Buckets()
+		if got.Count != want.Count || got.Max != want.Max {
+			t.Fatalf("k=%d: count=%d max=%v, want %d, %v", k, got.Count, got.Max, want.Count, want.Max)
+		}
+		for i := range want.Cumulative {
+			if got.Cumulative[i] != want.Cumulative[i] {
+				t.Fatalf("k=%d: bucket %d holds %d cumulative, want %d", k, i, got.Cumulative[i], want.Cumulative[i])
+			}
+		}
+		for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.99, 1} {
+			if a, b := got.Quantile(q), want.Quantile(q); a != b {
+				t.Errorf("k=%d: Quantile(%v) = %v, want %v", k, q, a, b)
+			}
+		}
+		if math.Abs(got.Sum-want.Sum) > 1e-12*math.Abs(want.Sum) {
+			t.Errorf("k=%d: sum = %v, want %v", k, got.Sum, want.Sum)
+		}
+	}
+}
+
+func TestObserveNDropsNaNAndNonPositiveCounts(t *testing.T) {
+	h := NewHistogram([]float64{1, 2, 4})
+	h.ObserveN(math.NaN(), 5)
+	h.ObserveN(1.5, 0)
+	h.ObserveN(1.5, -3)
+	if h.Count() != 0 || h.Sum() != 0 || h.Max() != 0 {
+		t.Fatalf("dropped observations were recorded: count=%d sum=%v max=%v", h.Count(), h.Sum(), h.Max())
+	}
+	h.ObserveN(1.5, 4)
+	if h.Count() != 4 || h.Sum() != 6 || h.Max() != 1.5 {
+		t.Fatalf("count=%d sum=%v max=%v, want 4, 6, 1.5", h.Count(), h.Sum(), h.Max())
+	}
+}
+
+func TestHistogramConcurrentObserveN(t *testing.T) {
+	h := NewLatencyHistogram()
+	const workers, per, k = 8, 2000, 16
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				v := float64(i%100+1) * 1e-6
+				if w%2 == 0 {
+					h.ObserveN(v, k)
+				} else {
+					h.Observe(v)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	const wantCount = workers / 2 * per * (k + 1)
+	if h.Count() != wantCount || h.Buckets().Count != wantCount {
+		t.Fatalf("count = %d (buckets %d), want %d", h.Count(), h.Buckets().Count, wantCount)
+	}
+	wantSum := float64(wantCount) * 50.5e-6
+	if math.Abs(h.Sum()-wantSum)/wantSum > 1e-9 {
+		t.Errorf("sum = %v, want %v", h.Sum(), wantSum)
+	}
+	top := 100
+	if want := float64(top) * 1e-6; h.Max() != want {
+		t.Errorf("max = %v, want %v", h.Max(), want)
+	}
+}

@@ -22,12 +22,17 @@ type Frame struct {
 // AppendFrame appends f's wire encoding to dst and returns the extended
 // slice.
 func AppendFrame(dst []byte, f Frame) []byte {
+	return append(appendFrameHeader(dst, f), f.Payload...)
+}
+
+// appendFrameHeader appends f's length prefix and fixed body header —
+// everything of the frame but the payload.
+func appendFrameHeader(dst []byte, f Frame) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(frameBodyMin+len(f.Payload)))
 	dst = append(dst, f.Type)
 	dst = binary.BigEndian.AppendUint64(dst, f.ID)
 	dst = binary.BigEndian.AppendUint64(dst, f.Trace.ID)
-	dst = append(dst, f.Trace.Flags)
-	return append(dst, f.Payload...)
+	return append(dst, f.Trace.Flags)
 }
 
 // AppendFrameV is AppendFrame; the version argument is ignored.
@@ -37,18 +42,26 @@ func AppendFrame(dst []byte, f Frame) []byte {
 // still calls it.
 func AppendFrameV(dst []byte, f Frame, _ uint16) []byte { return AppendFrame(dst, f) }
 
-// WriteFrame writes one frame. maxBody bounds the frame body exactly like
-// ReadFrame, so a writer never emits a frame its symmetric peer must
-// reject (0 means DefaultMaxFrameBytes).
+// WriteFrame writes one frame as two writes to w, the header from a small
+// array and then the payload, so the payload is never copied. Pass a
+// buffered writer (a bufio.Writer the caller flushes); unbuffered, each
+// half would go out on its own. After a failed write part of the frame
+// may be out, so the stream is unusable and the connection must close.
+// maxBody bounds the frame body exactly like ReadFrame, so a writer never
+// emits a frame its symmetric peer must reject (0 means
+// DefaultMaxFrameBytes); an oversized frame writes nothing.
 func WriteFrame(w io.Writer, f Frame, maxBody int) error {
 	if maxBody <= 0 {
 		maxBody = DefaultMaxFrameBytes
 	}
-	body := frameBodyMin + len(f.Payload)
-	if body > maxBody {
+	if body := frameBodyMin + len(f.Payload); body > maxBody {
 		return fmt.Errorf("%w (payload %d, limit %d)", ErrFrameTooBig, len(f.Payload), maxBody)
 	}
-	_, err := w.Write(AppendFrame(make([]byte, 0, frameHeaderLen+body), f))
+	var hdr [frameHeaderLen + frameBodyMin]byte
+	if _, err := w.Write(appendFrameHeader(hdr[:0], f)); err != nil {
+		return err
+	}
+	_, err := w.Write(f.Payload)
 	return err
 }
 

@@ -1,10 +1,12 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -91,6 +93,53 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadFrame(&buf, 0); err != io.EOF {
 		t.Fatalf("trailing read = %v, want EOF", err)
+	}
+
+	// WriteFrame's header-then-payload writes put AppendFrame's bytes on
+	// the wire, up to a payload that fills the frame limit exactly.
+	for _, size := range []int{0, 1, DefaultMaxFrameBytes - frameBodyMin} {
+		f := Frame{Type: MsgBatchR, ID: 42, Trace: TraceContext{ID: 7, Flags: 1},
+			Payload: bytes.Repeat([]byte{0x5a}, size)}
+		buf.Reset()
+		if err := WriteFrame(&buf, f, 0); err != nil {
+			t.Fatalf("payload %d: WriteFrame: %v", size, err)
+		}
+		if !bytes.Equal(buf.Bytes(), AppendFrame(nil, f)) {
+			t.Fatalf("payload %d: WriteFrame bytes differ from AppendFrame's", size)
+		}
+	}
+}
+
+// WriteFrame never copies the payload: what it allocates per frame is the
+// same for a 1-byte and a 64 KiB payload (a copy would cost 64 KiB; the
+// slack only absorbs a stray allocation elsewhere in the process).
+func TestWriteFrameCostIndependentOfPayload(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	w := bufio.NewWriterSize(io.Discard, 128<<10)
+	perFrame := func(size int) (allocs, allocBytes float64) {
+		f := Frame{Type: MsgBatchR, ID: 1, Payload: make([]byte, size)}
+		const runs = 200
+		write := func() {
+			if err := WriteFrame(w, f, 0); err != nil {
+				t.Fatal(err)
+			}
+			w.Flush()
+		}
+		write()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			write()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.Mallocs-before.Mallocs) / runs,
+			float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	smallN, smallB := perFrame(1)
+	bigN, bigB := perFrame(64 << 10)
+	if bigN > smallN+0.5 || bigB > smallB+512 {
+		t.Fatalf("64 KiB payload: %.2f allocs, %.0f B per frame; 1 B payload: %.2f allocs, %.0f B",
+			bigN, bigB, smallN, smallB)
 	}
 }
 
