@@ -112,7 +112,7 @@ func main() {
 	// end state is a deterministic function of (seed, rate, duration)
 	// regardless of how the query pool is scheduled.
 	var updConn *wire.Client
-	var updSent, updApplied, updRebuilt, updErrs atomic.Int64
+	var updSent, updApplied, updErrs atomic.Int64
 	if *updRate > 0 {
 		updConn, err = wire.Dial(*addr, wire.ClientOptions{})
 		if err != nil {
@@ -193,9 +193,6 @@ func main() {
 				if res.Applied {
 					updApplied.Add(1)
 				}
-				if res.Rebuilt {
-					updRebuilt.Add(1)
-				}
 			}
 		}()
 	}
@@ -273,8 +270,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, "dcload: verify snapshot:", serr)
 			os.Exit(1)
 		}
-		fmt.Printf("updates: sent=%d applied=%d rebuilt=%d errs=%d\n",
-			updSent.Load(), updApplied.Load(), updRebuilt.Load(), updErrs.Load())
+		fmt.Printf("updates: sent=%d applied=%d errs=%d\n",
+			updSent.Load(), updApplied.Load(), updErrs.Load())
 		fmt.Printf("update consistency: seq=%d m=%d hm=%d verified=%t consistent=%t\n",
 			si.Seq, si.M, si.HM, si.Verified, si.Consistent)
 		if !si.Consistent {

@@ -25,7 +25,7 @@
 // With -dynamic the server maintains an incremental cluster spanner over
 // a live graph and additionally answers (see internal/server):
 //
-//	update <u> <v> <add|del>  ->  update ... = applied=<t|f> rebuilt=<t|f> m=<m> hm=<hm> seq=<s>
+//	update <u> <v> <add|del>  ->  update ... = applied=<t|f> m=<m> hm=<hm> seq=<s>
 //	snapshot [verify]         ->  snapshot n=... m=... hm=... seq=... ghash=... hhash=... verified=<t|f> consistent=<t|f>
 //
 // Errors answer "err <message>" and keep the connection open.
@@ -55,8 +55,6 @@ func main() {
 	algo := flag.String("algo", "expander", "spanner: expander|regular|baswana-sen|greedy|sparsify-uniform|bounded-degree")
 	dynamic := flag.Bool("dynamic", false,
 		"serve a live graph: maintain an incremental cluster spanner and accept update/snapshot verbs (ignores -algo)")
-	rebuildThr := flag.Float64("rebuild-threshold", 0,
-		"dynamic mode: dirty fraction triggering a full spanner recompute (0 = default, negative disables)")
 	k := flag.Int("k", 2, "Baswana-Sen parameter (stretch 2k-1)")
 	alpha := flag.Int("alpha", 3, "greedy spanner stretch")
 	backend := flag.String("oracle-backend", "auto",
@@ -65,7 +63,6 @@ func main() {
 	sparseHubs := flag.Int("sparse-hubs", 0, "hub count for the sparse-hub backend (0 = ceil(sqrt(n)))")
 	memBudget := flag.Int64("oracle-mem", 0, "auto-tuner memory budget in bytes (0 = 128 MiB, negative = unlimited)")
 	workers := flag.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
-	maxDist := flag.Int("maxdist", 0, "exact-search depth bound; deeper answers fall back to the landmark bound (0 = unbounded)")
 	sample := flag.Int("sample", 64, "verify every k-th query against the exact distance on G (bidirectional BFS) for realized stretch (negative disables)")
 	listen := flag.String("listen", "", "serve the line protocol on this TCP address instead of stdin")
 	demo := flag.Bool("demo", false, "answer -queries mixed random queries, print the latency report, and exit")
@@ -119,7 +116,6 @@ func main() {
 		SparseHubs:   *sparseHubs,
 		MemoryBudget: *memBudget,
 		Workers:      *workers,
-		MaxDist:      *maxDist,
 		SampleEvery:  *sample,
 		Registry:     reg,
 	}
@@ -130,7 +126,7 @@ func main() {
 	t0 := time.Now()
 	if *dynamic {
 		o, err = oracle.NewDynamic(g, oracle.DynamicOptions{
-			Spanner: spanner.IncrementalOptions{Seed: cfg.Seed, RebuildThreshold: *rebuildThr},
+			Spanner: spanner.IncrementalOptions{Seed: cfg.Seed},
 			Oracle:  oracleOpts,
 		})
 		if err != nil {

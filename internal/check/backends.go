@@ -12,31 +12,22 @@ import (
 type backendConfig struct {
 	label string
 	opts  oracle.Options
-	// boundedMaxDist, when ≥ 0, marks a configuration whose backend may
-	// legitimately answer inexactly for pairs past the bound.
-	boundedMaxDist int32
 }
 
 // backendSweep enumerates the configurations checkBackends runs: every
-// backend at its defaults, plus the knob extremes that change resolution
-// behavior — the sparse backend at one hub (maximal bunches) and the
-// landmark backend in bounded-search mode. A non-empty opts.Backend
-// restricts the sweep to that backend's configurations.
+// backend at its defaults, plus the knob extreme that changes resolution
+// behavior — the sparse backend at one hub (maximal bunches). A
+// non-empty opts.Backend restricts the sweep to that backend's
+// configurations.
 func backendSweep(opts Options, oSeed uint64) []backendConfig {
 	base := func(name string) oracle.Options {
 		return oracle.Options{Backend: name, Seed: oSeed, Workers: 1, SampleEvery: -1}
 	}
 	cfgs := []backendConfig{
-		{label: oracle.BackendLandmarkBiBFS, opts: base(oracle.BackendLandmarkBiBFS), boundedMaxDist: -1},
-		{label: oracle.BackendLandmarkBiBFS + "/maxdist=3", boundedMaxDist: 3,
-			opts: func() oracle.Options {
-				o := base(oracle.BackendLandmarkBiBFS)
-				o.MaxDist = 3
-				return o
-			}()},
-		{label: oracle.BackendExactCached, opts: base(oracle.BackendExactCached), boundedMaxDist: -1},
-		{label: oracle.BackendSparseHub, opts: base(oracle.BackendSparseHub), boundedMaxDist: -1},
-		{label: oracle.BackendSparseHub + "/hubs=1", boundedMaxDist: -1,
+		{label: oracle.BackendLandmarkBiBFS, opts: base(oracle.BackendLandmarkBiBFS)},
+		{label: oracle.BackendExactCached, opts: base(oracle.BackendExactCached)},
+		{label: oracle.BackendSparseHub, opts: base(oracle.BackendSparseHub)},
+		{label: oracle.BackendSparseHub + "/hubs=1",
 			opts: func() oracle.Options {
 				o := base(oracle.BackendSparseHub)
 				o.SparseHubs = 1
@@ -58,11 +49,8 @@ func backendSweep(opts Options, oSeed uint64) []backendConfig {
 // checkBackendAnswer asserts the backend-generic answer contract against
 // the exact distance matrix: unreachable pairs answered unreachable,
 // exact claims exactly right, every answer admissible (never below the
-// true distance), and — when the backend declares a stretch bound b —
-// within b× of it. bounded ≥ 0 relaxes the exactness requirement for
-// pairs past the search bound (the landmark backend's bounded mode, which
-// declares no stretch bound).
-func checkBackendAnswer(ck *checker, a oracle.Answer, distH *graph.TriDist, stretchBound int, bounded int32) {
+// true distance) and within the backend's declared stretch bound of it.
+func checkBackendAnswer(ck *checker, a oracle.Answer, distH *graph.TriDist, stretchBound int) {
 	u, v := a.U, a.V
 	if u == v {
 		ck.assert(a.Dist == 0 && a.Bound == 0 && a.Exact,
@@ -80,25 +68,17 @@ func checkBackendAnswer(ck *checker, a oracle.Answer, distH *graph.TriDist, stre
 		return
 	}
 	ck.assert(a.Dist >= ref, "(%d,%d): answered %d below the true distance %d", u, v, a.Dist, ref)
-	switch {
-	case a.Exact:
+	if a.Exact {
 		ck.assert(a.Dist == ref, "(%d,%d): claims exact %d, true distance is %d", u, v, a.Dist, ref)
-	case bounded >= 0:
-		// Bounded landmark mode: inexact answers only past the search bound.
-		ck.assert(ref > bounded,
-			"(%d,%d): inexact answer %d though the true distance %d is within the search bound %d",
-			u, v, a.Dist, ref, bounded)
-	default:
-		// Unbounded: only a backend with an approximation ratio (declared
-		// bound other than exactly 1) may answer inexactly.
+	} else {
+		// Only a backend with an approximation ratio (declared bound
+		// other than exactly 1) may answer inexactly.
 		ck.assert(stretchBound != 1,
 			"(%d,%d): inexact answer %d from a backend declaring exactness (ref %d)", u, v, a.Dist, ref)
 	}
-	if stretchBound > 0 {
-		ck.assert(int64(a.Dist) <= int64(stretchBound)*int64(ref),
-			"(%d,%d): answered %d, over the declared %d× bound of the true distance %d",
-			u, v, a.Dist, stretchBound, ref)
-	}
+	ck.assert(int64(a.Dist) <= int64(stretchBound)*int64(ref),
+		"(%d,%d): answered %d, over the declared %d× bound of the true distance %d",
+		u, v, a.Dist, stretchBound, ref)
 	if a.Bound != graph.Unreachable {
 		ck.assert(a.Bound >= ref, "(%d,%d): admissible bound %d below the true distance %d", u, v, a.Bound, ref)
 		ck.assert(a.Dist <= a.Bound, "(%d,%d): answer %d above its own bound %d", u, v, a.Dist, a.Bound)
@@ -136,7 +116,7 @@ func checkBackends(rep *Report, family string, v variant, distH *graph.TriDist, 
 			if !ck.assert(err == nil, "Dist(%d,%d): %v", q.U, q.V, err) {
 				continue
 			}
-			checkBackendAnswer(ck, a, distH, bs.StretchBound, cfg.boundedMaxDist)
+			checkBackendAnswer(ck, a, distH, bs.StretchBound)
 		}
 
 		// AnswerBatch: equal to the sequential answers above, sentinel
@@ -162,7 +142,7 @@ func checkBackends(rep *Report, family string, v variant, distH *graph.TriDist, 
 						"invalid query (%d,%d): got dist=%d bound=%d exact=%v", q.U, q.V, a.Dist, a.Bound, a.Exact)
 					continue
 				}
-				checkBackendAnswer(bck, a, distH, bs.StretchBound, cfg.boundedMaxDist)
+				checkBackendAnswer(bck, a, distH, bs.StretchBound)
 			}
 			if first == nil {
 				first = out

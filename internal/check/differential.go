@@ -299,12 +299,10 @@ func refBound(distH *graph.TriDist, lms []int32, u, v int32) int32 {
 	return best
 }
 
-// checkAnswer asserts one oracle Answer against the exact reference.
-// maxDist < 0 means the oracle ran unbounded (every answer must be exact);
-// otherwise the bounded-search contract applies: an inexact answer is
-// allowed only when the true distance exceeds the bound, and it must then
-// serve exactly the landmark bound.
-func checkAnswer(ck *checker, a oracle.Answer, distH *graph.TriDist, lms []int32, maxDist int32) {
+// checkAnswer asserts one landmark-bibfs Answer against the exact
+// reference: the landmark bound, and an exact answer equal to the exact
+// spanner distance.
+func checkAnswer(ck *checker, a oracle.Answer, distH *graph.TriDist, lms []int32) {
 	u, v := a.U, a.V
 	if u == v {
 		ck.assert(a.Dist == 0 && a.Bound == 0 && a.Exact,
@@ -317,27 +315,14 @@ func checkAnswer(ck *checker, a oracle.Answer, distH *graph.TriDist, lms []int32
 		"(%d,%d): bound=%d, reference landmark bound=%d", u, v, a.Bound, bound) {
 		return
 	}
-	if a.Exact {
-		ck.assert(a.Dist == ref,
-			"(%d,%d): exact dist=%d, reference BFS says %d", u, v, a.Dist, ref)
-		return
-	}
-	if !ck.assert(maxDist >= 0,
-		"(%d,%d): inexact answer from an unbounded oracle (dist=%d ref=%d)", u, v, a.Dist, ref) {
-		return
-	}
-	ck.assert(ref == graph.Unreachable || ref > maxDist,
-		"(%d,%d): inexact answer but reference distance %d is within bound %d", u, v, ref, maxDist)
-	ck.assert(a.Dist == bound,
-		"(%d,%d): inexact answer dist=%d != landmark bound %d", u, v, a.Dist, bound)
-	ck.assert(bound == graph.Unreachable || ref == graph.Unreachable || bound >= ref,
-		"(%d,%d): landmark bound %d below true distance %d", u, v, bound, ref)
+	ck.assert(a.Exact && a.Dist == ref,
+		"(%d,%d): dist=%d exact=%v, want exact %d (reference BFS)", u, v, a.Dist, a.Exact, ref)
 }
 
 // checkOracle runs the oracle differential for one spanner variant: every
 // landmark count over two passes (the second reuses the pooled search
-// scratch the first left behind), the bounded-search mode, AnswerBatch at
-// every worker count, and invalid queries.
+// scratch the first left behind), AnswerBatch at every worker count, and
+// invalid queries.
 func checkOracle(rep *Report, family string, v variant, distH *graph.TriDist, opts Options, r *rng.RNG) {
 	n := v.h.N()
 	qn := 150
@@ -368,25 +353,7 @@ func checkOracle(rep *Report, family string, v variant, distH *graph.TriDist, op
 				if !ck.assert(err == nil, "Dist(%d,%d) pass %d: %v", q.U, q.V, pass, err) {
 					continue
 				}
-				checkAnswer(ck, a, distH, lms, -1)
-			}
-		}
-	}
-
-	// Bounded search: answers past MaxDist fall back to the landmark bound.
-	{
-		o, err := oracle.NewFromGraphs(v.h, v.h, alpha, oracle.Options{
-			Landmarks: 3, Seed: oSeed, Workers: 1, SampleEvery: -1, MaxDist: 3,
-		})
-		ck := &checker{rep: rep, family: family, check: "oracle-dist/" + v.name + "/maxdist=3", seed: opts.Seed}
-		if ck.assert(err == nil, "NewFromGraphs: %v", err) {
-			lms := o.Landmarks()
-			for _, q := range qs {
-				a, err := o.Dist(q.U, q.V)
-				if !ck.assert(err == nil, "Dist(%d,%d): %v", q.U, q.V, err) {
-					continue
-				}
-				checkAnswer(ck, a, distH, lms, 3)
+				checkAnswer(ck, a, distH, lms)
 			}
 		}
 	}
@@ -418,7 +385,7 @@ func checkOracle(rep *Report, family string, v variant, distH *graph.TriDist, op
 					"invalid query (%d,%d): got dist=%d bound=%d exact=%v", q.U, q.V, a.Dist, a.Bound, a.Exact)
 				continue
 			}
-			checkAnswer(ck, a, distH, lms, -1)
+			checkAnswer(ck, a, distH, lms)
 		}
 		if first == nil {
 			first = out

@@ -19,9 +19,7 @@ import (
 //
 //   - Spanner: the maintained edge set must equal (edge for edge, not
 //     just by hash) a fresh spanner.NewIncremental on the current graph
-//     with the same seed — once for the auto-rebuild config and once
-//     with rebuilds disabled, so the pure local-repair path is held to
-//     the same standard as the threshold path.
+//     with the same seed.
 //   - Engine: Snapshot(verify) must report Consistent, the maintained
 //     spanner must satisfy the spanner invariants, and Seq must count
 //     exactly the applied updates.
@@ -44,11 +42,7 @@ func checkDynamic(rep *Report, family string, g *graph.Graph, opts Options, r *r
 	batches := pick(opts.Quick, 3, 5)
 	batchSize := pick(opts.Quick, 6, 12)
 	sopt := spanner.IncrementalOptions{Seed: r.Uint64()}
-	loc := sopt
-	loc.RebuildThreshold = -1 // never rebuild: every update takes the local-repair path
-
-	incAuto := spanner.NewIncremental(g, sopt)
-	incLocal := spanner.NewIncremental(g, loc)
+	inc := spanner.NewIncremental(g, sopt)
 
 	oSeed := r.Uint64() | 1
 	var engines []*dynEngine
@@ -96,12 +90,11 @@ func checkDynamic(rep *Report, family string, g *graph.Graph, opts Options, r *r
 				e.U, e.V = e.V, e.U
 			}
 			add := !cur[e]
-			okA, _, errA := applyInc(incAuto, u, v, add)
-			okL, _, errL := applyInc(incLocal, u, v, add)
-			if !ck.assert(errA == nil && errL == nil, "update (%d,%d,add=%v): %v / %v", u, v, add, errA, errL) {
+			ok, _, err := applyInc(inc, u, v, add)
+			if !ck.assert(err == nil, "update (%d,%d,add=%v): %v", u, v, add, err) {
 				return
 			}
-			if !ck.assert(okA && okL, "update (%d,%d,add=%v) was a surprise no-op", u, v, add) {
+			if !ck.assert(ok, "update (%d,%d,add=%v) was a surprise no-op", u, v, add) {
 				return
 			}
 			for _, en := range engines {
@@ -119,17 +112,14 @@ func checkDynamic(rep *Report, family string, g *graph.Graph, opts Options, r *r
 		}
 
 		// Spanner layer: maintained == rebuilt from scratch, edge for edge.
-		snap := incAuto.Graph().Snapshot()
+		snap := inc.Graph().Snapshot()
 		fresh := spanner.NewIncremental(snap, sopt)
-		ck.assert(edgesEqual(incAuto.Edges(), fresh.Edges()),
-			"auto-rebuild spanner (%d edges) differs from a from-scratch build (%d edges) after %d updates",
-			incAuto.HM(), fresh.HM(), applied)
-		ck.assert(edgesEqual(incLocal.Edges(), fresh.Edges()),
-			"local-only spanner (%d edges) differs from a from-scratch build (%d edges) after %d updates",
-			incLocal.HM(), fresh.HM(), applied)
-		ck.assert(incAuto.Seq() == applied, "auto Seq=%d, applied %d updates", incAuto.Seq(), applied)
+		ck.assert(edgesEqual(inc.Edges(), fresh.Edges()),
+			"maintained spanner (%d edges) differs from a from-scratch build (%d edges) after %d updates",
+			inc.HM(), fresh.HM(), applied)
+		ck.assert(inc.Seq() == applied, "Seq=%d, applied %d updates", inc.Seq(), applied)
 
-		s := incAuto.Spanner()
+		s := inc.Spanner()
 		ck.assert(SpannerInvariants(s.Base, s.H) == nil, "maintained spanner violates invariants after %d updates", applied)
 
 		// Engine + backend layers.
@@ -163,14 +153,14 @@ func checkDynamic(rep *Report, family string, g *graph.Graph, opts Options, r *r
 					"(%d,%d): refreshed backend answers %+v, fresh build answers %+v", q.U, q.V, live, want) {
 					break
 				}
-				checkBackendAnswer(eck, live, distH, sb, -1)
+				checkBackendAnswer(eck, live, distH, sb)
 			}
 		}
 	}
 
 	if sampler != nil {
 		ck := &checker{rep: rep, family: family, check: "dynamic-sampler", seed: opts.Seed}
-		s := incAuto.Spanner()
+		s := inc.Spanner()
 		qs := sampleQueries(n, pick(opts.Quick, 120, 300), r.Split())
 		want := FoldSampledStretch(AllPairs(s.Base), AllPairs(s.H), n, qs, samplerEvery)
 		for _, q := range qs {
@@ -184,7 +174,7 @@ func checkDynamic(rep *Report, family string, g *graph.Graph, opts Options, r *r
 
 	// No-op and invalid updates must change nothing.
 	ck := &checker{rep: rep, family: family, check: "dynamic-noop", seed: opts.Seed}
-	liveEdges := incAuto.Graph().Snapshot().Edges()
+	liveEdges := inc.Graph().Snapshot().Edges()
 	for _, en := range engines {
 		before := en.d.Snapshot(false)
 		if len(liveEdges) > 0 {

@@ -108,7 +108,7 @@ func TestFlightRecorderHandler(t *testing.T) {
 	fr := NewFlightRecorder(4, 2, 10*time.Millisecond)
 	fr.Record(&TraceRecord{
 		ID: "00000000000000aa", Verb: "batch", Detail: "n=16",
-		DurationUS: 25_000, Path: "landmark|bulk",
+		DurationUS: 25_000, Path: "bibfs|bulk",
 		Hops: []HopRecord{{Name: "queue", OffsetUS: 0, DurUS: 3}, {Name: "oracle", OffsetUS: 3, DurUS: 24_900, Note: "arm=bulk"}},
 	})
 	w := httptest.NewRecorder()
@@ -132,7 +132,7 @@ func TestFlightRecorderHandler(t *testing.T) {
 		t.Fatalf("requests/slow = %d/%d, want 1/1", len(body.Requests), len(body.Slow))
 	}
 	got := body.Requests[0]
-	if got.Verb != "batch" || got.Path != "landmark|bulk" || len(got.Hops) != 2 || got.Hops[1].Note != "arm=bulk" {
+	if got.Verb != "batch" || got.Path != "bibfs|bulk" || len(got.Hops) != 2 || got.Hops[1].Note != "arm=bulk" {
 		t.Errorf("round-tripped record = %+v", got)
 	}
 }

@@ -10,34 +10,33 @@ import (
 
 // Resolution-path bits: how the oracle answered a query. A request trace
 // ORs the bit of every path its queries took, so a batch that mixed
-// landmark fallbacks with bidirectional searches reports both. The mask
-// travels in the wire response trace flags (see
-// internal/wire.ResponseContext), which is why it must stay within six
-// bits — the flags byte spends one bit on sampling and reserves the top
-// bit — and why a bit keeps its value across builds: bit 0 belonged to
-// a retired result cache and stays unassigned.
+// per-query searches with bulk sweeps reports both. The mask travels in
+// the wire response trace flags (see internal/wire.ResponseContext),
+// which is why it must stay within six bits — the flags byte spends one
+// bit on sampling and reserves the top bit — and why a bit keeps its
+// value across builds: bits 0 and 1 belonged to a retired result cache
+// and a retired depth-bounded search, and stay unassigned.
 const (
-	PathLandmark uint8 = 2 << iota // landmark upper bound served (search depth budget exhausted)
-	PathBiBFS                      // bidirectional BFS
-	PathBulk                       // bulk multi-source BFS sweep (batch arm)
-	PathExact                      // precomputed all-pairs table (exact-cached backend)
-	PathHub                        // hub bunch hit or hub upper bound (sparse-hub backend)
+	PathBiBFS uint8 = 4 << iota // bidirectional BFS
+	PathBulk                    // bulk multi-source BFS sweep (batch arm)
+	PathExact                   // precomputed all-pairs table (exact-cached backend)
+	PathHub                     // hub bunch hit or hub upper bound (sparse-hub backend)
 )
 
-// PathString renders a path mask ("landmark|bibfs"; "none" for zero).
+// PathString renders a path mask ("bibfs|bulk"); "none" when it sets no
+// assigned bit, as the zero mask does.
 func PathString(mask uint8) string {
-	if mask == 0 {
-		return "none"
-	}
 	var parts []string
 	for _, p := range [...]struct {
 		bit  uint8
 		name string
-	}{{PathLandmark, "landmark"}, {PathBiBFS, "bibfs"}, {PathBulk, "bulk"},
-		{PathExact, "exact"}, {PathHub, "hub"}} {
+	}{{PathBiBFS, "bibfs"}, {PathBulk, "bulk"}, {PathExact, "exact"}, {PathHub, "hub"}} {
 		if mask&p.bit != 0 {
 			parts = append(parts, p.name)
 		}
+	}
+	if parts == nil {
+		return "none"
 	}
 	return strings.Join(parts, "|")
 }

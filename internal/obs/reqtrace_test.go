@@ -13,13 +13,17 @@ func TestPathString(t *testing.T) {
 		want string
 	}{
 		{0, "none"},
-		{PathLandmark, "landmark"},
 		{PathBiBFS, "bibfs"},
 		{PathBulk, "bulk"},
 		{PathExact, "exact"},
 		{PathHub, "hub"},
-		{PathLandmark | PathBiBFS, "landmark|bibfs"},
-		{PathLandmark | PathBiBFS | PathBulk | PathExact | PathHub, "landmark|bibfs|bulk|exact|hub"},
+		{PathBiBFS | PathBulk, "bibfs|bulk"},
+		{PathBiBFS | PathBulk | PathExact | PathHub, "bibfs|bulk|exact|hub"},
+		// Unassigned bits arrive from peers in wire response flags: they
+		// render as no path, never as an empty string.
+		{1 << 0, "none"},
+		{1<<0 | 1<<1, "none"},
+		{1<<1 | PathHub, "hub"},
 	}
 	for _, c := range cases {
 		if got := PathString(c.mask); got != c.want {
@@ -28,9 +32,9 @@ func TestPathString(t *testing.T) {
 	}
 	// The bits travel in wire trace flags between builds: their values
 	// are fixed.
-	if PathLandmark != 1<<1 || PathBiBFS != 1<<2 || PathBulk != 1<<3 || PathExact != 1<<4 || PathHub != 1<<5 {
-		t.Errorf("path bits moved: landmark=%#x bibfs=%#x bulk=%#x exact=%#x hub=%#x",
-			PathLandmark, PathBiBFS, PathBulk, PathExact, PathHub)
+	if PathBiBFS != 1<<2 || PathBulk != 1<<3 || PathExact != 1<<4 || PathHub != 1<<5 {
+		t.Errorf("path bits moved: bibfs=%#x bulk=%#x exact=%#x hub=%#x",
+			PathBiBFS, PathBulk, PathExact, PathHub)
 	}
 }
 
@@ -74,9 +78,9 @@ func TestReqTraceLifecycle(t *testing.T) {
 	time.Sleep(time.Millisecond)
 	tr.Hop("queue", h0, "")
 	tr.Event("retry", "chunk=0 worker=1")
-	tr.OrPath(PathLandmark)
+	tr.OrPath(PathBiBFS)
 	tr.OrPath(PathBulk)
-	if tr.Path() != PathLandmark|PathBulk {
+	if tr.Path() != PathBiBFS|PathBulk {
 		t.Fatalf("path = %#x", tr.Path())
 	}
 
@@ -88,7 +92,7 @@ func TestReqTraceLifecycle(t *testing.T) {
 	if rec.ID != "0000000000000042" || rec.Verb != "batch" || rec.Detail != "n=16" {
 		t.Errorf("record header = %q %q %q", rec.ID, rec.Verb, rec.Detail)
 	}
-	if rec.Path != "landmark|bulk" {
+	if rec.Path != "bibfs|bulk" {
 		t.Errorf("record path = %q", rec.Path)
 	}
 	if len(rec.Hops) != 2 || rec.Hops[0].Name != "queue" || rec.Hops[1].Name != "retry" {
@@ -108,7 +112,7 @@ func TestReqTraceLifecycle(t *testing.T) {
 	}
 
 	line := rec.Line()
-	for _, want := range []string{"id=0000000000000042", "path=landmark|bulk", "queue +", "retry +", "(chunk=0 worker=1)"} {
+	for _, want := range []string{"id=0000000000000042", "path=bibfs|bulk", "queue +", "retry +", "(chunk=0 worker=1)"} {
 		if !strings.Contains(line, want) {
 			t.Errorf("Line() misses %q: %s", want, line)
 		}
@@ -150,7 +154,7 @@ func TestReqTraceConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				tr.Hop("shard", time.Now(), "")
-				tr.OrPath(PathLandmark << (uint(s) % 4))
+				tr.OrPath(PathBiBFS << (uint(s) % 4))
 			}
 		}(s)
 	}
@@ -158,7 +162,7 @@ func TestReqTraceConcurrent(t *testing.T) {
 	if got := len(tr.Hops()); got != shards*100 {
 		t.Fatalf("hops = %d, want %d", got, shards*100)
 	}
-	if tr.Path() != PathLandmark|PathBiBFS|PathBulk|PathExact {
+	if tr.Path() != PathBiBFS|PathBulk|PathExact|PathHub {
 		t.Fatalf("path = %#x", tr.Path())
 	}
 }

@@ -16,9 +16,8 @@ import (
 const (
 	// BackendLandmarkBiBFS is the original engine: landmark upper bounds
 	// plus a bidirectional BFS for the exact spanner distance.
-	// Space O(k·n); query O(k) on a bound, O(d·deg) on an exact
-	// search. Stretch bound 1 when unbounded (every answer exact on H);
-	// no declared bound when Options.MaxDist caps the search.
+	// Space O(k·n); query O(k) for the bound plus O(d·deg) for the
+	// exact search. Stretch bound 1: every answer is exact on H.
 	BackendLandmarkBiBFS = "landmark-bibfs"
 	// BackendExactCached precomputes the full all-pairs distance matrix
 	// (a triangular n(n−1)/2 table) at build time. Space O(n²), query
@@ -61,10 +60,9 @@ type Backend interface {
 	// StretchBound is the declared worst-case multiplicative stretch of
 	// Dist against the exact spanner distance: every finite answer
 	// satisfies d_H(u,v) ≤ Dist ≤ StretchBound·d_H(u,v), and Unreachable
-	// is answered if and only if the pair is disconnected on H. Zero
-	// means no constant bound is declared (the landmark backend in
-	// bounded-search mode). internal/check enforces the declared bound
-	// against the exact matrix for every generator family.
+	// is answered if and only if the pair is disconnected on H.
+	// internal/check enforces the declared bound against the exact
+	// matrix for every generator family.
 	StretchBound() int
 	// MemoryBytes estimates the backend's resident precomputed state
 	// (landmark rows, the all-pairs table, hub rows and bunches) — the
@@ -116,7 +114,7 @@ type Backend interface {
 type BackendStats struct {
 	// Name is the backend's registered name.
 	Name string
-	// StretchBound is the declared worst-case stretch (0 = undeclared).
+	// StretchBound is the declared worst-case stretch.
 	StretchBound int
 	// MemoryBytes estimates the backend's precomputed state.
 	MemoryBytes int64
@@ -131,8 +129,8 @@ func backendKey(name, backend string) string {
 }
 
 // buildBackend constructs the named backend over the spanner h. The
-// Options carry every knob a backend reads (landmark count, MaxDist,
-// SparseHubs, Seed, Workers); name must be a concrete backend
+// Options carry every knob a backend reads (landmark count, SparseHubs,
+// Seed, Workers); name must be a concrete backend
 // name — BackendAuto is resolved by the tuner before this is called.
 func buildBackend(name string, h *graph.Graph, opts Options, workers int, trace *obs.Span) (Backend, error) {
 	switch name {

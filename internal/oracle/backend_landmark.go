@@ -12,36 +12,27 @@ import (
 // landmarkBackend is the original serving engine (see the package doc):
 // a k-landmark upper-bound table and a bidirectional BFS for the
 // exact-on-spanner distance, plus a bulk multi-source BFS arm for large
-// batches. Unbounded (maxDist < 0)
-// it declares stretch bound 1 — every answer is exact on H; with a
-// depth bound it declares no constant stretch, because a query past the
-// bound serves the landmark upper bound, which has no worst-case ratio.
+// batches. It declares stretch bound 1: every answer is exact on H.
 type landmarkBackend struct {
 	h       *graph.Graph
 	lm      *landmarkTable
-	maxDist int32
 	workers int
 	lmCount int    // resolved landmark count, kept for refresh
 	seed    uint64 // landmark-selection seed, kept for refresh
 
-	pathLandmark atomic.Int64
-	pathBiBFS    atomic.Int64
-	pathBulk     atomic.Int64
-	frontier     *stats.Histogram
+	pathBiBFS atomic.Int64
+	pathBulk  atomic.Int64
+	frontier  *stats.Histogram
 
 	searchPool sync.Pool // *biScratch
 }
 
 // newLandmarkBackend builds the landmark table per the Options
-// defaults: 16 landmarks, unbounded search.
+// default of 16 landmarks.
 func newLandmarkBackend(h *graph.Graph, opts Options, workers int, trace *obs.Span) *landmarkBackend {
 	k := opts.Landmarks
 	if k == 0 {
 		k = 16
-	}
-	maxDist := int32(opts.MaxDist)
-	if maxDist <= 0 {
-		maxDist = -1
 	}
 	lsp := trace.Start("landmark-table")
 	lm := buildLandmarkTable(h, k, opts.Seed)
@@ -50,7 +41,6 @@ func newLandmarkBackend(h *graph.Graph, opts Options, workers int, trace *obs.Sp
 	b := &landmarkBackend{
 		h:        h,
 		lm:       lm,
-		maxDist:  maxDist,
 		workers:  workers,
 		lmCount:  k,
 		seed:     opts.Seed,
@@ -63,14 +53,8 @@ func newLandmarkBackend(h *graph.Graph, opts Options, workers int, trace *obs.Sp
 // Name implements Backend.
 func (b *landmarkBackend) Name() string { return BackendLandmarkBiBFS }
 
-// StretchBound implements Backend: 1 (exact on H) when the search is
-// unbounded, 0 (no declared bound) in bounded-search mode.
-func (b *landmarkBackend) StretchBound() int {
-	if b.maxDist < 0 {
-		return 1
-	}
-	return 0
-}
+// StretchBound implements Backend: 1, every answer is exact on H.
+func (b *landmarkBackend) StretchBound() int { return 1 }
 
 // MemoryBytes implements Backend: the landmark rows.
 func (b *landmarkBackend) MemoryBytes() int64 {
@@ -78,26 +62,15 @@ func (b *landmarkBackend) MemoryBytes() int64 {
 }
 
 // Dist implements Backend: a bidirectional BFS for the exact spanner
-// distance, falling back to the landmark bound when the MaxDist depth
-// budget is exhausted. The bound is computed for every query (it rides
-// in Answer.Bound) but does not prune the search.
+// distance. The landmark bound is computed for every query (it rides in
+// Answer.Bound) but does not prune the search.
 func (b *landmarkBackend) Dist(u, v int32) (Answer, uint8) {
-	ans := Answer{U: u, V: v, Exact: true}
-	ans.Bound = b.lm.upperBound(u, v)
 	sc := b.searchPool.Get().(*biScratch)
-	d, exact := sc.distance(b.h, u, v, b.maxDist)
+	d := sc.distance(b.h, u, v)
 	b.frontier.Observe(float64(sc.maxFrontier))
 	b.searchPool.Put(sc)
-	if !exact {
-		// Depth budget exhausted: serve the landmark bound.
-		b.pathLandmark.Add(1)
-		ans.Dist = ans.Bound
-		ans.Exact = false
-		return ans, obs.PathLandmark
-	}
 	b.pathBiBFS.Add(1)
-	ans.Dist = d
-	return ans, obs.PathBiBFS
+	return Answer{U: u, V: v, Dist: d, Bound: b.lm.upperBound(u, v), Exact: true}, obs.PathBiBFS
 }
 
 // bulkMinBatch is the smallest batch the bulk sweep considers: below it
@@ -109,24 +82,16 @@ const bulkMinBatch = 128
 // groups the queries by source vertex, runs one full BFS row per
 // distinct source (64 sources per word through the bit-parallel kernel
 // when the spanner is dense enough), and reads each query's answer out
-// of its source's row.
-//
-// Two gates keep it an exact drop-in for the per-query path:
-//
-//   - Unbounded searches only (maxDist < 0). A full BFS row is always
-//     the exact spanner distance, matching the per-query search's every
-//     answer bit for bit. A bounded search can exhaust its depth budget
-//     and fall back to the landmark bound — whether it does depends on
-//     component radii in a way a full BFS cannot mirror — so bounded
-//     batches take the per-query path.
-//   - Enough source sharing (valid queries ≥ 2× distinct sources), since
-//     the sweep's cost is per-source while the per-query path's is
-//     per-query.
+// of its source's row. A full BFS row is the exact spanner distance, so
+// the arm matches the per-query search's every answer bit for bit; it
+// runs only with enough source sharing (valid queries ≥ 2× distinct
+// sources), since the sweep's cost is per-source while the per-query
+// path's is per-query.
 //
 // Served queries land in the oracle_path_bulk counter instead of the
-// per-query resolution-path counters.
+// per-query resolution-path counter.
 func (b *landmarkBackend) AnswerBatch(qs []Query, out []Answer) (uint8, bool) {
-	if b.maxDist >= 0 || len(qs) < bulkMinBatch {
+	if len(qs) < bulkMinBatch {
 		return 0, false
 	}
 	n := int32(b.h.N())
@@ -208,10 +173,9 @@ func (b *landmarkBackend) Stats() BackendStats {
 		StretchBound: b.StretchBound(),
 		MemoryBytes:  b.MemoryBytes(),
 		Counters: map[string]int64{
-			"path_landmark": b.pathLandmark.Load(),
-			"path_bibfs":    b.pathBiBFS.Load(),
-			"path_bulk":     b.pathBulk.Load(),
-			"landmarks":     int64(len(b.lm.roots)),
+			"path_bibfs": b.pathBiBFS.Load(),
+			"path_bulk":  b.pathBulk.Load(),
+			"landmarks":  int64(len(b.lm.roots)),
 		},
 	}
 }
@@ -221,8 +185,6 @@ func (b *landmarkBackend) Stats() BackendStats {
 // distinguishable and per-backend path counts never blend.
 func (b *landmarkBackend) attachMetrics(reg *obs.Registry, rl sync.Locker) {
 	label := b.Name()
-	reg.CounterFuncLabeled(metricPathLandmark, "Resolutions falling back to the landmark upper bound.",
-		"backend", label, b.pathLandmark.Load)
 	reg.CounterFuncLabeled(metricPathBiBFS, "Resolutions answered exactly by bidirectional BFS.",
 		"backend", label, b.pathBiBFS.Load)
 	reg.CounterFuncLabeled(metricPathBulk, "Batch queries answered exactly by the bulk multi-source BFS sweep.",

@@ -19,7 +19,7 @@ import (
 // answer. A
 // backend may serve the whole batch through a bulk arm when that is
 // cheaper — the landmark backend's multi-source BFS sweep for large
-// unbounded batches, the exact backend's parallel table fill — and the
+// batches, the exact backend's parallel table fill — and the
 // answers are the same either way.
 func (o *Oracle) AnswerBatch(qs []Query) []Answer {
 	return o.AnswerBatchTrace(qs, nil)

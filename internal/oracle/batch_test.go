@@ -80,27 +80,6 @@ func TestAnswerBulkMatchesPerQueryPath(t *testing.T) {
 	}
 }
 
-// Bounded oracles must never take the bulk path: a depth-limited search
-// can legitimately return an inexact landmark-bound answer, which a full
-// BFS row cannot mirror.
-func TestAnswerBulkSkipsBoundedOracles(t *testing.T) {
-	dc := buildTestSpanner(t, 128, 32, 13)
-	o, err := New(dc, Options{Landmarks: 6, Workers: 2, SampleEvery: -1, MaxDist: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs := make([]Query, 400)
-	r := rng.New(8)
-	for i := range qs {
-		qs[i] = Query{U: int32(r.Intn(16)), V: int32(r.Intn(128))}
-	}
-	o.AnswerBatch(qs)
-	snap := o.Registry().Snapshot()
-	if got := snap.Counters[backendKey(metricPathBulk, BackendLandmarkBiBFS)]; got != 0 {
-		t.Fatalf("bounded oracle served %d queries through the bulk path", got)
-	}
-}
-
 // A bulk-arm batch charges its wall time to the queries it accounts, not
 // to every query sent: one valid query among 1,023 out-of-range ones is
 // observed once, with (up to the work outside the timed span) the whole

@@ -2,8 +2,7 @@ package oracle
 
 import "repro/internal/graph"
 
-// biScratch is reusable state for bounded bidirectional BFS on the
-// spanner. One instance serves one goroutine at a time; the oracle pools
+// biScratch is reusable state for bidirectional BFS on the spanner. One instance serves one goroutine at a time; the oracle pools
 // them. Stamp arrays make per-query reset O(frontier) instead of O(n).
 type biScratch struct {
 	du, dv []int32 // distances from the two endpoints
@@ -27,10 +26,7 @@ func newBiScratch(n int) *biScratch {
 }
 
 // distance returns the exact hop distance between u ≠ v on h via
-// level-synchronized bidirectional BFS.
-//
-// The second return is false when maxDist >= 0 and the distance provably
-// exceeds it (the caller falls back to the landmark bound). No outside
+// level-synchronized bidirectional BFS, or graph.Unreachable. No outside
 // bound prunes the search: the stopping rule alone caps the explored
 // radius at the distance itself.
 //
@@ -40,9 +36,8 @@ func newBiScratch(n int) *biScratch {
 // d(u,m) <= a and d(m,v) <= b, so m is settled by both sides and the
 // candidate d(u,m)+d(m,v) <= L was recorded when the second side settled
 // it. Hence once best <= a+b+1 no shorter path can remain undiscovered and
-// best is exact; and if best is still unset with a+b >= maxDist, the
-// distance exceeds maxDist.
-func (s *biScratch) distance(h *graph.Graph, u, v, maxDist int32) (int32, bool) {
+// best is exact.
+func (s *biScratch) distance(h *graph.Graph, u, v int32) int32 {
 	s.gen++
 	if s.gen == 0 { // stamp wrap: invalidate everything once per 2^31 queries
 		for i := range s.su {
@@ -63,9 +58,6 @@ func (s *biScratch) distance(h *graph.Graph, u, v, maxDist int32) (int32, bool) 
 	for len(s.qu) > 0 && len(s.qv) > 0 {
 		if best != graph.Unreachable && depthU+depthV >= best-1 {
 			break
-		}
-		if best == graph.Unreachable && maxDist >= 0 && depthU+depthV >= maxDist {
-			return 0, false
 		}
 		// Expand the smaller frontier one full level.
 		if len(s.qu) <= len(s.qv) {
@@ -116,13 +108,8 @@ func (s *biScratch) distance(h *graph.Graph, u, v, maxDist int32) (int32, bool) 
 			}
 		}
 	}
-	if best == graph.Unreachable {
-		// A frontier emptied: that side's whole component is settled, so if
-		// the endpoints were connected a meeting would have been recorded.
-		return graph.Unreachable, true
-	}
-	if maxDist >= 0 && best > maxDist {
-		return 0, false
-	}
-	return best, true
+	// If best is still unset, a frontier emptied: that side's whole
+	// component is settled, so had the endpoints been connected a meeting
+	// would have been recorded.
+	return best
 }

@@ -9,8 +9,7 @@ import (
 
 // DynamicOptions configures NewDynamic.
 type DynamicOptions struct {
-	// Spanner configures the incremental maintenance layer (seed,
-	// rebuild threshold).
+	// Spanner configures the incremental maintenance layer (its seed).
 	Spanner spanner.IncrementalOptions
 	// Oracle configures the serving layer. Backend "auto" is tuned once,
 	// at startup — updates refresh the chosen backend, they never re-run
@@ -23,10 +22,6 @@ type UpdateResult struct {
 	// Applied is false for no-op updates (inserting a present edge,
 	// deleting an absent one); nothing changed.
 	Applied bool
-	// Rebuilt reports that spanner maintenance fell back to a full
-	// recompute under its dirty-fraction threshold (the result is
-	// identical either way — see spanner.Incremental).
-	Rebuilt bool
 	// M and HM are the base-graph and spanner edge counts after the
 	// update.
 	M, HM int
@@ -93,17 +88,16 @@ func (o *Oracle) Update(u, v int32, add bool) (UpdateResult, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	var (
-		applied, rebuilt bool
-		err              error
+		applied bool
+		err     error
 	)
 	if add {
-		applied, rebuilt, err = o.inc.Insert(u, v)
+		applied, _, err = o.inc.Insert(u, v)
 	} else {
-		applied, rebuilt, err = o.inc.Delete(u, v)
+		applied, _, err = o.inc.Delete(u, v)
 	}
 	res := UpdateResult{
 		Applied: applied,
-		Rebuilt: rebuilt,
 		M:       o.inc.Graph().M(),
 		HM:      o.inc.HM(),
 		Seq:     o.inc.Seq(),

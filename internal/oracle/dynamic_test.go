@@ -17,7 +17,7 @@ func TestDynamicMatchesFreshOracle(t *testing.T) {
 	for _, name := range BackendNames() {
 		opts := Options{Backend: name, Seed: 42, SampleEvery: -1}
 		d, err := NewDynamic(base, DynamicOptions{
-			Spanner: spanner.IncrementalOptions{Seed: 0xfeed, RebuildThreshold: -1},
+			Spanner: spanner.IncrementalOptions{Seed: 0xfeed},
 			Oracle:  opts,
 		})
 		if err != nil {

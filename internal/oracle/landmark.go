@@ -10,8 +10,7 @@ import (
 // landmarkTable holds k full BFS trees rooted at deterministically chosen
 // landmarks of the spanner graph H. For any pair (u, v) the table answers
 // an upper bound min_l d(u,l) + d(l,v) in O(k): every answer carries it
-// as Answer.Bound, and a depth-bounded search past MaxDist serves it as
-// the distance. It does not prune the exact bidirectional search.
+// as Answer.Bound. It does not prune the exact bidirectional search.
 type landmarkTable struct {
 	roots []int32         // sorted landmark vertex ids
 	dist  *graph.FlatDist // Row(i)[v] = d_H(roots[i], v); graph.Unreachable if disconnected

@@ -8,9 +8,9 @@ import (
 	"repro/internal/rng"
 )
 
-// TestPathCountersPartitionResolutions: every non-trivial resolution ends
-// in exactly one of landmark-fallback / bibfs, so the two path counters
-// sum to the non-self query total.
+// TestPathCountersPartitionResolutions: every non-trivial per-query
+// resolution on the landmark backend is a bidirectional search, so the
+// bibfs counter alone equals the non-self query total.
 func TestPathCountersPartitionResolutions(t *testing.T) {
 	dc := buildTestSpanner(t, 128, 32, 5)
 	reg := obs.NewRegistry()
@@ -34,18 +34,17 @@ func TestPathCountersPartitionResolutions(t *testing.T) {
 	}
 	snap := reg.Snapshot()
 	key := func(name string) string { return backendKey(name, BackendLandmarkBiBFS) }
-	lm := snap.Counters[key(metricPathLandmark)]
 	bfs := snap.Counters[key(metricPathBiBFS)]
-	if lm+bfs != resolved {
-		t.Errorf("path counters %d+%d != resolved queries %d", lm, bfs, resolved)
+	if bfs != resolved {
+		t.Errorf("bibfs path counter %d != resolved queries %d", bfs, resolved)
 	}
 	if bfs == 0 {
 		t.Error("no bibfs resolutions recorded")
 	}
 	// Every exact search observed its frontier.
 	fr := snap.Histograms[metricFrontierMax]
-	if fr.Count != lm+bfs {
-		t.Errorf("frontier observations %d != searches %d", fr.Count, lm+bfs)
+	if fr.Count != bfs {
+		t.Errorf("frontier observations %d != searches %d", fr.Count, bfs)
 	}
 	if fr.Max < 1 {
 		t.Errorf("frontier max %v < 1", fr.Max)

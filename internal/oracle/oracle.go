@@ -8,8 +8,7 @@
 //
 //   - landmark-bibfs (the default): a k-landmark upper-bound table
 //     answering min_l d(u,l)+d(l,v) in O(k), and a bidirectional BFS
-//     for the exact-on-spanner distance (depth-capped by MaxDist, past
-//     which the landmark bound is served);
+//     for the exact-on-spanner distance;
 //   - exact-cached: a precomputed all-pairs table for small graphs —
 //     O(n²) space, O(1) queries, every answer exact;
 //   - sparse-hub: the two-level hub/bunch design for sparse graphs —
@@ -58,7 +57,6 @@ import (
 const (
 	metricDistQueries   = "oracle_dist_queries"
 	metricRouteQueries  = "oracle_route_queries"
-	metricPathLandmark  = "oracle_path_landmark"
 	metricPathBiBFS     = "oracle_path_bibfs"
 	metricPathBulk      = "oracle_path_bulk"
 	metricPathExact     = "oracle_path_exact"
@@ -105,12 +103,6 @@ type Options struct {
 	// records the realized stretch; 0 means the default 64, negative
 	// disables sampling.
 	SampleEvery int
-	// MaxDist bounds the landmark-bibfs backend's exact bidirectional
-	// search depth: queries whose spanner distance exceeds it fall back
-	// to the landmark upper bound (Answer.Exact reports false, and the
-	// backend declares no stretch bound). Negative (the default 0 maps
-	// to -1) means unbounded — every answer is exact on H.
-	MaxDist int
 	// MemoryBudget caps the precomputed state of auto-tuned backends in
 	// bytes; candidates over it are skipped. 0 means the 128 MiB
 	// default; negative disables the gate. Ignored when Backend names a
@@ -139,10 +131,9 @@ type Query struct {
 type Answer struct {
 	U, V int32
 	// Dist is the hop distance on the spanner H — exact when Exact is
-	// true, the serving backend's upper-bound estimate otherwise (the
-	// landmark bound, or the sparse backend's hub bound, both within the
-	// backend's declared stretch of the true spanner distance);
-	// graph.Unreachable for disconnected pairs and invalid queries.
+	// true, the sparse backend's hub bound otherwise (within its declared
+	// stretch of the true spanner distance); graph.Unreachable for
+	// disconnected pairs and invalid queries.
 	Dist int32
 	// Bound is the backend's admissible upper bound on the spanner
 	// distance — the O(k) landmark bound for landmark-bibfs, the hub
@@ -325,7 +316,7 @@ func (o *Oracle) registerMetrics(reg *obs.Registry) {
 		"Serving distance-resolution backend (info gauge: the labeled series is 1).",
 		"backend", o.backend.Name(), func() float64 { return 1 })
 	reg.GaugeFunc(metricBackendBound,
-		"Declared worst-case stretch of the serving backend vs the exact spanner distance (0 = undeclared).",
+		"Declared worst-case stretch of the serving backend vs the exact spanner distance.",
 		func() float64 { return float64(o.backend.StretchBound()) })
 	reg.GaugeFunc(metricBackendMemory,
 		"Estimated bytes of the serving backend's precomputed state.",
@@ -505,7 +496,7 @@ func (o *Oracle) maybeSampleStretch(seq int64, u, v, dh int32) {
 		return
 	}
 	sc := o.samplePool.Get().(*biScratch)
-	dg, _ := sc.distance(o.g, u, v, -1)
+	dg := sc.distance(o.g, u, v)
 	o.samplePool.Put(sc)
 	if dg <= 0 {
 		return
@@ -522,7 +513,7 @@ func (o *Oracle) maybeSampleStretch(seq int64, u, v, dh int32) {
 
 // Route answers a routing query: one shortest path on H realizing the
 // exact spanner distance (or, for an inexact answer, a path within the
-// backend's bound), plus the distance answer. The path's nodes are
+// answered bound), plus the distance answer. The path's nodes are
 // added to the oracle's congestion accounting (C(P, v) over served
 // routes). Returns a nil path for disconnected pairs.
 //
@@ -544,11 +535,7 @@ func (o *Oracle) Route(u, v int32) (routing.Path, Answer, error) {
 		return nil, ans, nil
 	}
 	rs := o.routePool.Get().(*routeScratch)
-	limit := ans.Dist
-	if !ans.Exact {
-		limit = ans.Bound
-	}
-	p := rs.bfs.PathWithin(o.h, u, v, limit, rs.parent)
+	p := rs.bfs.PathWithin(o.h, u, v, ans.Dist, rs.parent)
 	o.routePool.Put(rs)
 	if p == nil {
 		return nil, ans, fmt.Errorf("oracle: inconsistent state: dist=%d but no path within it", ans.Dist)

@@ -98,16 +98,15 @@ const tunerQueryTolerance = 0.05
 // candidate within tunerQueryTolerance (5%) of it as tied — float means
 // are virtually never exactly equal, so an equality tie-break would let
 // sub-nanosecond timing noise decide — and among the tied prefer the
-// smallest positive declared stretch bound (an undeclared bound loses to
-// any declared one), then BackendNames order. The sampling policy:
-// TunerProbes uniform random ordered pairs with u ≠ v (self-pairs are
-// redrawn — the Oracle short-circuits them before the backend, so timing
-// them would bias the mean low; on a 1-vertex graph no valid pair
-// exists, every candidate answers zero probes, and the stretch
-// preference alone decides) drawn from a seed-keyed stream (so two boots
-// of the same graph and seed probe the same mix), answered serially
-// through Backend.Dist — the figure is per-query resolution cost,
-// deliberately excluding batch-arm effects that depend on traffic
+// smallest declared stretch bound, then BackendNames order. The
+// sampling policy: TunerProbes uniform random ordered pairs with u ≠ v
+// (self-pairs are redrawn — the Oracle short-circuits them before the
+// backend, so timing them would bias the mean low; on a 1-vertex graph
+// no valid pair exists, every candidate answers zero probes, and the
+// stretch preference alone decides) drawn from a seed-keyed stream (so
+// two boots of the same graph and seed probe the same mix), answered
+// serially through Backend.Dist — the figure is per-query resolution
+// cost, deliberately excluding batch-arm effects that depend on traffic
 // shape.
 //
 // The winner is served as built: its probe answers stay in its counters,
@@ -194,17 +193,13 @@ func autoTune(h *graph.Graph, opts Options, workers int, trace *obs.Span) (Backe
 		}
 	}
 	band := minNs * (1 + tunerQueryTolerance)
-	bestIdx, bestStretch := -1, 0
+	bestIdx := -1
 	for i, c := range builtChoices {
 		if c.QueryNs > band {
 			continue
 		}
-		stretch := c.StretchBound
-		if stretch <= 0 {
-			stretch = int(^uint(0) >> 1) // undeclared: worse than any bound
-		}
-		if bestIdx < 0 || stretch < bestStretch {
-			bestIdx, bestStretch = i, stretch
+		if bestIdx < 0 || c.StretchBound < builtChoices[bestIdx].StretchBound {
+			bestIdx = i
 		}
 	}
 	best := built[bestIdx]

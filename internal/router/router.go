@@ -55,9 +55,6 @@ type Options struct {
 	// Retries is how many additional workers a failed chunk is tried on
 	// before the batch fails (capped at the number of workers - 1).
 	Retries int
-	// MaxBatch bounds one chunk sent to a single worker. 0 means the
-	// smallest MaxBatch the workers advertise via MsgInfo.
-	MaxBatch int
 	// DialTimeout, RequestTimeout configure the pooled wire clients.
 	DialTimeout    time.Duration
 	RequestTimeout time.Duration
@@ -183,9 +180,6 @@ func New(opts Options) (*Router, error) {
 			r.maxBatch = info.MaxBatch
 		}
 		sh.healthy.Store(true)
-	}
-	if opts.MaxBatch > 0 && opts.MaxBatch < r.maxBatch {
-		r.maxBatch = opts.MaxBatch
 	}
 
 	if reg := opts.Registry; reg != nil {

@@ -85,8 +85,8 @@ func (sess *session) handleUpdate(fields []string) error {
 	if err != nil {
 		return sess.respondErrf("%s", err)
 	}
-	return sess.respond(fmt.Sprintf("update %d %d %s = applied=%t rebuilt=%t m=%d hm=%d seq=%d",
-		u, v, fields[3], res.Applied, res.Rebuilt, res.M, res.HM, res.Seq))
+	return sess.respond(fmt.Sprintf("update %d %d %s = applied=%t m=%d hm=%d seq=%d",
+		u, v, fields[3], res.Applied, res.M, res.HM, res.Seq))
 }
 
 // handleSnapshot answers "snapshot [verify]" with the dynamic engine's

@@ -28,8 +28,8 @@
 //	update <u> <v> <add|del>
 //	               ->  applies one edge mutation to a live (dynamic)
 //	                   graph: update <u> <v> <op> = applied=<t|f>
-//	                   rebuilt=<t|f> m=<m> hm=<hm> seq=<seq>; servers
-//	                   over a static oracle or another backend answer
+//	                   m=<m> hm=<hm> seq=<seq>; servers over a static
+//	                   oracle or another backend answer
 //	                   "err updates not supported"
 //	snapshot [verify]
 //	               ->  snapshot n=<n> m=<m> hm=<hm> seq=<seq>

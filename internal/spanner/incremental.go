@@ -53,16 +53,6 @@ type Incremental struct {
 	cluster  []int32        // center id, or -1 while unclustered
 	want     [][]graph.Edge // W(v), sorted, as last applied to the refcounts
 	ref      map[graph.Edge]int8
-
-	// Rebuild-threshold bookkeeping: dirty counts applied updates since
-	// the last full recompute; when dirty exceeds threshold·M the next
-	// update recomputes every W(v) instead of diffing locally. The result
-	// is identical either way (the construction is a pure function of the
-	// edge set) — the threshold bounds refcount-drift risk and keeps
-	// per-update cost predictable after heavy churn, it never changes H.
-	threshold float64
-	dirty     int
-	rebuilds  uint64
 }
 
 // IncrementalOptions configures NewIncremental.
@@ -70,33 +60,19 @@ type IncrementalOptions struct {
 	// Seed keys the center hash. Two Incrementals with equal seeds over
 	// equal edge sets hold identical spanners regardless of history.
 	Seed uint64
-	// RebuildThreshold is the dirty fraction (applied updates since the
-	// last full recompute, over the current edge count) above which an
-	// update triggers a full recompute instead of a local diff. 0 means
-	// the default 0.25; negative disables full recomputes entirely.
-	RebuildThreshold float64
 }
-
-// DefaultRebuildThreshold is the dirty fraction at which incremental
-// maintenance falls back to a full recompute when
-// IncrementalOptions.RebuildThreshold is zero.
-const DefaultRebuildThreshold = 0.25
 
 // NewIncremental builds the maintained spanner over a copy of base.
 func NewIncremental(base *graph.Graph, opts IncrementalOptions) *Incremental {
 	n := base.N()
 	inc := &Incremental{
-		dg:        graph.NewDynGraph(base),
-		seed:      opts.Seed,
-		n:         n,
-		isCenter:  make([]bool, n),
-		cluster:   make([]int32, n),
-		want:      make([][]graph.Edge, n),
-		ref:       make(map[graph.Edge]int8),
-		threshold: opts.RebuildThreshold,
-	}
-	if inc.threshold == 0 {
-		inc.threshold = DefaultRebuildThreshold
+		dg:       graph.NewDynGraph(base),
+		seed:     opts.Seed,
+		n:        n,
+		isCenter: make([]bool, n),
+		cluster:  make([]int32, n),
+		want:     make([][]graph.Edge, n),
+		ref:      make(map[graph.Edge]int8),
 	}
 	// Center coin: hash below the n^{-1/2} quantile of the uint64 range.
 	// Graph-independent by design — edge churn never moves a center.
@@ -129,10 +105,6 @@ func (inc *Incremental) Graph() *graph.DynGraph { return inc.dg }
 
 // Seq returns the applied-update counter (delegates to the DynGraph).
 func (inc *Incremental) Seq() uint64 { return inc.dg.Seq() }
-
-// Rebuilds returns how many updates fell back to a full recompute under
-// the dirty-fraction threshold.
-func (inc *Incremental) Rebuilds() uint64 { return inc.rebuilds }
 
 // HM returns the current spanner edge count.
 func (inc *Incremental) HM() int { return len(inc.ref) }
@@ -209,24 +181,23 @@ func (inc *Incremental) recomputeAll() {
 		}
 		inc.want[v] = nw
 	}
-	inc.dirty = 0
 }
 
 // Insert adds the edge {u, v} to the live graph and maintains the
-// spanner. It reports whether the graph changed and whether maintenance
-// fell back to a full recompute.
-func (inc *Incremental) Insert(u, v int32) (applied, rebuilt bool, err error) {
+// spanner by local repair. It reports whether the graph changed; the
+// second result is always false.
+func (inc *Incremental) Insert(u, v int32) (applied, _ bool, err error) {
 	return inc.update(u, v, true)
 }
 
 // Delete removes the edge {u, v} from the live graph and maintains the
-// spanner. It reports whether the graph changed and whether maintenance
-// fell back to a full recompute.
-func (inc *Incremental) Delete(u, v int32) (applied, rebuilt bool, err error) {
+// spanner by local repair. It reports whether the graph changed; the
+// second result is always false.
+func (inc *Incremental) Delete(u, v int32) (applied, _ bool, err error) {
 	return inc.update(u, v, false)
 }
 
-func (inc *Incremental) update(u, v int32, add bool) (applied, rebuilt bool, err error) {
+func (inc *Incremental) update(u, v int32, add bool) (applied, _ bool, err error) {
 	if add {
 		applied, err = inc.dg.Insert(u, v)
 	} else {
@@ -234,16 +205,6 @@ func (inc *Incremental) update(u, v int32, add bool) (applied, rebuilt bool, err
 	}
 	if err != nil || !applied {
 		return applied, false, err
-	}
-	inc.dirty++
-	m := inc.dg.M()
-	if m < 1 {
-		m = 1
-	}
-	if inc.threshold >= 0 && float64(inc.dirty) > inc.threshold*float64(m) {
-		inc.recomputeAll()
-		inc.rebuilds++
-		return true, true, nil
 	}
 
 	// Local maintenance: only the endpoints' clusters can move; their

@@ -24,6 +24,8 @@ func edgesEqual(a, b []graph.Edge) bool {
 // The keystone property: after any update sequence, the maintained
 // spanner is identical — edge for edge — to the one built from scratch
 // on the current edge set, and it is a valid 3-spanner of that edge set.
+// Every update takes the local-repair path: none reports a full
+// recompute.
 func TestIncrementalEqualsRebuilt(t *testing.T) {
 	for name, base := range map[string]*graph.Graph{
 		"er-sparse": gen.ErdosRenyi(40, 0.06, rng.New(7)),
@@ -32,7 +34,7 @@ func TestIncrementalEqualsRebuilt(t *testing.T) {
 		"clique":    gen.Clique(14),
 	} {
 		const seed = 0xd1_5c0_c0de
-		inc := NewIncremental(base, IncrementalOptions{Seed: seed, RebuildThreshold: -1})
+		inc := NewIncremental(base, IncrementalOptions{Seed: seed})
 		r := rng.New(99)
 		n := int32(base.N())
 		for step := 0; step < 300; step++ {
@@ -40,20 +42,26 @@ func TestIncrementalEqualsRebuilt(t *testing.T) {
 			if u == v {
 				continue
 			}
-			var err error
+			var (
+				rebuilt bool
+				err     error
+			)
 			if r.Bernoulli(0.5) {
-				_, _, err = inc.Insert(u, v)
+				_, rebuilt, err = inc.Insert(u, v)
 			} else {
-				_, _, err = inc.Delete(u, v)
+				_, rebuilt, err = inc.Delete(u, v)
 			}
 			if err != nil {
 				t.Fatal(err)
+			}
+			if rebuilt {
+				t.Fatalf("%s step %d: update (%d,%d) reported a full recompute", name, step, u, v)
 			}
 			if step%29 != 0 {
 				continue
 			}
 			snap := inc.Graph().Snapshot()
-			fresh := NewIncremental(snap, IncrementalOptions{Seed: seed, RebuildThreshold: -1})
+			fresh := NewIncremental(snap, IncrementalOptions{Seed: seed})
 			if !edgesEqual(inc.Edges(), fresh.Edges()) {
 				t.Fatalf("%s step %d: incremental spanner (%d edges) != rebuilt (%d edges)",
 					name, step, inc.HM(), fresh.HM())
@@ -67,47 +75,6 @@ func TestIncrementalEqualsRebuilt(t *testing.T) {
 					name, step, rep.Violations, IncrementalAlpha, rep.MaxStretch)
 			}
 		}
-	}
-}
-
-// The rebuild threshold is a performance fallback, never a semantic one:
-// a low threshold must trigger full recomputes and still produce the
-// same spanner as threshold-free local maintenance.
-func TestIncrementalRebuildThresholdSemanticsFree(t *testing.T) {
-	base := gen.ErdosRenyi(36, 0.12, rng.New(11))
-	const seed = 31337
-	eager := NewIncremental(base, IncrementalOptions{Seed: seed, RebuildThreshold: 0.02})
-	lazy := NewIncremental(base, IncrementalOptions{Seed: seed, RebuildThreshold: -1})
-	r := rng.New(5)
-	sawRebuild := false
-	for step := 0; step < 200; step++ {
-		u, v := int32(r.Intn(36)), int32(r.Intn(36))
-		if u == v {
-			continue
-		}
-		add := r.Bernoulli(0.5)
-		var rebuilt bool
-		var err1, err2 error
-		if add {
-			_, rebuilt, err1 = eager.Insert(u, v)
-			_, _, err2 = lazy.Insert(u, v)
-		} else {
-			_, rebuilt, err1 = eager.Delete(u, v)
-			_, _, err2 = lazy.Delete(u, v)
-		}
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
-		}
-		sawRebuild = sawRebuild || rebuilt
-		if !edgesEqual(eager.Edges(), lazy.Edges()) {
-			t.Fatalf("step %d: rebuild path diverged from local maintenance", step)
-		}
-	}
-	if !sawRebuild || eager.Rebuilds() == 0 {
-		t.Fatal("a 2% dirty threshold never triggered a full recompute over 200 updates")
-	}
-	if lazy.Rebuilds() != 0 {
-		t.Fatalf("threshold -1 recomputed %d times", lazy.Rebuilds())
 	}
 }
 
@@ -136,7 +103,7 @@ func TestIncrementalNoOpUpdates(t *testing.T) {
 // original spanner — deletions must fully unwind refcounts.
 func TestIncrementalDeleteReinsertRoundTrip(t *testing.T) {
 	base := gen.ErdosRenyi(30, 0.15, rng.New(21))
-	inc := NewIncremental(base, IncrementalOptions{Seed: 77, RebuildThreshold: -1})
+	inc := NewIncremental(base, IncrementalOptions{Seed: 77})
 	want := inc.Edges()
 	edges := append([]graph.Edge(nil), base.Edges()...)
 	for _, e := range edges {

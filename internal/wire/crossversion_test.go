@@ -39,7 +39,11 @@ func TestCrossVersionV4ClientV4Server(t *testing.T) {
 }
 
 func TestUpdateSnapRoundTrip(t *testing.T) {
-	wantRes := oracle.UpdateResult{Applied: true, Rebuilt: true, M: 123, HM: 77, Seq: 42}
+	wantRes := oracle.UpdateResult{Applied: true, M: 123, HM: 77, Seq: 42}
+	// The payload size is part of the protocol: flags byte, m, hm, seq.
+	if got := len(AppendUpdateResult(nil, wantRes)); got != 17 {
+		t.Fatalf("MsgUpdateR payload is %d bytes, want 17", got)
+	}
 	wantInfo := oracle.SnapshotInfo{
 		N: 64, M: 123, HM: 77, Seq: 42,
 		GraphHash: 0x0123456789abcdef, SpannerHash: 0xfedcba9876543210,

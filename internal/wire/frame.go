@@ -286,19 +286,13 @@ func DecodeUpdateReq(b []byte) (u, v int32, add bool, err error) {
 	return int32(binary.BigEndian.Uint32(b[0:4])), int32(binary.BigEndian.Uint32(b[4:8])), add, nil
 }
 
-const (
-	updateFlagApplied = 1 << 0
-	updateFlagRebuilt = 1 << 1
-)
+const updateFlagApplied = 1 << 0
 
 // AppendUpdateResult appends an encoded MsgUpdateR payload.
 func AppendUpdateResult(dst []byte, res oracle.UpdateResult) []byte {
 	var flags byte
 	if res.Applied {
 		flags |= updateFlagApplied
-	}
-	if res.Rebuilt {
-		flags |= updateFlagRebuilt
 	}
 	dst = append(dst, flags)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(res.M))
@@ -313,7 +307,6 @@ func DecodeUpdateResult(b []byte) (oracle.UpdateResult, error) {
 	}
 	return oracle.UpdateResult{
 		Applied: b[0]&updateFlagApplied != 0,
-		Rebuilt: b[0]&updateFlagRebuilt != 0,
 		M:       int(binary.BigEndian.Uint32(b[1:5])),
 		HM:      int(binary.BigEndian.Uint32(b[5:9])),
 		Seq:     binary.BigEndian.Uint64(b[9:17]),

@@ -46,7 +46,8 @@
 // (see internal/obs.ReqTrace). Responses echo the trace context with bits
 // 1..6 reporting the oracle resolution paths taken (the obs.Path* mask
 // shifted left by one), so a router can attribute a slow answer to
-// landmark/bibfs/bulk/exact/hub work without a second round trip.
+// bibfs/bulk/exact/hub work without a second round trip. Bits 1 and 2
+// carry no path (obs.Path* bits 0 and 1 are unassigned).
 //
 // # Messages
 //
@@ -118,8 +119,8 @@ const (
 	answerLen = 17
 	// updateReqLen is one encoded update request (u, v uint32 + op byte).
 	updateReqLen = 9
-	// updateRespLen is one encoded UpdateResult (flags + m, hm uint32 +
-	// seq uint64).
+	// updateRespLen is one encoded UpdateResult (flags byte, of which
+	// only bit 0 is assigned, + m, hm uint32 + seq uint64).
 	updateRespLen = 17
 	// snapReqLen is one encoded snapshot request (flags byte).
 	snapReqLen = 1
@@ -195,6 +196,8 @@ func Negotiate(cMin, cMax, sMin, sMax uint16) (version uint16, ok bool) {
 // a protocol-level error instead of a result.
 type RemoteError struct{ Msg string }
 
+// Error implements error: the server's message under a "wire: remote
+// error" prefix.
 func (e *RemoteError) Error() string { return "wire: remote error: " + e.Msg }
 
 // protocol corruption errors (distinct from io errors: the connection

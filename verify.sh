@@ -46,14 +46,15 @@ for be in landmark-bibfs exact-cached sparse-hub; do
         || { echo "dccheck failed with backend $be forced"; exit 1; }
 done
 
-echo "== oracle godoc lint (every exported symbol in internal/oracle documented)"
+echo "== godoc lint (every exported symbol in internal/oracle, spanner, router, server and wire documented)"
 UNDOC=$(awk '
     prev !~ /^\/\// && (/^(func|type|const|var) [A-Z]/ || /^func \([^)]*\) [A-Z]/) {
         print FILENAME ":" FNR ": " $0; bad = 1
     }
     { prev = $0 }
-    END { exit bad }' $(ls internal/oracle/*.go | grep -v _test)) \
-    || { echo "undocumented exported oracle symbols:"; echo "$UNDOC"; exit 1; }
+    END { exit bad }' $(ls internal/oracle/*.go internal/spanner/*.go internal/router/*.go \
+        internal/server/*.go internal/wire/*.go | grep -v _test)) \
+    || { echo "undocumented exported symbols:"; echo "$UNDOC"; exit 1; }
 
 echo "== wire protocol suite (version refusal, trace-context echo, update/snapshot messages)"
 go test -race -count=1 -run 'Negotiate|BinaryVersionRejected|CrossVersionV4ClientV4Server|FrameTraceRoundTrip|TraceContext|BinaryTrace|UpdateSnap|BinaryUpdate|BinaryStatic|BinaryConcurrent' \
