@@ -139,3 +139,24 @@ func TestDynGraphRejectsBadEndpoints(t *testing.T) {
 		t.Fatalf("rejected updates advanced Seq to %d", d.Seq())
 	}
 }
+
+// Snapshot is a fixed number of linear copies — its allocation count does
+// not grow with n — and every adjacency list it builds comes out strictly
+// increasing without a per-vertex sort.
+func TestSnapshotAllocsIndependentOfN(t *testing.T) {
+	for _, n := range []int{256, 2048} {
+		d := NewDynGraph(randomGraph(rng.New(uint64(n)), n, 8*n))
+		snap := d.Snapshot()
+		for v := int32(0); v < int32(n); v++ {
+			nbrs := snap.Neighbors(v)
+			for i := 1; i < len(nbrs); i++ {
+				if nbrs[i-1] >= nbrs[i] {
+					t.Fatalf("n=%d: vertex %d adjacency not strictly increasing: %v", n, v, nbrs)
+				}
+			}
+		}
+		if a := testing.AllocsPerRun(20, func() { d.Snapshot() }); a > 8 {
+			t.Errorf("n=%d: Snapshot allocates %.0f times, want at most 8", n, a)
+		}
+	}
+}

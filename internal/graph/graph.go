@@ -267,8 +267,10 @@ func FromEdges(n int, edges []Edge) *Graph {
 	return b.BuildDedup()
 }
 
-// fromSortedEdges builds the CSR arrays from a sorted, deduplicated edge
-// list. The slice is retained by the graph.
+// fromSortedEdges builds the CSR arrays from a deduplicated list of
+// normalized edges sorted by (U, V). Each window then fills with its
+// smaller neighbors in increasing order, then its larger ones, so every
+// adjacency list comes out sorted. The slice is retained by the graph.
 func fromSortedEdges(n int, edges []Edge) *Graph {
 	deg := make([]int32, n+1)
 	for _, e := range edges {
@@ -290,15 +292,7 @@ func fromSortedEdges(n int, edges []Edge) *Graph {
 		adj[cursor[e.V]] = e.U
 		cursor[e.V]++
 	}
-	g := &Graph{n: n, m: len(edges), off: off, adj: adj, edges: edges}
-	// Edges were sorted lexicographically, so each adjacency window was
-	// filled in increasing neighbor order for the U side but interleaved for
-	// the V side; sort each window to restore the invariant.
-	for v := 0; v < n; v++ {
-		w := adj[off[v]:off[v+1]]
-		sort.Slice(w, func(i, j int) bool { return w[i] < w[j] })
-	}
-	return g
+	return &Graph{n: n, m: len(edges), off: off, adj: adj, edges: edges}
 }
 
 func sortEdges(edges []Edge) {

@@ -78,9 +78,9 @@ func (o *Oracle) IsDynamic() bool { return o.inc != nil }
 // maintained spanner, and the backend's precomputed state, all under the
 // oracle's write lock so queries see either the old or the new
 // (graph, spanner, backend) triple. No-op updates (Applied false) touch
-// nothing. The cost of an applied update is the local spanner rule plus
-// one snapshot materialization plus the backend's refresh. A static
-// oracle answers ErrStatic.
+// nothing. The cost of an applied update is the local spanner rule, two
+// linear CSR copies (the live graph's and the spanner's snapshots) and
+// the backend's refresh. A static oracle answers ErrStatic.
 func (o *Oracle) Update(u, v int32, add bool) (UpdateResult, error) {
 	if o.inc == nil {
 		return UpdateResult{}, ErrStatic

@@ -2,7 +2,6 @@ package spanner
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/graph"
 )
@@ -19,40 +18,35 @@ import (
 // falls below the n^{-1/2} quantile are cluster centers — a
 // graph-independent coin, so updates never re-flip it. A non-center
 // joins the cluster of its smallest-id center neighbor (its star edge),
-// or stays unclustered when it has none. Each vertex v then *wants* a
-// deterministic local edge set W(v):
+// or stays unclustered when it has none. A vertex v *wants* the edge
+// {v, w} (see wants) when
 //
-//   - unclustered v wants every incident edge;
-//   - clustered non-center v wants its star edge {v, center};
-//   - every clustered v wants one bridge edge to each adjacent foreign
-//     cluster — the edge to the smallest-id neighbor in that cluster.
+//   - v is unclustered (it wants every incident edge);
+//   - w is v's center (the star edge);
+//   - w is v's smallest-id neighbor in w's cluster, and that cluster is
+//     not v's (one bridge edge to each adjacent foreign cluster).
 //
-// H is exactly the union of the W(v): an edge survives while at least
-// one endpoint wants it (a refcount of 1 or 2). Every base edge {u,v}
-// has a detour of length ≤ 3 in H — same cluster: u–c–v over two star
-// edges; different clusters: v–w–c(u)–w' bridge+star; an unclustered
-// endpoint keeps the edge outright — so H is a 3-spanner, certified by
-// Verify in the test suite and by internal/check online.
+// An edge is in H exactly when one of its endpoints wants it. Every base
+// edge {u,v} has a detour of length ≤ 3 in H — same cluster: u–c–v over
+// two star edges; different clusters: v–w–c(u)–w' bridge+star; an
+// unclustered endpoint keeps the edge outright — so H is a 3-spanner,
+// certified by Verify in the test suite and by internal/check online.
 //
 // Locality. Toggling {u,v} changes only N(u) and N(v), so only
-// cluster(u) and cluster(v) can change; W(z) of any other vertex z
-// depends on N(z) (unchanged) and its neighbors' cluster values, so it
-// changes only when z neighbors an endpoint whose cluster changed. One
-// update therefore recomputes W over {u, v} ∪ N(u) ∪ N(v) at worst —
-// the Elkin–Neiman-style local-rule argument — and the refcounts absorb
-// the diff.
+// cluster(u) and cluster(v) can change. Whether z wants {z, w} depends
+// on N(z) and the cluster values of z and its neighbors, so an edge can
+// change membership only when it touches u or v, or touches a neighbor
+// of an endpoint whose cluster changed. One update re-evaluates the rule
+// on exactly those edges — the Elkin–Neiman-style local-rule argument.
 //
 // Incremental does no internal locking; callers serialize updates
 // (the oracle's Update holds its write lock across Insert/Delete).
 type Incremental struct {
-	dg   *graph.DynGraph
-	seed uint64
-	n    int
+	dg *graph.DynGraph
+	h  *graph.DynGraph // the spanner, kept like dg
 
 	isCenter []bool
-	cluster  []int32        // center id, or -1 while unclustered
-	want     [][]graph.Edge // W(v), sorted, as last applied to the refcounts
-	ref      map[graph.Edge]int8
+	cluster  []int32 // center id, or -1 while unclustered
 }
 
 // IncrementalOptions configures NewIncremental.
@@ -67,12 +61,8 @@ func NewIncremental(base *graph.Graph, opts IncrementalOptions) *Incremental {
 	n := base.N()
 	inc := &Incremental{
 		dg:       graph.NewDynGraph(base),
-		seed:     opts.Seed,
-		n:        n,
 		isCenter: make([]bool, n),
 		cluster:  make([]int32, n),
-		want:     make([][]graph.Edge, n),
-		ref:      make(map[graph.Edge]int8),
 	}
 	// Center coin: hash below the n^{-1/2} quantile of the uint64 range.
 	// Graph-independent by design — edge churn never moves a center.
@@ -81,9 +71,12 @@ func NewIncremental(base *graph.Graph, opts IncrementalOptions) *Incremental {
 		thr = uint64(float64(thr) / math.Sqrt(float64(n)))
 	}
 	for v := 0; v < n; v++ {
-		inc.isCenter[v] = centerHash(inc.seed, int32(v)) < thr
+		inc.isCenter[v] = centerHash(opts.Seed, int32(v)) < thr
 	}
-	inc.recomputeAll()
+	for v := int32(0); v < int32(n); v++ {
+		inc.cluster[v] = inc.clusterOf(v)
+	}
+	inc.h = graph.NewDynGraph(base.FilterEdges(inc.inH))
 	return inc
 }
 
@@ -107,7 +100,7 @@ func (inc *Incremental) Graph() *graph.DynGraph { return inc.dg }
 func (inc *Incremental) Seq() uint64 { return inc.dg.Seq() }
 
 // HM returns the current spanner edge count.
-func (inc *Incremental) HM() int { return len(inc.ref) }
+func (inc *Incremental) HM() int { return inc.h.M() }
 
 // clusterOf recomputes v's cluster from its current neighborhood: v
 // itself when v is a center, else the smallest-id center neighbor, else
@@ -124,62 +117,40 @@ func (inc *Incremental) clusterOf(v int32) int32 {
 	return -1
 }
 
-// wantOf computes W(v) fresh from the current graph and cluster values.
-// The order is irrelevant (entries feed commutative refcounts); the
-// edges themselves are normalized so both endpoints count the same key.
-func (inc *Incremental) wantOf(v int32) []graph.Edge {
-	nbrs := inc.dg.Neighbors(v)
+// wants reports whether v wants the edge {v, w}, for a neighbor w of v,
+// under the current graph and cluster values.
+func (inc *Incremental) wants(v, w int32) bool {
 	cv := inc.cluster[v]
-	var out []graph.Edge
-	if cv < 0 {
-		for _, w := range nbrs {
-			out = append(out, graph.Edge{U: v, V: w}.Normalize())
+	if cv < 0 || cv == w {
+		return true
+	}
+	cw := inc.cluster[w]
+	if cw < 0 || cw == cv {
+		return false
+	}
+	for _, x := range inc.dg.Neighbors(v) { // sorted: first hit is min id
+		if inc.cluster[x] == cw {
+			return x == w
 		}
-		return out
 	}
-	if !inc.isCenter[v] {
-		out = append(out, graph.Edge{U: v, V: cv}.Normalize())
-	}
-	seen := map[int32]bool{}
-	for _, w := range nbrs { // sorted ⇒ first hit per cluster is min id
-		cw := inc.cluster[w]
-		if cw < 0 || cw == cv || seen[cw] {
-			continue
-		}
-		seen[cw] = true
-		out = append(out, graph.Edge{U: v, V: w}.Normalize())
-	}
-	return out
+	return false
 }
 
-// applyVertex replaces v's contribution to the refcounts with a freshly
-// computed W(v).
-func (inc *Incremental) applyVertex(v int32) {
-	for _, e := range inc.want[v] {
-		if inc.ref[e]--; inc.ref[e] == 0 {
-			delete(inc.ref, e)
-		}
-	}
-	nw := inc.wantOf(v)
-	for _, e := range nw {
-		inc.ref[e]++
-	}
-	inc.want[v] = nw
+// inH is the spanner's rule: an edge of the live graph is in H exactly
+// when one of its endpoints wants it.
+func (inc *Incremental) inH(e graph.Edge) bool {
+	return inc.wants(e.U, e.V) || inc.wants(e.V, e.U)
 }
 
-// recomputeAll rebuilds clusters, want sets, and refcounts from scratch
-// off the current edge set.
-func (inc *Incremental) recomputeAll() {
-	inc.ref = make(map[graph.Edge]int8, len(inc.ref))
-	for v := int32(0); v < int32(inc.n); v++ {
-		inc.cluster[v] = inc.clusterOf(v)
-	}
-	for v := int32(0); v < int32(inc.n); v++ {
-		nw := inc.wantOf(v)
-		for _, e := range nw {
-			inc.ref[e]++
+// reevaluate applies inH to every edge at x. h's Insert and Delete
+// cannot fail here or in update: dg has already accepted each pair.
+func (inc *Incremental) reevaluate(x int32) {
+	for _, w := range inc.dg.Neighbors(x) {
+		if inc.inH(graph.Edge{U: x, V: w}) {
+			inc.h.Insert(x, w)
+		} else {
+			inc.h.Delete(x, w)
 		}
-		inc.want[v] = nw
 	}
 }
 
@@ -206,55 +177,37 @@ func (inc *Incremental) update(u, v int32, add bool) (applied, _ bool, err error
 	if err != nil || !applied {
 		return applied, false, err
 	}
+	// A deleted edge is no longer in N(u), so no re-evaluation reaches
+	// it; after an insert this is a no-op.
+	inc.h.Delete(u, v)
 
-	// Local maintenance: only the endpoints' clusters can move; their
-	// neighbors re-derive W only when the adjacent cluster value changed.
-	affected := []int32{u, v}
+	// Local maintenance: only the endpoints' clusters can move; the edges
+	// at their neighbors are re-evaluated only when one did. Evaluating
+	// an edge twice is harmless.
 	for _, x := range [2]int32{u, v} {
-		old := inc.cluster[x]
-		nc := inc.clusterOf(x)
-		if nc == old {
-			continue
+		if nc := inc.clusterOf(x); nc != inc.cluster[x] {
+			inc.cluster[x] = nc
+			for _, z := range inc.dg.Neighbors(x) {
+				inc.reevaluate(z)
+			}
 		}
-		inc.cluster[x] = nc
-		affected = append(affected, inc.dg.Neighbors(x)...)
 	}
-	sort.Slice(affected, func(i, j int) bool { return affected[i] < affected[j] })
-	var last int32 = -1
-	for _, z := range affected {
-		if z == last {
-			continue
-		}
-		last = z
-		inc.applyVertex(z)
-	}
+	inc.reevaluate(u)
+	inc.reevaluate(v)
 	return true, false, nil
 }
 
 // Edges returns the current spanner edge set, each edge once with U < V,
 // sorted lexicographically — the canonical form compared byte-for-byte
 // by the incremental-vs-rebuilt differential.
-func (inc *Incremental) Edges() []graph.Edge {
-	out := make([]graph.Edge, 0, len(inc.ref))
-	for e := range inc.ref {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
-	})
-	return out
-}
+func (inc *Incremental) Edges() []graph.Edge { return inc.h.Snapshot().Edges() }
 
 // Spanner freezes the maintained structure into the immutable Spanner
-// form over a snapshot of the live graph. The certified stretch is 3 by
-// the per-edge detour argument in the type comment.
+// form over snapshots of the live graph and of H. The certified stretch
+// is 3 by the per-edge detour argument in the type comment.
 func (inc *Incremental) Spanner() *Spanner {
-	base := inc.dg.Snapshot()
-	h := graph.FromEdges(inc.n, inc.Edges())
-	return &Spanner{Base: base, H: h, Primary: h, Algorithm: "incremental-cluster3"}
+	h := inc.h.Snapshot()
+	return &Spanner{Base: inc.dg.Snapshot(), H: h, Primary: h, Algorithm: "incremental-cluster3"}
 }
 
 // IncrementalAlpha is the distance stretch the incremental construction

@@ -21,12 +21,14 @@ func edgesEqual(a, b []graph.Edge) bool {
 	return true
 }
 
-// The keystone property: after any update sequence, the maintained
-// spanner is identical — edge for edge — to the one built from scratch
-// on the current edge set, and it is a valid 3-spanner of that edge set.
-// Every update takes the local-repair path: none reports a full
-// recompute.
+// The keystone property: after every update, the maintained spanner is
+// identical — edge for edge — to the one built from scratch on the
+// current edge set, and it is a valid 3-spanner of that edge set. Every
+// update takes the local-repair path: none reports a full recompute. The
+// stream moves endpoint clusters, so the re-evaluation of the edges at
+// their neighbors is exercised too.
 func TestIncrementalEqualsRebuilt(t *testing.T) {
+	moves := 0
 	for name, base := range map[string]*graph.Graph{
 		"er-sparse": gen.ErdosRenyi(40, 0.06, rng.New(7)),
 		"er-dense":  gen.ErdosRenyi(30, 0.25, rng.New(8)),
@@ -46,6 +48,7 @@ func TestIncrementalEqualsRebuilt(t *testing.T) {
 				rebuilt bool
 				err     error
 			)
+			cu, cv := inc.cluster[u], inc.cluster[v]
 			if r.Bernoulli(0.5) {
 				_, rebuilt, err = inc.Insert(u, v)
 			} else {
@@ -57,8 +60,8 @@ func TestIncrementalEqualsRebuilt(t *testing.T) {
 			if rebuilt {
 				t.Fatalf("%s step %d: update (%d,%d) reported a full recompute", name, step, u, v)
 			}
-			if step%29 != 0 {
-				continue
+			if inc.cluster[u] != cu || inc.cluster[v] != cv {
+				moves++
 			}
 			snap := inc.Graph().Snapshot()
 			fresh := NewIncremental(snap, IncrementalOptions{Seed: seed})
@@ -75,6 +78,9 @@ func TestIncrementalEqualsRebuilt(t *testing.T) {
 					name, step, rep.Violations, IncrementalAlpha, rep.MaxStretch)
 			}
 		}
+	}
+	if moves == 0 {
+		t.Fatal("no update moved a cluster: the neighbor re-evaluation went untested")
 	}
 }
 
@@ -100,7 +106,8 @@ func TestIncrementalNoOpUpdates(t *testing.T) {
 }
 
 // Disconnecting and reconnecting a component round-trips to the exact
-// original spanner — deletions must fully unwind refcounts.
+// original spanner — deletions must remove every spanner edge they
+// orphan.
 func TestIncrementalDeleteReinsertRoundTrip(t *testing.T) {
 	base := gen.ErdosRenyi(30, 0.15, rng.New(21))
 	inc := NewIncremental(base, IncrementalOptions{Seed: 77})
@@ -121,5 +128,54 @@ func TestIncrementalDeleteReinsertRoundTrip(t *testing.T) {
 	}
 	if !edgesEqual(inc.Edges(), want) {
 		t.Fatal("delete-all/re-insert-all did not restore the original spanner")
+	}
+}
+
+// incrementalRegular builds the maintained spanner over a random
+// 8-regular graph on n vertices.
+func incrementalRegular(t *testing.T, n int) (*Incremental, graph.Edge) {
+	t.Helper()
+	g, err := gen.RandomRegular(n, 8, rng.New(uint64(n)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewIncremental(g, IncrementalOptions{Seed: 5}), g.Edges()[n/2]
+}
+
+// Materializing the spanner after an update is two linear snapshots of
+// adjacency the maintenance already keeps, so its allocation count does
+// not grow with n.
+func TestIncrementalSpannerAllocsIndependentOfN(t *testing.T) {
+	for _, n := range []int{256, 2048} {
+		inc, e := incrementalRegular(t, n)
+		if _, _, err := inc.Delete(e.U, e.V); err != nil {
+			t.Fatal(err)
+		}
+		if a := testing.AllocsPerRun(20, func() { inc.Spanner() }); a > 16 {
+			t.Errorf("n=%d: Spanner allocates %.0f times, want at most 16", n, a)
+		}
+	}
+}
+
+// Repair edits H in place: deleting and re-inserting one edge allocates
+// next to nothing once the adjacency lists have their capacity.
+func TestIncrementalTogglePairAllocs(t *testing.T) {
+	for _, n := range []int{256, 2048} {
+		inc, e := incrementalRegular(t, n)
+		want := inc.Edges()
+		toggle := func() {
+			if _, _, err := inc.Delete(e.U, e.V); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := inc.Insert(e.U, e.V); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if a := testing.AllocsPerRun(50, toggle); a > 4 {
+			t.Errorf("n=%d: a Delete+Insert pair allocates %.0f times, want at most 4", n, a)
+		}
+		if !edgesEqual(inc.Edges(), want) {
+			t.Errorf("n=%d: toggling %v changed the spanner", n, e)
+		}
 	}
 }

@@ -258,4 +258,14 @@ rm -f /tmp/BENCH_parallel_bfs.json
 echo "dcbench -compare: gate behaves"
 rm -rf "$BENCH_DIR"
 
+echo "== dcbench committed fingerprints (full-size run must reproduce every BENCH_*.json fingerprint)"
+# Its own directory: full-size files in BENCH_DIR would let the quick
+# self-compare above pass without comparing anything. The committed
+# baselines come from 1- and 2-CPU hosts, so -tolerance 1000 leaves
+# timing ungated; a changed fingerprint still fails the run.
+FP_DIR=$(mktemp -d /tmp/dcbench.fp.XXXXXX)
+go run ./cmd/dcbench -workers 2 -iters 1 -out "$FP_DIR" -compare . -tolerance 1000 \
+    || { echo "a full-size fingerprint differs from its committed BENCH_*.json"; exit 1; }
+rm -rf "$FP_DIR"
+
 echo "verify: OK"
