@@ -131,15 +131,24 @@ func (d *DynGraph) deleteArc(u, v int32) {
 // sorted lexicographically). Two DynGraphs holding the same edge set
 // snapshot to byte-identical graphs regardless of mutation history —
 // the property the incremental-vs-rebuilt differential gate relies on.
+//
+// The adjacency lists are already sorted, so the snapshot is one linear
+// copy: each list goes straight into its CSR window, and its neighbors
+// above the vertex, emitted in vertex order, form the sorted edge list.
 func (d *DynGraph) Snapshot() *Graph {
+	off := make([]int32, d.n+1)
+	for v, nbrs := range d.adj {
+		off[v+1] = off[v] + int32(len(nbrs))
+	}
+	adj := make([]int32, 2*d.m)
 	edges := make([]Edge, 0, d.m)
-	for u := int32(0); u < int32(d.n); u++ {
-		for _, v := range d.adj[u] {
-			if u < v {
-				edges = append(edges, Edge{U: u, V: v})
+	for u, nbrs := range d.adj {
+		copy(adj[off[u]:], nbrs)
+		for _, v := range nbrs {
+			if int32(u) < v {
+				edges = append(edges, Edge{U: int32(u), V: v})
 			}
 		}
 	}
-	// Edges emitted in increasing (u, v) order are already sorted.
-	return fromSortedEdges(d.n, edges)
+	return &Graph{n: d.n, m: d.m, off: off, adj: adj, edges: edges}
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/spanner"
 )
 
 // Backend names accepted by Options.Backend (and the CLIs'
@@ -93,19 +94,20 @@ type Backend interface {
 	// no lock.
 	attachMetrics(reg *obs.Registry, rl sync.Locker)
 
-	// refresh invalidates or patches the backend's precomputed state
-	// after the serving spanner changed from its current graph to h —
-	// the dynamic-graph path, which repairs backends in place instead of
-	// tearing down and rebuilding the oracle (counters, pools, and
-	// metric registrations all survive). Backends that patch
-	// incrementally diff their current spanner against h (the exact table
-	// applies a per-edge relaxation for inserted spanner edges and
-	// rewrites only affected rows for removed ones). The contract,
-	// enforced by internal/check's incremental differential: after
-	// refresh, every answer must equal the answer of a backend freshly
-	// built on h with the same Options. The Oracle serializes refresh
-	// against every reader: Update holds its lock exclusively here.
-	refresh(h *graph.Graph)
+	// refresh brings the backend's precomputed state from its current
+	// spanner to h, the dynamic-graph path that repairs backends in place
+	// instead of tearing down and rebuilding the oracle (counters, pools,
+	// and metric registrations all survive). delta is the net H-edge
+	// change between the two spanners (spanner.Incremental's update
+	// report), from which a backend that patches incrementally works:
+	// the landmark table re-sweeps only the rows the delta can change,
+	// and the exact table relaxes pairs through added edges and rewrites
+	// the rows that removed edges were tight from. The contract, enforced
+	// by internal/check's incremental differential: after refresh, every
+	// answer must equal the answer of a backend freshly built on h with
+	// the same Options. The Oracle serializes refresh against every
+	// reader: Update holds its lock exclusively here.
+	refresh(h *graph.Graph, delta spanner.Delta)
 }
 
 // BackendStats is a point-in-time snapshot of one backend's counters and

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/spanner"
 )
 
 // exactBackend answers every query from a precomputed all-pairs distance
@@ -101,8 +102,8 @@ func (b *exactBackend) AnswerBatch(qs []Query, out []Answer) (uint8, bool) {
 	return obs.PathExact, true
 }
 
-// refresh implements Backend: patch the distance table in place against
-// the spanner edge diff instead of resweeping every source.
+// refresh implements Backend: patch the distance table in place from
+// the spanner's H-edge delta instead of resweeping every source.
 //
 //   - Insertions apply the classic one-edge relaxation
 //     d'(u,v) = min(d(u,v), d(u,a)+1+d(b,v), d(u,b)+1+d(a,v)) — exact
@@ -114,24 +115,23 @@ func (b *exactBackend) AnswerBatch(qs []Query, out []Answer) (uint8, bool) {
 //     row is already correct. When more than half the rows are affected a
 //     full sweep is cheaper, so refresh falls back to fillAll.
 //
-// The diff is taken between the old and new spanners (not the base-graph
-// update, whose spanner footprint can be several edges), so the rule
-// stays exact no matter what the maintenance layer did upstream.
-func (b *exactBackend) refresh(h *graph.Graph) {
-	added, removed := diffEdges(b.h.Edges(), h.Edges())
+// The delta is the net change between the old and new spanners (not the
+// base-graph update, whose spanner footprint can be several edges), so
+// the rule stays exact no matter what the maintenance layer did upstream.
+func (b *exactBackend) refresh(h *graph.Graph, delta spanner.Delta) {
 	b.h = h
 	n := int32(h.N())
-	for _, e := range added {
+	for _, e := range delta.Added {
 		b.patchInsert(e.U, e.V)
 	}
-	if len(removed) == 0 {
+	if len(delta.Removed) == 0 {
 		return
 	}
 	// After the insertion patches the table is exact for h plus the
 	// removed edges — exactly the graph the tightness criterion needs.
 	affected := make([]bool, n)
 	count := 0
-	for _, e := range removed {
+	for _, e := range delta.Removed {
 		for x := int32(0); x < n; x++ {
 			if affected[x] {
 				continue
@@ -203,30 +203,6 @@ func (b *exactBackend) patchInsert(a, c int32) {
 			}
 		}
 	}
-}
-
-// diffEdges merges two canonical (U < V, lexicographically sorted) edge
-// lists into the sets present only in the new one (added) and only in
-// the old one (removed).
-func diffEdges(old, cur []graph.Edge) (added, removed []graph.Edge) {
-	i, j := 0, 0
-	for i < len(old) && j < len(cur) {
-		a, b := old[i], cur[j]
-		switch {
-		case a == b:
-			i++
-			j++
-		case a.U < b.U || (a.U == b.U && a.V < b.V):
-			removed = append(removed, a)
-			i++
-		default:
-			added = append(added, b)
-			j++
-		}
-	}
-	removed = append(removed, old[i:]...)
-	added = append(added, cur[j:]...)
-	return added, removed
 }
 
 // Stats implements Backend.

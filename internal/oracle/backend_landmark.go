@@ -1,11 +1,13 @@
 package oracle
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/spanner"
 	"repro/internal/stats"
 )
 
@@ -154,16 +156,77 @@ func (b *landmarkBackend) AnswerBatch(qs []Query, out []Answer) (uint8, bool) {
 	return obs.PathBulk, true
 }
 
-// refresh implements Backend: rebuild the landmark table on the new
-// spanner with the original (count, seed) — selection is deterministic
-// in (seed, h), so a refreshed backend holds the exact table a fresh
-// build would. Counters, the frontier histogram, the search pool
+// refresh implements Backend: patch the landmark table to the one a
+// fresh build on h holds. The root set is selected again, since it is
+// deterministic in (seed, h). A row is re-swept when its root is new or
+// when the delta can change it (rowStale); every other row is already
+// exact on h and stays as it is, so an update that moves one H edge
+// usually sweeps nothing. The table is patched in place unless the root
+// set changed. Counters, the frontier histogram, the search pool
 // (scratch is sized by n, which updates never change), and metric
 // registrations (their closures read b.lm through the receiver) all
 // survive.
-func (b *landmarkBackend) refresh(h *graph.Graph) {
-	b.h = h
-	b.lm = buildLandmarkTable(h, b.lmCount, b.seed)
+func (b *landmarkBackend) refresh(h *graph.Graph, delta spanner.Delta) {
+	old := b.lm
+	roots := selectLandmarks(h, b.lmCount, b.seed)
+	lm := old
+	if !slices.Equal(roots, old.roots) {
+		lm = &landmarkTable{roots: roots, dist: graph.NewFlatDist(len(roots), h.N())}
+	}
+	var stale []int // rows of lm to re-sweep
+	for i, r := range roots {
+		j, kept := slices.BinarySearch(old.roots, r)
+		switch {
+		case !kept || rowStale(old.dist.Row(j), h, delta):
+			stale = append(stale, i)
+		case lm != old:
+			copy(lm.dist.Row(i), old.dist.Row(j))
+		}
+	}
+	if len(stale) > 0 {
+		srcs := make([]int32, len(stale))
+		for x, i := range stale {
+			srcs[x] = roots[i]
+		}
+		h.MultiSourceBFSSweep(srcs, 0, func(x int, _ int32, dist []int32) {
+			copy(lm.dist.Row(stale[x]), dist)
+		})
+	}
+	b.h, b.lm = h, lm
+}
+
+// rowStale reports whether delta can change d, a BFS row taken on the
+// spanner before the delta, now that h is the spanner after it. A row d
+// is exact on h when every edge of h joins two vertices at most one
+// level apart (or two unreachable ones), so no path beats d, and every
+// reachable vertex but the root has a neighbor one level closer, so
+// every vertex has a path that meets d. d satisfied both on the old
+// spanner; only delta edges can break them:
+//
+//   - an added edge {a, b} breaks the first when |d(a)−d(b)| > 1, or when
+//     exactly one endpoint is unreachable;
+//   - a removed edge {a, b} with d(a) ≠ d(b) breaks the second when its
+//     far endpoint has no neighbor in h one level closer.
+func rowStale(d []int32, h *graph.Graph, delta spanner.Delta) bool {
+	for _, e := range delta.Added {
+		da, db := d[e.U], d[e.V]
+		if (da == graph.Unreachable) != (db == graph.Unreachable) || da-db > 1 || db-da > 1 {
+			return true
+		}
+	}
+	for _, e := range delta.Removed {
+		far := e.U
+		switch {
+		case d[e.U] == d[e.V]: // equal levels, or both unreachable
+			continue
+		case d[e.V] > d[e.U]:
+			far = e.V
+		}
+		if !slices.ContainsFunc(h.Neighbors(far), func(w int32) bool { return d[w] == d[far]-1 }) {
+			return true
+		}
+	}
+	return false
 }
 
 // Stats implements Backend.

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/spanner"
 )
 
 // sparseBackend is the two-level hub/bunch design from the sparse-graph
@@ -138,10 +139,11 @@ func (b *sparseBackend) rebuild(h *graph.Graph) {
 
 // refresh implements Backend: bunch membership is a global property of
 // the spanner (one edge can move d(u, A) and re-cut every bunch radius
-// along a path), so the backend recomputes hubs and bunches in place via
-// rebuild. Path counters and metric registrations survive — the gauge
-// closures read b.hubs/b.bunchW through the receiver.
-func (b *sparseBackend) refresh(h *graph.Graph) {
+// along a path), so the backend ignores the delta and recomputes hubs
+// and bunches in place via rebuild. Path counters and metric
+// registrations survive — the gauge closures read b.hubs/b.bunchW
+// through the receiver.
+func (b *sparseBackend) refresh(h *graph.Graph, _ spanner.Delta) {
 	b.rebuild(h)
 }
 

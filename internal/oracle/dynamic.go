@@ -2,9 +2,11 @@ package oracle
 
 import (
 	"errors"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/spanner"
+	"repro/internal/stats"
 )
 
 // DynamicOptions configures NewDynamic.
@@ -52,21 +54,38 @@ type SnapshotInfo struct {
 // NewFromGraphs: only NewDynamic oracles own a live graph.
 var ErrStatic = errors.New("updates not supported (static graph; start the server with a dynamic engine)")
 
+// updateStages holds the per-stage timing histograms of applied updates
+// (metricUpdateRepair and its siblings), each observed once per update.
+type updateStages struct {
+	repair, materialize, refresh *stats.Histogram
+}
+
 // NewDynamic builds an oracle over a live graph: a mutable base graph and
 // an incrementally maintained stretch-3 cluster spanner over it
 // (spanner.Incremental), served with that spanner's certified stretch
 // (spanner.IncrementalAlpha). Update repairs everything in place — the
 // spanner by its local cluster rule, the backend through Backend.refresh
 // — so counters, histograms, and metric registrations survive every
-// mutation.
+// mutation. The oracle holds no frozen copy of G: the stretch sampler
+// searches the live graph, and Snapshot copies it on demand.
 func NewDynamic(base *graph.Graph, opts DynamicOptions) (*Oracle, error) {
 	inc := spanner.NewIncremental(base, opts.Spanner)
-	s := inc.Spanner()
-	o, err := NewFromGraphs(s.Base, s.H, spanner.IncrementalAlpha, opts.Oracle)
+	o, err := NewFromGraphs(base, inc.H(), spanner.IncrementalAlpha, opts.Oracle)
 	if err != nil {
 		return nil, err
 	}
-	o.inc, o.sopt = inc, opts.Spanner
+	o.g, o.inc, o.sopt = nil, inc, opts.Spanner
+	o.stages = &updateStages{
+		repair:      stats.NewLatencyHistogram(),
+		materialize: stats.NewLatencyHistogram(),
+		refresh:     stats.NewLatencyHistogram(),
+	}
+	o.reg.RegisterHistogram(metricUpdateRepair,
+		"Applied update stage: local spanner repair.", o.stages.repair)
+	o.reg.RegisterHistogram(metricUpdateMaterialize,
+		"Applied update stage: the linear copy of the spanner H.", o.stages.materialize)
+	o.reg.RegisterHistogram(metricUpdateRefresh,
+		"Applied update stage: the backend's refresh from the H-edge delta.", o.stages.refresh)
 	return o, nil
 }
 
@@ -77,24 +96,29 @@ func (o *Oracle) IsDynamic() bool { return o.inc != nil }
 // Update applies one edge mutation end to end: the live graph, the
 // maintained spanner, and the backend's precomputed state, all under the
 // oracle's write lock so queries see either the old or the new
-// (graph, spanner, backend) triple. No-op updates (Applied false) touch
-// nothing. The cost of an applied update is the local spanner rule, two
-// linear CSR copies (the live graph's and the spanner's snapshots) and
-// the backend's refresh. A static oracle answers ErrStatic.
+// (graph, spanner, backend) state. No-op updates (Applied false) touch
+// nothing. An applied update costs the local spanner repair, which also
+// yields the net H-edge delta; one linear copy of H into an immutable
+// graph; and the backend's refresh from that delta. G is not copied: the
+// live graph serves the stretch sampler in place. Each stage is observed
+// in its oracle_update_stage_*_seconds histogram. A static oracle
+// answers ErrStatic.
 func (o *Oracle) Update(u, v int32, add bool) (UpdateResult, error) {
 	if o.inc == nil {
 		return UpdateResult{}, ErrStatic
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	t0 := time.Now()
 	var (
 		applied bool
+		delta   spanner.Delta
 		err     error
 	)
 	if add {
-		applied, _, err = o.inc.Insert(u, v)
+		applied, delta, err = o.inc.Insert(u, v)
 	} else {
-		applied, _, err = o.inc.Delete(u, v)
+		applied, delta, err = o.inc.Delete(u, v)
 	}
 	res := UpdateResult{
 		Applied: applied,
@@ -105,9 +129,14 @@ func (o *Oracle) Update(u, v int32, add bool) (UpdateResult, error) {
 	if err != nil || !applied {
 		return res, err
 	}
-	s := o.inc.Spanner()
-	o.g, o.h = s.Base, s.H
-	o.backend.refresh(s.H)
+	t1 := time.Now()
+	o.h = o.inc.H()
+	t2 := time.Now()
+	o.backend.refresh(o.h, delta)
+	t3 := time.Now()
+	o.stages.repair.Observe(t1.Sub(t0).Seconds())
+	o.stages.materialize.Observe(t2.Sub(t1).Seconds())
+	o.stages.refresh.Observe(t3.Sub(t2).Seconds())
 	return res, nil
 }
 
@@ -116,15 +145,15 @@ func (o *Oracle) Update(u, v int32, add bool) (UpdateResult, error) {
 // set, a dynamic oracle also rebuilds the spanner from scratch off the
 // current edge set (same seed) and reports whether the maintained one
 // matches — the wire-reachable form of the incremental-vs-rebuilt
-// differential. Only the graph pointers are read under the lock; the
-// hashing and the rebuild run after it is released, so a verify snapshot
-// never stalls writers.
+// differential. Under the read lock a dynamic oracle copies its live
+// graph (one linear copy, which is all a snapshot stalls writers for);
+// the hashing and the rebuild run after the lock is released.
 func (o *Oracle) Snapshot(verify bool) SnapshotInfo {
 	o.mu.RLock()
 	g, h := o.g, o.h
 	var seq uint64
 	if o.inc != nil {
-		seq = o.inc.Seq()
+		g, seq = o.inc.Graph().Snapshot(), o.inc.Seq()
 	}
 	o.mu.RUnlock()
 	info := SnapshotInfo{

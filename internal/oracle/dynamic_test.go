@@ -1,10 +1,12 @@
 package oracle
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/spanner"
 )
@@ -83,14 +85,22 @@ func TestExactRefreshPatchesTable(t *testing.T) {
 		}
 	}
 
+	// mutate flips each listed edge of b.h and refreshes with the net
+	// delta, as spanner.Incremental reports it.
 	mutate := func(stage string, toggle []graph.Edge) {
 		t.Helper()
 		have := make(map[graph.Edge]bool, b.h.M())
 		for _, e := range b.h.Edges() {
 			have[e] = true
 		}
+		var delta spanner.Delta
 		for _, e := range toggle {
 			e = e.Normalize()
+			if have[e] {
+				delta.Removed = append(delta.Removed, e)
+			} else {
+				delta.Added = append(delta.Added, e)
+			}
 			have[e] = !have[e]
 		}
 		var edges []graph.Edge
@@ -99,7 +109,7 @@ func TestExactRefreshPatchesTable(t *testing.T) {
 				edges = append(edges, e)
 			}
 		}
-		b.refresh(graph.FromEdges(n, edges))
+		b.refresh(graph.FromEdges(n, edges), delta)
 		check(stage)
 	}
 
@@ -118,26 +128,112 @@ func TestExactRefreshPatchesTable(t *testing.T) {
 	mutate("reinsert", bulk)
 }
 
-// Landmark refresh must rebuild the table to what a fresh build on the
-// new spanner produces (byte-identical, same count and seed) and answer
-// on the new spanner.
+// Landmark and exact refreshes, driven by update streams through
+// Oracle.Update: after every update the landmark table must be
+// byte-identical to a fresh build's on the current spanner, and the
+// exact-cached answers must equal a fresh build's for every pair. The
+// three streams reach the refresh's three cases: a root set that changes
+// when the hub moves, rows that deletions disconnect and insertions
+// reconnect, and deltas of several spanner edges from cluster moves.
 func TestLandmarkRefreshMatchesFreshBuild(t *testing.T) {
-	h0 := gen.ErdosRenyi(64, 0.07, rng.New(9))
-	opts := Options{Seed: 17, Landmarks: 8}
-	b := newLandmarkBackend(h0, opts, 2, nil)
-	h1 := graph.FromEdges(64, append(h0.Edges(), graph.Edge{U: 0, V: 63}))
-	b.refresh(h1)
-	fresh := newLandmarkBackend(h1, opts, 2, nil)
-	got, want := b.lm.Bytes(), fresh.lm.Bytes()
-	if string(got) != string(want) {
-		t.Fatal("refreshed landmark table differs from a fresh build")
+	reg, err1 := gen.RandomRegular(64, 6, rng.New(9))
+	cubic, err2 := gen.RandomRegular(48, 3, rng.New(4))
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
 	}
-	for v := int32(1); v < 64; v++ {
-		a, _ := b.Dist(0, v)
-		f, _ := fresh.Dist(0, v)
-		if a != f {
-			t.Fatalf("refreshed Dist(0,%d) = %+v, fresh build says %+v", v, a, f)
-		}
+	for _, tc := range []struct {
+		name    string
+		base    *graph.Graph
+		pDelete float64 // chance that a step deletes a live edge
+		want    func(hubMoves, disconnects, multi int) bool
+	}{
+		{"regular-hub-moves", reg, 0.5,
+			func(hubMoves, _, _ int) bool { return hubMoves > 0 }},
+		{"sparse-disconnects", cubic, 0.7,
+			func(_, disconnects, _ int) bool { return disconnects > 0 }},
+		{"cluster-moves", gen.ErdosRenyi(48, 0.18, rng.New(5)), 0.5,
+			func(_, _, multi int) bool { return multi > 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sopt := spanner.IncrementalOptions{Seed: 0xfeed}
+			lmOpts := Options{Backend: BackendLandmarkBiBFS, Seed: 17, Landmarks: 8, SampleEvery: -1}
+			exOpts := Options{Backend: BackendExactCached, SampleEvery: -1}
+			lm, err1 := NewDynamic(tc.base, DynamicOptions{Spanner: sopt, Oracle: lmOpts})
+			ex, err2 := NewDynamic(tc.base, DynamicOptions{Spanner: sopt, Oracle: exOpts})
+			if err1 != nil || err2 != nil {
+				t.Fatal(err1, err2)
+			}
+			// mirror takes the same updates, to read the deltas they make.
+			mirror := spanner.NewIncremental(tc.base, sopt)
+			n := int32(tc.base.N())
+			r := rng.New(31)
+			hubMoves, disconnects, multi := 0, 0, 0
+			roots := lm.Landmarks()
+			connected := mirror.H().Connected()
+			for step := 0; step < 150; step++ {
+				var (
+					u, v    int32
+					add     bool
+					applied bool
+					delta   spanner.Delta
+					err     error
+				)
+				if edges := mirror.Graph().Snapshot().Edges(); len(edges) > 0 && r.Bernoulli(tc.pDelete) {
+					e := edges[r.Intn(len(edges))]
+					u, v = e.U, e.V
+					applied, delta, err = mirror.Delete(u, v)
+				} else {
+					u, v, add = int32(r.Intn(int(n))), int32(r.Intn(int(n))), true
+					if u == v || mirror.Graph().HasEdge(u, v) {
+						continue
+					}
+					applied, delta, err = mirror.Insert(u, v)
+				}
+				if err != nil || !applied {
+					t.Fatalf("step %d: mirror update (%d,%d,add=%v) = %v, %v", step, u, v, add, applied, err)
+				}
+				if len(delta.Added)+len(delta.Removed) > 1 {
+					multi++
+				}
+				for _, o := range []*Oracle{lm, ex} {
+					if res, err := o.Update(u, v, add); err != nil || !res.Applied {
+						t.Fatalf("step %d: %s update (%d,%d,add=%v) = %+v, %v", step, o.Backend(), u, v, add, res, err)
+					}
+				}
+				s := mirror.Spanner()
+				freshLM, err1 := NewFromGraphs(s.Base, s.H, spanner.IncrementalAlpha, lmOpts)
+				freshEx, err2 := NewFromGraphs(s.Base, s.H, spanner.IncrementalAlpha, exOpts)
+				if err1 != nil || err2 != nil {
+					t.Fatal(err1, err2)
+				}
+				if string(lm.LandmarkBytes()) != string(freshLM.LandmarkBytes()) {
+					t.Fatalf("step %d (%d,%d,add=%v): refreshed landmark table differs from a fresh build", step, u, v, add)
+				}
+				if now := lm.Landmarks(); !slices.Equal(now, roots) {
+					hubMoves++
+					roots = now
+				}
+				now := s.H.Connected()
+				if connected && !now {
+					disconnects++
+				}
+				connected = now
+				for a := int32(0); a < n; a++ {
+					for b := a + 1; b < n; b++ {
+						got, _ := ex.Dist(a, b)
+						want, _ := freshEx.Dist(a, b)
+						if got != want {
+							t.Fatalf("step %d pair (%d,%d): refreshed exact answer %+v, fresh build %+v", step, a, b, got, want)
+						}
+					}
+				}
+			}
+			t.Logf("%d root-set changes, %d disconnections, %d multi-edge deltas", hubMoves, disconnects, multi)
+			if !tc.want(hubMoves, disconnects, multi) {
+				t.Fatalf("stream missed its case: %d root-set changes, %d disconnections, %d multi-edge deltas",
+					hubMoves, disconnects, multi)
+			}
+		})
 	}
 }
 
@@ -148,8 +244,9 @@ func TestSparseRefreshMatchesFreshBuild(t *testing.T) {
 	opts := Options{Seed: 23, SparseHubs: 7}
 	b := newSparseBackend(h0, opts, 2, nil)
 	edges := h0.Edges()
-	h1 := graph.FromEdges(56, append(edges[:len(edges)-3:len(edges)-3], graph.Edge{U: 2, V: 55}))
-	b.refresh(h1)
+	added := []graph.Edge{{U: 2, V: 55}}
+	h1 := graph.FromEdges(56, append(edges[:len(edges)-3:len(edges)-3], added...))
+	b.refresh(h1, spanner.Delta{Added: added, Removed: edges[len(edges)-3:]})
 	fresh := newSparseBackend(h1, opts, 2, nil)
 	if string(b.hubs.Bytes()) != string(fresh.hubs.Bytes()) {
 		t.Fatal("refreshed hub table differs from a fresh build")
@@ -192,5 +289,51 @@ func TestDynamicNoOpAndInvalidUpdates(t *testing.T) {
 	}
 	if after.Seq != 0 {
 		t.Fatalf("Seq advanced to %d on no-ops", after.Seq)
+	}
+}
+
+// Each update-stage histogram observes every applied update once and
+// no no-op; a static oracle registers none of them.
+func TestUpdateStageHistograms(t *testing.T) {
+	reg := obs.NewRegistry()
+	d, err := NewDynamic(gen.Cycle(24), DynamicOptions{Oracle: Options{Registry: reg}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	applied := int64(0)
+	for _, up := range []struct {
+		u, v int32
+		add  bool
+	}{
+		{0, 12, true},
+		{0, 12, true}, // present: a no-op
+		{3, 4, false},
+		{3, 4, false}, // absent: a no-op
+		{5, 17, true},
+	} {
+		res, err := d.Update(up.u, up.v, up.add)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Applied {
+			applied++
+		}
+	}
+	stages := []string{metricUpdateRepair, metricUpdateMaterialize, metricUpdateRefresh}
+	snap := reg.Snapshot()
+	for _, name := range stages {
+		if h, ok := snap.Histograms[name]; !ok || h.Count != applied {
+			t.Errorf("%s: registered=%v count=%d, want %d applied updates", name, ok, h.Count, applied)
+		}
+	}
+
+	static := obs.NewRegistry()
+	if _, err := NewFromGraphs(gen.Cycle(24), gen.Cycle(24), 1, Options{Registry: static}); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range stages {
+		if _, ok := static.Snapshot().Histograms[name]; ok {
+			t.Errorf("a static oracle registers %s", name)
+		}
 	}
 }

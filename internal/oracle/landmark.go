@@ -16,23 +16,30 @@ type landmarkTable struct {
 	dist  *graph.FlatDist // Row(i)[v] = d_H(roots[i], v); graph.Unreachable if disconnected
 }
 
-// buildLandmarkTable selects k landmarks on h and BFS-labels the graph
-// from each. Selection is deterministic in (seed, h): the highest-degree
-// vertex (lowest id on ties) is always a landmark — hub coverage matters
-// most for the bound's quality — and the remaining k−1 are a uniform
-// sample from the rest of the vertex set drawn from a seed-keyed stream.
-// The k BFS runs execute through the multi-source kernel (bit-parallel on
-// dense spanners, scalar per-source otherwise); both kernels produce
-// identical tables at any worker count, so the table is deterministic in
-// (seed, h) alone.
+// buildLandmarkTable selects k landmarks on h (selectLandmarks) and
+// BFS-labels the graph from each. The k BFS runs execute through the
+// multi-source kernel (bit-parallel on dense spanners, scalar per-source
+// otherwise); both kernels produce identical tables at any worker count,
+// so the table is deterministic in (seed, h) alone.
 func buildLandmarkTable(h *graph.Graph, k int, seed uint64) *landmarkTable {
-	n := h.N()
-	if n == 0 {
+	if h.N() == 0 {
 		// Vertex-free graph: no landmarks, an empty 0×0 table. Only
 		// reachable from tests — NewFromGraphs rejects n == 0 — but Bytes
 		// and upperBound must not panic on it.
 		return &landmarkTable{dist: graph.NewFlatDist(0, 0)}
 	}
+	roots := selectLandmarks(h, k, seed)
+	return &landmarkTable{roots: roots, dist: h.MultiSourceBFSFrom(roots, 0)}
+}
+
+// selectLandmarks picks the sorted landmark set of a graph with n ≥ 1
+// vertices, deterministically in (seed, h): the highest-degree vertex
+// (lowest id on ties) is always a landmark — hub coverage matters most
+// for the bound's quality — and the remaining k−1 (k clamped to [1, n])
+// are a uniform sample from the rest of the vertex set drawn from a
+// seed-keyed stream.
+func selectLandmarks(h *graph.Graph, k int, seed uint64) []int32 {
+	n := h.N()
 	if k > n {
 		k = n
 	}
@@ -59,7 +66,7 @@ func buildLandmarkTable(h *graph.Graph, k int, seed uint64) *landmarkTable {
 		}
 	}
 	sortInt32(roots)
-	return &landmarkTable{roots: roots, dist: h.MultiSourceBFSFrom(roots, 0)}
+	return roots
 }
 
 // upperBound returns min over landmarks of d(u,l)+d(l,v), or

@@ -75,6 +75,11 @@ const (
 	metricBackendInfo   = "oracle_backend_info"
 	metricBackendBound  = "oracle_backend_stretch_bound"
 	metricBackendMemory = "oracle_backend_memory_bytes"
+
+	// Update-stage histograms, registered by NewDynamic only.
+	metricUpdateRepair      = "oracle_update_stage_repair_seconds"
+	metricUpdateMaterialize = "oracle_update_stage_materialize_seconds"
+	metricUpdateRefresh     = "oracle_update_stage_refresh_seconds"
 )
 
 // Options configures New. The zero value serves the landmark-bibfs
@@ -192,19 +197,20 @@ type Stats struct {
 // Oracle answers distance and route queries over a DC-spanner through a
 // pluggable resolution backend.
 type Oracle struct {
-	// mu guards the state an Update replaces: g, h, and the backend's
-	// precomputed tables. Readers of that state take it shared; on a
-	// static oracle it is never taken exclusively. No method holding the
-	// read lock may call one that takes it: a nested RLock deadlocks once
-	// a writer waits.
+	// mu guards the state an Update changes: the live graph, h, and the
+	// backend's precomputed tables. Readers of that state take it shared;
+	// on a static oracle it is never taken exclusively. No method holding
+	// the read lock may call one that takes it: a nested RLock deadlocks
+	// once a writer waits.
 	mu    sync.RWMutex
-	g     *graph.Graph // base graph G (realized-stretch reference)
+	g     *graph.Graph // base graph G of a static oracle; nil on a dynamic one, whose G is inc.Graph()
 	h     *graph.Graph // spanner H (the serving graph)
 	n     int          // vertex count, fixed for the oracle's lifetime
 	alpha int          // certified distance stretch; 0 = uncertified
 
-	inc  *spanner.Incremental       // live-graph maintenance; nil on a static oracle
-	sopt spanner.IncrementalOptions // inc's options, for Snapshot's verify rebuild
+	inc    *spanner.Incremental       // live-graph maintenance; nil on a static oracle
+	sopt   spanner.IncrementalOptions // inc's options, for Snapshot's verify rebuild
+	stages *updateStages              // per-stage update timings; nil on a static oracle
 
 	backend Backend
 	tuner   *TunerReport // non-nil only under Backend "auto"
@@ -489,14 +495,20 @@ func (o *Oracle) resolve(u, v int32) (Answer, uint8, error) {
 // maybeSampleStretch re-answers every sampleEvery-th query u ≠ v exactly
 // on G, with a pooled bidirectional BFS (the search the landmark backend
 // runs on H), and records the realized stretch dist_H / dist_G. The
-// scratch is sized n, which updates never change, so the pool outlives
-// every Update's swap of o.g.
+// caller holds the read lock, so on a dynamic oracle the search runs on
+// the live graph itself, which no update moves under it. The scratch is
+// sized n, which updates never change, so the pool outlives every
+// Update.
 func (o *Oracle) maybeSampleStretch(seq int64, u, v, dh int32) {
 	if o.sampleEvery <= 0 || seq%o.sampleEvery != 0 || dh == graph.Unreachable {
 		return
 	}
+	var g adjacency = o.g
+	if o.inc != nil {
+		g = o.inc.Graph()
+	}
 	sc := o.samplePool.Get().(*biScratch)
-	dg := sc.distance(o.g, u, v)
+	dg := sc.distance(g, u, v)
 	o.samplePool.Put(sc)
 	if dg <= 0 {
 		return

@@ -215,18 +215,20 @@ func TestBinaryConcurrentUpdatesAndQueries(t *testing.T) {
 	}
 }
 
-// Updates racing every reader of the state they replace, once per
+// Updates racing every reader of the state they change, once per
 // backend: the stats line (text "stats" and MsgStats), a /metrics
-// scrape, and queries. Each reader must take the oracle's lock, so this
-// test is clean under -race; the verify snapshot at the end proves the
-// racing updates still left a consistent spanner.
+// scrape, queries whose every answer the stretch sampler re-checks on
+// the live graph, and snapshots, which copy the live graph. Each reader
+// must take the oracle's lock, so this test is clean under -race; the
+// verify snapshot at the end proves the racing updates still left a
+// consistent spanner.
 func TestDynamicUpdatesRaceStatsAndMetrics(t *testing.T) {
 	base := gen.ErdosRenyi(64, 0.08, rng.New(4))
 	for _, name := range oracle.BackendNames() {
 		t.Run(name, func(t *testing.T) {
 			reg := obs.NewRegistry()
 			o, err := oracle.NewDynamic(base, oracle.DynamicOptions{
-				Oracle: oracle.Options{Backend: name, Seed: 5, Registry: reg},
+				Oracle: oracle.Options{Backend: name, Seed: 5, Registry: reg, SampleEvery: 1},
 			})
 			if err != nil {
 				t.Fatalf("NewDynamic: %v", err)
@@ -261,6 +263,10 @@ func TestDynamicUpdatesRaceStatsAndMetrics(t *testing.T) {
 						return
 					}
 					o.AnswerBatch(qs)
+					if info := o.Snapshot(false); info.N != 64 {
+						t.Errorf("snapshot during updates: %+v", info)
+						return
+					}
 					reads.Add(1)
 				}
 			}()

@@ -37,7 +37,9 @@ import (
 // on N(z) and the cluster values of z and its neighbors, so an edge can
 // change membership only when it touches u or v, or touches a neighbor
 // of an endpoint whose cluster changed. One update re-evaluates the rule
-// on exactly those edges — the Elkin–Neiman-style local-rule argument.
+// on exactly those edges — the Elkin–Neiman-style local-rule argument —
+// and reports the spanner edges that moved as a Delta, from which the
+// serving layer's backends patch their tables.
 //
 // Incremental does no internal locking; callers serialize updates
 // (the oracle's Update holds its write lock across Insert/Delete).
@@ -47,6 +49,16 @@ type Incremental struct {
 
 	isCenter []bool
 	cluster  []int32 // center id, or -1 while unclustered
+
+	delta Delta // the running update's edits to h; its slices keep their capacity
+}
+
+// Delta is the net change one applied update made to the spanner H: the
+// edges it added and the edges it removed, each written U < V and never
+// in both lists. Its slices are buffers the Incremental reuses on the
+// next update, so read them before updating again.
+type Delta struct {
+	Added, Removed []graph.Edge
 }
 
 // IncrementalOptions configures NewIncremental.
@@ -142,48 +154,63 @@ func (inc *Incremental) inH(e graph.Edge) bool {
 	return inc.wants(e.U, e.V) || inc.wants(e.V, e.U)
 }
 
-// reevaluate applies inH to every edge at x. h's Insert and Delete
-// cannot fail here or in update: dg has already accepted each pair.
+// reevaluate applies inH to every edge at x.
 func (inc *Incremental) reevaluate(x int32) {
 	for _, w := range inc.dg.Neighbors(x) {
-		if inc.inH(graph.Edge{U: x, V: w}) {
-			inc.h.Insert(x, w)
-		} else {
-			inc.h.Delete(x, w)
+		inc.setH(x, w, inc.inH(graph.Edge{U: x, V: w}))
+	}
+}
+
+// setH puts {x, w} in H or takes it out, recording the edge in the
+// update's delta when H changes. h's Insert and Delete cannot fail here:
+// dg has already accepted the pair.
+func (inc *Incremental) setH(x, w int32, in bool) {
+	e := graph.Edge{U: x, V: w}.Normalize()
+	if in {
+		if changed, _ := inc.h.Insert(x, w); changed {
+			inc.delta.Added = append(inc.delta.Added, e)
 		}
+	} else if changed, _ := inc.h.Delete(x, w); changed {
+		inc.delta.Removed = append(inc.delta.Removed, e)
 	}
 }
 
 // Insert adds the edge {u, v} to the live graph and maintains the
-// spanner by local repair. It reports whether the graph changed; the
-// second result is always false.
-func (inc *Incremental) Insert(u, v int32) (applied, _ bool, err error) {
+// spanner by local repair. It reports whether the graph changed and,
+// when it did, the net delta the repair made to H (empty for a no-op).
+// The delta's slices are reused by the next update.
+func (inc *Incremental) Insert(u, v int32) (applied bool, delta Delta, err error) {
 	return inc.update(u, v, true)
 }
 
 // Delete removes the edge {u, v} from the live graph and maintains the
-// spanner by local repair. It reports whether the graph changed; the
-// second result is always false.
-func (inc *Incremental) Delete(u, v int32) (applied, _ bool, err error) {
+// spanner by local repair. It reports whether the graph changed and the
+// net H-edge delta, like Insert.
+func (inc *Incremental) Delete(u, v int32) (applied bool, delta Delta, err error) {
 	return inc.update(u, v, false)
 }
 
-func (inc *Incremental) update(u, v int32, add bool) (applied, _ bool, err error) {
+func (inc *Incremental) update(u, v int32, add bool) (applied bool, delta Delta, err error) {
 	if add {
 		applied, err = inc.dg.Insert(u, v)
 	} else {
 		applied, err = inc.dg.Delete(u, v)
 	}
 	if err != nil || !applied {
-		return applied, false, err
+		return applied, Delta{}, err
 	}
+	inc.delta = Delta{Added: inc.delta.Added[:0], Removed: inc.delta.Removed[:0]}
 	// A deleted edge is no longer in N(u), so no re-evaluation reaches
 	// it; after an insert this is a no-op.
-	inc.h.Delete(u, v)
+	inc.setH(u, v, false)
 
 	// Local maintenance: only the endpoints' clusters can move; the edges
-	// at their neighbors are re-evaluated only when one did. Evaluating
-	// an edge twice is harmless.
+	// at their neighbors are re-evaluated only when one did. At most one
+	// endpoint's cluster moves (x's cluster can change only when the other
+	// endpoint is a center, and a center's never does), and it moves
+	// before any edge is evaluated, so every evaluation sees the final
+	// state. An edge evaluated twice is therefore edited at most once,
+	// and the recorded edits are the update's net delta.
 	for _, x := range [2]int32{u, v} {
 		if nc := inc.clusterOf(x); nc != inc.cluster[x] {
 			inc.cluster[x] = nc
@@ -194,19 +221,24 @@ func (inc *Incremental) update(u, v int32, add bool) (applied, _ bool, err error
 	}
 	inc.reevaluate(u)
 	inc.reevaluate(v)
-	return true, false, nil
+	return true, inc.delta, nil
 }
+
+// H returns the maintained spanner as an immutable Graph: a fresh linear
+// copy of its adjacency (graph.DynGraph.Snapshot) that later updates do
+// not touch.
+func (inc *Incremental) H() *graph.Graph { return inc.h.Snapshot() }
 
 // Edges returns the current spanner edge set, each edge once with U < V,
 // sorted lexicographically — the canonical form compared byte-for-byte
 // by the incremental-vs-rebuilt differential.
-func (inc *Incremental) Edges() []graph.Edge { return inc.h.Snapshot().Edges() }
+func (inc *Incremental) Edges() []graph.Edge { return inc.H().Edges() }
 
 // Spanner freezes the maintained structure into the immutable Spanner
 // form over snapshots of the live graph and of H. The certified stretch
 // is 3 by the per-edge detour argument in the type comment.
 func (inc *Incremental) Spanner() *Spanner {
-	h := inc.h.Snapshot()
+	h := inc.H()
 	return &Spanner{Base: inc.dg.Snapshot(), H: h, Primary: h, Algorithm: "incremental-cluster3"}
 }
 

@@ -1,6 +1,7 @@
 package spanner
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -21,14 +22,45 @@ func edgesEqual(a, b []graph.Edge) bool {
 	return true
 }
 
+// compareEdges orders edges lexicographically by (U, V).
+func compareEdges(a, b graph.Edge) int {
+	if a.U != b.U {
+		return int(a.U - b.U)
+	}
+	return int(a.V - b.V)
+}
+
+// diffEdgeLists splits two canonical edge lists into the edges only in
+// cur (added) and only in old (removed), both in canonical order.
+func diffEdgeLists(old, cur []graph.Edge) (added, removed []graph.Edge) {
+	in := make(map[graph.Edge]bool, len(old))
+	for _, e := range old {
+		in[e] = true
+	}
+	for _, e := range cur {
+		if in[e] {
+			delete(in, e)
+		} else {
+			added = append(added, e)
+		}
+	}
+	for _, e := range old {
+		if in[e] {
+			removed = append(removed, e)
+		}
+	}
+	return added, removed
+}
+
 // The keystone property: after every update, the maintained spanner is
 // identical — edge for edge — to the one built from scratch on the
 // current edge set, and it is a valid 3-spanner of that edge set. Every
-// update takes the local-repair path: none reports a full recompute. The
-// stream moves endpoint clusters, so the re-evaluation of the edges at
-// their neighbors is exercised too.
+// update reports its net H-edge delta, which must equal the diff of the
+// spanner before and after it. The stream moves endpoint clusters, so
+// the re-evaluation of the edges at their neighbors is exercised too,
+// and so are deltas of several edges.
 func TestIncrementalEqualsRebuilt(t *testing.T) {
-	moves := 0
+	moves, multi := 0, 0
 	for name, base := range map[string]*graph.Graph{
 		"er-sparse": gen.ErdosRenyi(40, 0.06, rng.New(7)),
 		"er-dense":  gen.ErdosRenyi(30, 0.25, rng.New(8)),
@@ -45,20 +77,28 @@ func TestIncrementalEqualsRebuilt(t *testing.T) {
 				continue
 			}
 			var (
-				rebuilt bool
-				err     error
+				delta Delta
+				err   error
 			)
 			cu, cv := inc.cluster[u], inc.cluster[v]
+			before := inc.Edges()
 			if r.Bernoulli(0.5) {
-				_, rebuilt, err = inc.Insert(u, v)
+				_, delta, err = inc.Insert(u, v)
 			} else {
-				_, rebuilt, err = inc.Delete(u, v)
+				_, delta, err = inc.Delete(u, v)
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rebuilt {
-				t.Fatalf("%s step %d: update (%d,%d) reported a full recompute", name, step, u, v)
+			added, removed := diffEdgeLists(before, inc.Edges())
+			slices.SortFunc(delta.Added, compareEdges)
+			slices.SortFunc(delta.Removed, compareEdges)
+			if !edgesEqual(delta.Added, added) || !edgesEqual(delta.Removed, removed) {
+				t.Fatalf("%s step %d: update (%d,%d) reported delta +%v -%v, the spanner moved +%v -%v",
+					name, step, u, v, delta.Added, delta.Removed, added, removed)
+			}
+			if len(added)+len(removed) > 1 {
+				multi++
 			}
 			if inc.cluster[u] != cu || inc.cluster[v] != cv {
 				moves++
@@ -81,6 +121,9 @@ func TestIncrementalEqualsRebuilt(t *testing.T) {
 	}
 	if moves == 0 {
 		t.Fatal("no update moved a cluster: the neighbor re-evaluation went untested")
+	}
+	if multi == 0 {
+		t.Fatal("no update moved more than one spanner edge: multi-edge deltas went untested")
 	}
 }
 
