@@ -174,7 +174,7 @@ func checkDynamic(rep *Report, family string, g *graph.Graph, opts Options, r *r
 
 	// No-op and invalid updates must change nothing.
 	ck := &checker{rep: rep, family: family, check: "dynamic-noop", seed: opts.Seed}
-	liveEdges := inc.Graph().Snapshot().Edges()
+	liveEdges := inc.Graph().Edges()
 	for _, en := range engines {
 		before := en.d.Snapshot(false)
 		if len(liveEdges) > 0 {

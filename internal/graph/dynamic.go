@@ -6,64 +6,41 @@ import (
 )
 
 // DynGraph is the mutable companion of Graph: the same dense-vertex,
-// simple, undirected model, but with edge insert/delete in O(deg) and a
-// canonical Snapshot back into the immutable CSR form. The vertex set is
-// fixed at construction — the dynamic workload is edge churn on a live
-// graph, not vertex churn — and adjacency lists stay sorted at all
-// times, so Neighbors and HasEdge keep the semantics (and determinism)
-// of their immutable counterparts while the graph changes underneath.
+// simple, undirected model and the same adjacency representation (it
+// embeds its Graph), plus edge insert/delete in O(deg) and a canonical
+// Snapshot into a Graph that never changes. The vertex set is fixed at
+// construction — the dynamic workload is edge churn on a live graph, not
+// vertex churn — and adjacency lists stay sorted at all times, so every
+// Graph method and kernel (BFS, multi-source sweeps, path search) runs
+// unchanged on the live graph while it changes between calls.
 //
-// DynGraph does no internal locking: callers serialize mutations (the
-// serving layer applies updates under the oracle's update lock).
+// DynGraph does no internal locking: callers serialize mutations against
+// every reader of the graph (the serving layer applies updates under the
+// oracle's write lock and reads under its read lock).
 type DynGraph struct {
-	n   int
-	m   int
+	Graph
 	seq uint64
-	adj [][]int32 // sorted within each vertex's list
 }
 
-// NewDynGraph returns a mutable copy of base. The base graph is not
-// retained; subsequent mutations never alias its storage.
+// NewDynGraph returns a mutable copy of base. Its lists are carved from
+// one fresh arena, so mutations never touch base's storage; the two share
+// only base's edge list, which neither changes.
 func NewDynGraph(base *Graph) *DynGraph {
-	d := &DynGraph{n: base.N(), m: base.M(), adj: make([][]int32, base.N())}
-	for v := int32(0); v < int32(d.n); v++ {
-		nbrs := base.Neighbors(v)
-		d.adj[v] = append(make([]int32, 0, len(nbrs)), nbrs...)
-	}
-	return d
+	return &DynGraph{Graph: *base.clone()}
 }
-
-// N returns the (fixed) number of vertices.
-func (d *DynGraph) N() int { return d.n }
-
-// M returns the current number of edges.
-func (d *DynGraph) M() int { return d.m }
 
 // Seq returns the number of applied mutations — a monotone version
 // counter for snapshot/consistency protocols. No-op updates (inserting
 // a present edge, deleting an absent one) do not advance it.
 func (d *DynGraph) Seq() uint64 { return d.seq }
 
-// Degree returns the current degree of v.
-func (d *DynGraph) Degree(v int32) int { return len(d.adj[v]) }
-
-// Neighbors returns the sorted adjacency list of v. The returned slice
-// aliases internal storage: it must not be modified, and it is only
-// valid until the next mutation touching v.
-func (d *DynGraph) Neighbors(v int32) []int32 { return d.adj[v] }
-
-// HasEdge reports whether {u, v} is currently an edge. Self-queries
-// return false.
+// HasEdge reports whether {u, v} is currently an edge. Self-queries and
+// out-of-range endpoints return false.
 func (d *DynGraph) HasEdge(u, v int32) bool {
-	if u == v || u < 0 || v < 0 || int(u) >= d.n || int(v) >= d.n {
+	if u < 0 || v < 0 || int(u) >= d.n || int(v) >= d.n {
 		return false
 	}
-	if len(d.adj[u]) > len(d.adj[v]) {
-		u, v = v, u
-	}
-	nbrs := d.adj[u]
-	i := sort.Search(len(nbrs), func(i int) bool { return nbrs[i] >= v })
-	return i < len(nbrs) && nbrs[i] == v
+	return d.Graph.HasEdge(u, v)
 }
 
 // check validates an endpoint pair for mutation.
@@ -90,7 +67,7 @@ func (d *DynGraph) Insert(u, v int32) (bool, error) {
 	d.insertArc(u, v)
 	d.insertArc(v, u)
 	d.m++
-	d.seq++
+	d.mutated()
 	return true, nil
 }
 
@@ -107,10 +84,20 @@ func (d *DynGraph) Delete(u, v int32) (bool, error) {
 	d.deleteArc(u, v)
 	d.deleteArc(v, u)
 	d.m--
-	d.seq++
+	d.mutated()
 	return true, nil
 }
 
+// mutated records an applied mutation. The edge list is dropped, not
+// edited — a list Edges returned earlier stays as it was — and Edges
+// builds it from the adjacency from now on.
+func (d *DynGraph) mutated() {
+	d.edges = nil
+	d.seq++
+}
+
+// insertArc puts v into u's list. A list grows in place only within its
+// own capacity, which a carved list never shares with its neighbor's.
 func (d *DynGraph) insertArc(u, v int32) {
 	nbrs := d.adj[u]
 	i := sort.Search(len(nbrs), func(i int) bool { return nbrs[i] >= v })
@@ -126,29 +113,11 @@ func (d *DynGraph) deleteArc(u, v int32) {
 	d.adj[u] = append(nbrs[:i], nbrs[i+1:]...)
 }
 
-// Snapshot freezes the current edge set into an immutable Graph in the
-// canonical form every consumer expects (each edge once with U < V,
-// sorted lexicographically). Two DynGraphs holding the same edge set
-// snapshot to byte-identical graphs regardless of mutation history —
-// the property the incremental-vs-rebuilt differential gate relies on.
-//
-// The adjacency lists are already sorted, so the snapshot is one linear
-// copy: each list goes straight into its CSR window, and its neighbors
-// above the vertex, emitted in vertex order, form the sorted edge list.
-func (d *DynGraph) Snapshot() *Graph {
-	off := make([]int32, d.n+1)
-	for v, nbrs := range d.adj {
-		off[v+1] = off[v] + int32(len(nbrs))
-	}
-	adj := make([]int32, 2*d.m)
-	edges := make([]Edge, 0, d.m)
-	for u, nbrs := range d.adj {
-		copy(adj[off[u]:], nbrs)
-		for _, v := range nbrs {
-			if int32(u) < v {
-				edges = append(edges, Edge{U: int32(u), V: v})
-			}
-		}
-	}
-	return &Graph{n: d.n, m: d.m, off: off, adj: adj, edges: edges}
-}
+// Snapshot freezes the current edge set into a Graph that later
+// mutations do not touch, in the canonical form every consumer expects
+// (each edge once with U < V, sorted lexicographically). Two DynGraphs
+// holding the same edge set snapshot to identical graphs regardless of
+// mutation history — the property the incremental-vs-rebuilt differential
+// gate relies on. The lists are already sorted, so the snapshot is one
+// linear copy of them plus the edge list.
+func (d *DynGraph) Snapshot() *Graph { return d.clone() }

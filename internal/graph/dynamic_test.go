@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/rng"
@@ -157,6 +158,132 @@ func TestSnapshotAllocsIndependentOfN(t *testing.T) {
 		}
 		if a := testing.AllocsPerRun(20, func() { d.Snapshot() }); a > 8 {
 			t.Errorf("n=%d: Snapshot allocates %.0f times, want at most 8", n, a)
+		}
+	}
+}
+
+// A DynGraph's own graph is the live graph its owner serves: after every
+// step of a random insert/delete stream it must read exactly like its
+// Snapshot and like a FromEdges rebuild of a reference edge set, through
+// every accessor and the BFS kernels, and an Edges list taken before a
+// mutation must not change under it. The dense base runs
+// MultiSourceBFSSweep's bit-parallel kernel throughout, the sparse one
+// starts on the scalar kernel; the streams grow lists past their carved
+// capacity and shrink them.
+func TestLiveGraphMatchesSnapshotAndRebuild(t *testing.T) {
+	for name, base := range map[string]*Graph{
+		"sparse": randomGraph(rng.New(5), 40, 60),
+		"dense":  randomGraph(rng.New(6), 64, 360),
+	} {
+		n := base.N()
+		d := NewDynGraph(base)
+		live := &d.Graph
+		ref := make(map[Edge]bool)
+		for _, e := range base.Edges() {
+			ref[e] = true
+		}
+		r := rng.New(11)
+		srcs := []int32{0, 1, int32(n / 2), int32(n - 1)}
+		sc := NewBFSScratch(n)
+		parent := make([]int32, n)
+		for step := 0; step < 400; step++ {
+			u, v := int32(r.Intn(n)), int32(r.Intn(n))
+			if u == v {
+				continue
+			}
+			held := live.Edges()
+			heldCopy := slices.Clone(held)
+			e := Edge{U: u, V: v}.Normalize()
+			if r.Bernoulli(0.5) {
+				if _, err := d.Insert(u, v); err != nil {
+					t.Fatal(err)
+				}
+				ref[e] = true
+			} else {
+				if _, err := d.Delete(u, v); err != nil {
+					t.Fatal(err)
+				}
+				delete(ref, e)
+			}
+			if !slices.Equal(held, heldCopy) {
+				t.Fatalf("%s step %d: an Edges list taken before the update changed under it", name, step)
+			}
+			var refEdges []Edge
+			for e := range ref {
+				refEdges = append(refEdges, e)
+			}
+			rebuilt := FromEdges(n, refEdges)
+			snap := d.Snapshot()
+			for _, want := range []*Graph{snap, rebuilt} {
+				if live.N() != want.N() || live.M() != want.M() {
+					t.Fatalf("%s step %d: live graph %v, want %v", name, step, live, want)
+				}
+				if !slices.Equal(live.Edges(), want.Edges()) {
+					t.Fatalf("%s step %d: live Edges differ from %v's", name, step, want)
+				}
+				for x := int32(0); x < int32(n); x++ {
+					if live.Degree(x) != want.Degree(x) || !slices.Equal(live.Neighbors(x), want.Neighbors(x)) {
+						t.Fatalf("%s step %d: vertex %d lists %v, want %v", name, step, x, live.Neighbors(x), want.Neighbors(x))
+					}
+					for y := int32(0); y < int32(n); y++ {
+						if live.HasEdge(x, y) != want.HasEdge(x, y) {
+							t.Fatalf("%s step %d: HasEdge(%d,%d) = %v", name, step, x, y, live.HasEdge(x, y))
+						}
+					}
+				}
+			}
+			want := rebuilt.MultiSourceBFSFrom(srcs, 1)
+			got := make([][]int32, len(srcs))
+			live.MultiSourceBFSSweep(srcs, 2, func(i int, _ int32, dist []int32) {
+				got[i] = slices.Clone(dist)
+			})
+			for i, src := range srcs {
+				if !slices.Equal(got[i], want.Row(i)) {
+					t.Fatalf("%s step %d: live sweep row from %d differs from the rebuild's", name, step, src)
+				}
+				for y, dy := range got[i] {
+					p := sc.PathWithin(live, src, int32(y), -1, parent)
+					if hops := int32(len(p)) - 1; (p == nil) != (dy == Unreachable) || (p != nil && hops != dy) {
+						t.Fatalf("%s step %d: PathWithin(%d,%d) has %d hops, distance %d", name, step, src, y, hops, dy)
+					}
+				}
+			}
+		}
+	}
+}
+
+// NewDynGraph copies: mutating the DynGraph, including growing lists past
+// their capacity and emptying them, leaves the base graph's adjacency and
+// edge list as they were.
+func TestNewDynGraphLeavesBaseUnchanged(t *testing.T) {
+	base := randomGraph(rng.New(9), 30, 90)
+	edges := slices.Clone(base.Edges())
+	lists := make([][]int32, base.N())
+	for v := range lists {
+		lists[v] = slices.Clone(base.Neighbors(int32(v)))
+	}
+	d := NewDynGraph(base)
+	for _, e := range edges {
+		if _, err := d.Delete(e.U, e.V); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := rng.New(10)
+	for i := 0; i < 300; i++ {
+		u, v := int32(r.Intn(30)), int32(r.Intn(30))
+		if u == v {
+			continue
+		}
+		if _, err := d.Insert(u, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !slices.Equal(base.Edges(), edges) {
+		t.Fatal("mutating a DynGraph changed its base's edge list")
+	}
+	for v := range lists {
+		if !slices.Equal(base.Neighbors(int32(v)), lists[v]) {
+			t.Fatalf("mutating a DynGraph changed its base's list at %d: %v, want %v", v, base.Neighbors(int32(v)), lists[v])
 		}
 	}
 }

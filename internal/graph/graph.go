@@ -1,12 +1,13 @@
 // Package graph implements the undirected simple-graph substrate used by
 // every other package in this repository.
 //
-// Graphs are stored in a compact CSR-like layout: a single []int32 neighbor
-// arena plus per-vertex offsets, with each adjacency list sorted so that
-// HasEdge is a binary search and set operations over neighborhoods (common
-// neighbor counting, the hot loop of Algorithm 1's supported-edge census)
-// are linear merges. Graphs are immutable after construction; builders and
-// filters produce new graphs.
+// Every graph keeps each vertex's neighbors as a sorted slice of its own,
+// so HasEdge is a binary search and set operations over neighborhoods
+// (common neighbor counting, the hot loop of Algorithm 1's supported-edge
+// census) are linear merges. Built graphs carve those slices from one
+// []int32 arena and never change; builders and filters produce new graphs.
+// A DynGraph's own graph is the one that changes, under Insert and
+// Delete, and its callers serialize those against its readers.
 //
 // Vertex ids are dense ints in [0, N). Edges are unordered pairs; the Edges
 // slice lists each edge once with U < V.
@@ -57,13 +58,13 @@ func (e Edge) Other(v int32) int32 {
 	panic(fmt.Sprintf("graph: vertex %d not an endpoint of edge %v", v, e))
 }
 
-// Graph is an immutable undirected simple graph.
+// Graph is an undirected simple graph. A built graph never changes; the
+// graph inside a DynGraph changes only through its Insert and Delete.
 type Graph struct {
 	n     int
 	m     int
-	off   []int32 // len n+1; adjacency of v is adj[off[v]:off[v+1]]
-	adj   []int32 // sorted within each vertex's window
-	edges []Edge  // each edge once, U < V, sorted lexicographically
+	adj   [][]int32 // adj[v] is v's sorted neighbor list
+	edges []Edge    // each edge once, U < V, sorted; nil once a DynGraph has mutated
 }
 
 // N returns the number of vertices.
@@ -73,15 +74,12 @@ func (g *Graph) N() int { return g.n }
 func (g *Graph) M() int { return g.m }
 
 // Degree returns the degree of vertex v.
-func (g *Graph) Degree(v int32) int {
-	return int(g.off[v+1] - g.off[v])
-}
+func (g *Graph) Degree(v int32) int { return len(g.adj[v]) }
 
 // Neighbors returns the sorted adjacency list of v. The returned slice
-// aliases the graph's internal storage and must not be modified.
-func (g *Graph) Neighbors(v int32) []int32 {
-	return g.adj[g.off[v]:g.off[v+1]]
-}
+// aliases the graph's internal storage and must not be modified; on a
+// DynGraph's graph it is valid until the next mutation touching v.
+func (g *Graph) Neighbors(v int32) []int32 { return g.adj[v] }
 
 // HasEdge reports whether {u, v} is an edge. Self-queries return false.
 func (g *Graph) HasEdge(u, v int32) bool {
@@ -98,8 +96,24 @@ func (g *Graph) HasEdge(u, v int32) bool {
 }
 
 // Edges returns all edges, each once with U < V, sorted lexicographically.
-// The returned slice aliases internal storage and must not be modified.
-func (g *Graph) Edges() []Edge { return g.edges }
+// The returned slice must not be modified. A built graph returns the list
+// it keeps; a graph a DynGraph has mutated builds a fresh one from its
+// adjacency on every call, so no read writes shared state and a list
+// once returned never changes.
+func (g *Graph) Edges() []Edge {
+	if g.edges != nil || g.m == 0 {
+		return g.edges
+	}
+	edges := make([]Edge, 0, g.m)
+	for u, nbrs := range g.adj {
+		for _, v := range nbrs {
+			if int32(u) < v {
+				edges = append(edges, Edge{U: int32(u), V: v})
+			}
+		}
+	}
+	return edges
+}
 
 // MaxDegree returns the maximum vertex degree (0 for the empty graph).
 func (g *Graph) MaxDegree() int {
@@ -267,32 +281,42 @@ func FromEdges(n int, edges []Edge) *Graph {
 	return b.BuildDedup()
 }
 
-// fromSortedEdges builds the CSR arrays from a deduplicated list of
-// normalized edges sorted by (U, V). Each window then fills with its
-// smaller neighbors in increasing order, then its larger ones, so every
-// adjacency list comes out sorted. The slice is retained by the graph.
+// fromSortedEdges builds the adjacency lists from a deduplicated list of
+// normalized edges sorted by (U, V). Each vertex's list is carved from one
+// arena with capacity equal to its degree and fills with its smaller
+// neighbors in increasing order, then its larger ones, so every list comes
+// out sorted. The slice is retained by the graph.
 func fromSortedEdges(n int, edges []Edge) *Graph {
-	deg := make([]int32, n+1)
+	deg := make([]int32, n)
 	for _, e := range edges {
-		deg[e.U+1]++
-		deg[e.V+1]++
+		deg[e.U]++
+		deg[e.V]++
 	}
-	for i := 0; i < n; i++ {
-		deg[i+1] += deg[i]
-	}
-	off := deg
-	adj := make([]int32, 2*len(edges))
-	cursor := make([]int32, n)
-	for i := range cursor {
-		cursor[i] = off[i]
+	arena := make([]int32, 2*len(edges))
+	adj := make([][]int32, n)
+	lo := 0
+	for v, d := range deg {
+		adj[v] = arena[lo : lo : lo+int(d)]
+		lo += int(d)
 	}
 	for _, e := range edges {
-		adj[cursor[e.U]] = e.V
-		cursor[e.U]++
-		adj[cursor[e.V]] = e.U
-		cursor[e.V]++
+		adj[e.U] = append(adj[e.U], e.V)
+		adj[e.V] = append(adj[e.V], e.U)
 	}
-	return &Graph{n: n, m: len(edges), off: off, adj: adj, edges: edges}
+	return &Graph{n: n, m: len(edges), adj: adj, edges: edges}
+}
+
+// clone returns a built graph with g's edge set, its lists carved from
+// one fresh arena; the edge list is g's own when g keeps one.
+func (g *Graph) clone() *Graph {
+	arena := make([]int32, 0, 2*g.m)
+	adj := make([][]int32, g.n)
+	for v, nbrs := range g.adj {
+		lo := len(arena)
+		arena = append(arena, nbrs...)
+		adj[v] = arena[lo:len(arena):len(arena)]
+	}
+	return &Graph{n: g.n, m: g.m, adj: adj, edges: g.Edges()}
 }
 
 func sortEdges(edges []Edge) {
@@ -309,7 +333,7 @@ func sortEdges(edges []Edge) {
 // the paper's definition of a spanner graph (V(H) = V(G), E(H) ⊆ E(G)).
 func (g *Graph) FilterEdges(keep func(Edge) bool) *Graph {
 	kept := make([]Edge, 0, g.m)
-	for _, e := range g.edges {
+	for _, e := range g.Edges() {
 		if keep(e) {
 			kept = append(kept, e)
 		}
@@ -325,8 +349,8 @@ func Union(g, h *Graph) *Graph {
 		panic("graph: Union over different vertex counts")
 	}
 	edges := make([]Edge, 0, g.m+h.m)
-	edges = append(edges, g.edges...)
-	edges = append(edges, h.edges...)
+	edges = append(edges, g.Edges()...)
+	edges = append(edges, h.Edges()...)
 	return FromEdges(g.n, edges)
 }
 
@@ -335,7 +359,7 @@ func (g *Graph) IsSubgraphOf(h *Graph) bool {
 	if g.n != h.n {
 		return false
 	}
-	for _, e := range g.edges {
+	for _, e := range g.Edges() {
 		if !h.HasEdge(e.U, e.V) {
 			return false
 		}
@@ -362,7 +386,7 @@ func (g *Graph) InducedSubgraph(keep []bool) (*Graph, []int32) {
 		}
 	}
 	edges := make([]Edge, 0, g.m)
-	for _, e := range g.edges {
+	for _, e := range g.Edges() {
 		if keep[e.U] && keep[e.V] {
 			edges = append(edges, Edge{U: newID[e.U], V: newID[e.V]}.Normalize())
 		}
@@ -375,7 +399,7 @@ func (g *Graph) InducedSubgraph(keep []bool) (*Graph, []int32) {
 // Useful for per-edge bookkeeping keyed by position.
 func (g *Graph) EdgeIndex() map[Edge]int {
 	idx := make(map[Edge]int, g.m)
-	for i, e := range g.edges {
+	for i, e := range g.Edges() {
 		idx[e] = i
 	}
 	return idx

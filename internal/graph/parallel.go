@@ -101,7 +101,7 @@ func ParallelRangeWorkers(n, workers int, fn func(w, lo, hi int)) {
 // chunks. fn must not mutate shared state without its own synchronization;
 // the idiomatic pattern is writing to out[i].
 func (g *Graph) ParallelForEachEdge(fn func(i int, e Edge)) {
-	edges := g.edges
+	edges := g.Edges()
 	ParallelRangeWorkers(len(edges), 0, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			fn(i, edges[i])

@@ -94,12 +94,14 @@ type Backend interface {
 	// no lock.
 	attachMetrics(reg *obs.Registry, rl sync.Locker)
 
-	// refresh brings the backend's precomputed state from its current
-	// spanner to h, the dynamic-graph path that repairs backends in place
-	// instead of tearing down and rebuilding the oracle (counters, pools,
-	// and metric registrations all survive). delta is the net H-edge
-	// change between the two spanners (spanner.Incremental's update
-	// report), from which a backend that patches incrementally works:
+	// refresh brings the backend's precomputed state up to date with h,
+	// the dynamic-graph path that repairs backends in place instead of
+	// tearing down and rebuilding the oracle (counters, pools, and metric
+	// registrations all survive). h is the oracle's live spanner, which
+	// the update has already repaired in place, so it holds the new edge
+	// set only; delta is the net H-edge change the update made
+	// (spanner.Incremental's update report), from which a backend that
+	// patches incrementally works:
 	// the landmark table re-sweeps only the rows the delta can change,
 	// and the exact table relaxes pairs through added edges and rewrites
 	// the rows that removed edges were tight from. The contract, enforced

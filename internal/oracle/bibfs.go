@@ -25,14 +25,6 @@ func newBiScratch(n int) *biScratch {
 	}
 }
 
-// adjacency is what the bidirectional search reads of a graph: the
-// spanner's immutable *graph.Graph for the landmark backend, and for the
-// stretch sampler the base graph G, which on a dynamic oracle is the
-// live *graph.DynGraph.
-type adjacency interface {
-	Neighbors(v int32) []int32
-}
-
 // distance returns the exact hop distance between u ≠ v on h via
 // level-synchronized bidirectional BFS, or graph.Unreachable. No outside
 // bound prunes the search: the stopping rule alone caps the explored
@@ -45,7 +37,7 @@ type adjacency interface {
 // candidate d(u,m)+d(m,v) <= L was recorded when the second side settled
 // it. Hence once best <= a+b+1 no shorter path can remain undiscovered and
 // best is exact.
-func (s *biScratch) distance(h adjacency, u, v int32) int32 {
+func (s *biScratch) distance(h *graph.Graph, u, v int32) int32 {
 	s.gen++
 	if s.gen == 0 { // stamp wrap: invalidate everything once per 2^31 queries
 		for i := range s.su {

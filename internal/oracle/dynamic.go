@@ -55,35 +55,33 @@ type SnapshotInfo struct {
 var ErrStatic = errors.New("updates not supported (static graph; start the server with a dynamic engine)")
 
 // updateStages holds the per-stage timing histograms of applied updates
-// (metricUpdateRepair and its siblings), each observed once per update.
+// (metricUpdateRepair and metricUpdateRefresh), each observed once per
+// update.
 type updateStages struct {
-	repair, materialize, refresh *stats.Histogram
+	repair, refresh *stats.Histogram
 }
 
 // NewDynamic builds an oracle over a live graph: a mutable base graph and
 // an incrementally maintained stretch-3 cluster spanner over it
 // (spanner.Incremental), served with that spanner's certified stretch
-// (spanner.IncrementalAlpha). Update repairs everything in place — the
-// spanner by its local cluster rule, the backend through Backend.refresh
-// — so counters, histograms, and metric registrations survive every
-// mutation. The oracle holds no frozen copy of G: the stretch sampler
-// searches the live graph, and Snapshot copies it on demand.
+// (spanner.IncrementalAlpha). The oracle serves the live G and H the
+// Incremental mutates — set once here, never copied — so Update repairs
+// everything in place: the spanner by its local cluster rule, the backend
+// through Backend.refresh. Counters, histograms, and metric registrations
+// survive every mutation.
 func NewDynamic(base *graph.Graph, opts DynamicOptions) (*Oracle, error) {
 	inc := spanner.NewIncremental(base, opts.Spanner)
-	o, err := NewFromGraphs(base, inc.H(), spanner.IncrementalAlpha, opts.Oracle)
+	o, err := NewFromGraphs(&inc.Graph().Graph, inc.H(), spanner.IncrementalAlpha, opts.Oracle)
 	if err != nil {
 		return nil, err
 	}
-	o.g, o.inc, o.sopt = nil, inc, opts.Spanner
+	o.inc, o.sopt = inc, opts.Spanner
 	o.stages = &updateStages{
-		repair:      stats.NewLatencyHistogram(),
-		materialize: stats.NewLatencyHistogram(),
-		refresh:     stats.NewLatencyHistogram(),
+		repair:  stats.NewLatencyHistogram(),
+		refresh: stats.NewLatencyHistogram(),
 	}
 	o.reg.RegisterHistogram(metricUpdateRepair,
 		"Applied update stage: local spanner repair.", o.stages.repair)
-	o.reg.RegisterHistogram(metricUpdateMaterialize,
-		"Applied update stage: the linear copy of the spanner H.", o.stages.materialize)
 	o.reg.RegisterHistogram(metricUpdateRefresh,
 		"Applied update stage: the backend's refresh from the H-edge delta.", o.stages.refresh)
 	return o, nil
@@ -97,12 +95,11 @@ func (o *Oracle) IsDynamic() bool { return o.inc != nil }
 // maintained spanner, and the backend's precomputed state, all under the
 // oracle's write lock so queries see either the old or the new
 // (graph, spanner, backend) state. No-op updates (Applied false) touch
-// nothing. An applied update costs the local spanner repair, which also
-// yields the net H-edge delta; one linear copy of H into an immutable
-// graph; and the backend's refresh from that delta. G is not copied: the
-// live graph serves the stretch sampler in place. Each stage is observed
-// in its oracle_update_stage_*_seconds histogram. A static oracle
-// answers ErrStatic.
+// nothing. An applied update costs the local spanner repair, which
+// mutates the served G and H in place and yields the net H-edge delta,
+// and the backend's refresh from that delta; nothing is copied. Each
+// stage is observed in its oracle_update_stage_*_seconds histogram. A
+// static oracle answers ErrStatic.
 func (o *Oracle) Update(u, v int32, add bool) (UpdateResult, error) {
 	if o.inc == nil {
 		return UpdateResult{}, ErrStatic
@@ -122,21 +119,18 @@ func (o *Oracle) Update(u, v int32, add bool) (UpdateResult, error) {
 	}
 	res := UpdateResult{
 		Applied: applied,
-		M:       o.inc.Graph().M(),
-		HM:      o.inc.HM(),
+		M:       o.g.M(),
+		HM:      o.h.M(),
 		Seq:     o.inc.Seq(),
 	}
 	if err != nil || !applied {
 		return res, err
 	}
 	t1 := time.Now()
-	o.h = o.inc.H()
-	t2 := time.Now()
 	o.backend.refresh(o.h, delta)
-	t3 := time.Now()
+	t2 := time.Now()
 	o.stages.repair.Observe(t1.Sub(t0).Seconds())
-	o.stages.materialize.Observe(t2.Sub(t1).Seconds())
-	o.stages.refresh.Observe(t3.Sub(t2).Seconds())
+	o.stages.refresh.Observe(t2.Sub(t1).Seconds())
 	return res, nil
 }
 
@@ -145,15 +139,16 @@ func (o *Oracle) Update(u, v int32, add bool) (UpdateResult, error) {
 // set, a dynamic oracle also rebuilds the spanner from scratch off the
 // current edge set (same seed) and reports whether the maintained one
 // matches — the wire-reachable form of the incremental-vs-rebuilt
-// differential. Under the read lock a dynamic oracle copies its live
-// graph (one linear copy, which is all a snapshot stalls writers for);
-// the hashing and the rebuild run after the lock is released.
+// differential. Under the read lock a dynamic oracle copies its two live
+// graphs (two linear copies, which is what a snapshot stalls writers
+// for); the hashing and the rebuild run after the lock is released.
 func (o *Oracle) Snapshot(verify bool) SnapshotInfo {
 	o.mu.RLock()
 	g, h := o.g, o.h
 	var seq uint64
 	if o.inc != nil {
-		g, seq = o.inc.Graph().Snapshot(), o.inc.Seq()
+		s := o.inc.Spanner()
+		g, h, seq = s.Base, s.H, o.inc.Seq()
 	}
 	o.mu.RUnlock()
 	info := SnapshotInfo{

@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 
@@ -319,7 +320,7 @@ func TestUpdateStageHistograms(t *testing.T) {
 			applied++
 		}
 	}
-	stages := []string{metricUpdateRepair, metricUpdateMaterialize, metricUpdateRefresh}
+	stages := []string{metricUpdateRepair, metricUpdateRefresh}
 	snap := reg.Snapshot()
 	for _, name := range stages {
 		if h, ok := snap.Histograms[name]; !ok || h.Count != applied {
@@ -334,6 +335,48 @@ func TestUpdateStageHistograms(t *testing.T) {
 	for _, name := range stages {
 		if _, ok := static.Snapshot().Histograms[name]; ok {
 			t.Errorf("a static oracle registers %s", name)
+		}
+	}
+}
+
+// An applied update is the repair plus the backend's delta refresh over
+// the live graphs, with no copy of either: toggling a base edge outside
+// the spanner (an empty H-edge delta) allocates under 1 KiB per update
+// whatever n, most of it the landmark roots' re-selection, far below one
+// copy of H (18 KiB at n=256 and 138 KiB at n=2048 on these 8-regular
+// graphs).
+func TestUpdateAllocatesNoCopy(t *testing.T) {
+	const maxBytes = 2048
+	for _, n := range []int{256, 2048} {
+		g, err := gen.RandomRegular(n, 8, rng.New(uint64(n)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := NewDynamic(g, DynamicOptions{
+			Spanner: spanner.IncrementalOptions{Seed: 5},
+			Oracle:  Options{Backend: BackendLandmarkBiBFS, SampleEvery: -1},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := slices.IndexFunc(g.Edges(), func(e graph.Edge) bool { return !d.h.HasEdge(e.U, e.V) })
+		if i < 0 {
+			t.Fatalf("n=%d: every base edge is in the spanner", n)
+		}
+		e, hm := g.Edges()[i], d.h.M()
+		const toggles = 50
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for k := 0; k < toggles; k++ {
+			for _, add := range []bool{false, true} {
+				if res, err := d.Update(e.U, e.V, add); err != nil || !res.Applied || res.HM != hm {
+					t.Fatalf("n=%d: toggling %v (add=%v) = %+v, %v; want applied with HM %d", n, e, add, res, err, hm)
+				}
+			}
+		}
+		runtime.ReadMemStats(&m1)
+		if b := (m1.TotalAlloc - m0.TotalAlloc) / (2 * toggles); b > maxBytes {
+			t.Errorf("n=%d: an update allocates %d bytes, want at most %d", n, b, maxBytes)
 		}
 	}
 }

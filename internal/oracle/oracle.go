@@ -29,7 +29,7 @@
 // An oracle built by NewDynamic also serves a live graph: Update applies
 // one edge mutation to the base graph, an incrementally maintained
 // spanner (spanner.Incremental), and the backend's tables in place. One
-// RWMutex inside the Oracle guards exactly that replaceable state —
+// RWMutex inside the Oracle guards exactly that mutable state —
 // queries, stats, and metric reads take it shared, Update exclusively —
 // and a static oracle is the zero-update case of the same type.
 package oracle
@@ -77,9 +77,8 @@ const (
 	metricBackendMemory = "oracle_backend_memory_bytes"
 
 	// Update-stage histograms, registered by NewDynamic only.
-	metricUpdateRepair      = "oracle_update_stage_repair_seconds"
-	metricUpdateMaterialize = "oracle_update_stage_materialize_seconds"
-	metricUpdateRefresh     = "oracle_update_stage_refresh_seconds"
+	metricUpdateRepair  = "oracle_update_stage_repair_seconds"
+	metricUpdateRefresh = "oracle_update_stage_refresh_seconds"
 )
 
 // Options configures New. The zero value serves the landmark-bibfs
@@ -197,14 +196,15 @@ type Stats struct {
 // Oracle answers distance and route queries over a DC-spanner through a
 // pluggable resolution backend.
 type Oracle struct {
-	// mu guards the state an Update changes: the live graph, h, and the
-	// backend's precomputed tables. Readers of that state take it shared;
-	// on a static oracle it is never taken exclusively. No method holding
-	// the read lock may call one that takes it: a nested RLock deadlocks
-	// once a writer waits.
+	// mu guards the state an Update changes: on a dynamic oracle the
+	// adjacency of g and h themselves, which inc mutates in place, and
+	// the backend's precomputed tables. Readers of that state take it
+	// shared, for as long as they read a graph; on a static oracle it is
+	// never taken exclusively. No method holding the read lock may call
+	// one that takes it: a nested RLock deadlocks once a writer waits.
 	mu    sync.RWMutex
-	g     *graph.Graph // base graph G of a static oracle; nil on a dynamic one, whose G is inc.Graph()
-	h     *graph.Graph // spanner H (the serving graph)
+	g     *graph.Graph // base graph G; on a dynamic oracle inc's live graph
+	h     *graph.Graph // spanner H (the serving graph); on a dynamic oracle inc's live spanner
 	n     int          // vertex count, fixed for the oracle's lifetime
 	alpha int          // certified distance stretch; 0 = uncertified
 
@@ -495,20 +495,15 @@ func (o *Oracle) resolve(u, v int32) (Answer, uint8, error) {
 // maybeSampleStretch re-answers every sampleEvery-th query u ≠ v exactly
 // on G, with a pooled bidirectional BFS (the search the landmark backend
 // runs on H), and records the realized stretch dist_H / dist_G. The
-// caller holds the read lock, so on a dynamic oracle the search runs on
-// the live graph itself, which no update moves under it. The scratch is
-// sized n, which updates never change, so the pool outlives every
-// Update.
+// caller holds the read lock, so no update moves G under the search. The
+// scratch is sized n, which updates never change, so the pool outlives
+// every Update.
 func (o *Oracle) maybeSampleStretch(seq int64, u, v, dh int32) {
 	if o.sampleEvery <= 0 || seq%o.sampleEvery != 0 || dh == graph.Unreachable {
 		return
 	}
-	var g adjacency = o.g
-	if o.inc != nil {
-		g = o.inc.Graph()
-	}
 	sc := o.samplePool.Get().(*biScratch)
-	dg := sc.distance(g, u, v)
+	dg := sc.distance(o.g, u, v)
 	o.samplePool.Put(sc)
 	if dg <= 0 {
 		return

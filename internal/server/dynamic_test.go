@@ -218,17 +218,24 @@ func TestBinaryConcurrentUpdatesAndQueries(t *testing.T) {
 // Updates racing every reader of the state they change, once per
 // backend: the stats line (text "stats" and MsgStats), a /metrics
 // scrape, queries whose every answer the stretch sampler re-checks on
-// the live graph, and snapshots, which copy the live graph. Each reader
-// must take the oracle's lock, so this test is clean under -race; the
-// verify snapshot at the end proves the racing updates still left a
-// consistent spanner.
+// the live G, routes searched on the live H, a 128-query batch that the
+// landmark backend answers by sweeping the live H with two workers, and
+// snapshots, which copy both live graphs. Each reader must take the
+// oracle's lock, so this test is clean under -race; the verify snapshot
+// at the end proves the racing updates still left a consistent spanner.
 func TestDynamicUpdatesRaceStatsAndMetrics(t *testing.T) {
 	base := gen.ErdosRenyi(64, 0.08, rng.New(4))
+	// Four sources share 128 queries: enough for the landmark backend's
+	// bulk arm, which needs at least 128 queries and two per source.
+	bulk := make([]oracle.Query, 128)
+	for i := range bulk {
+		bulk[i] = oracle.Query{U: int32(i % 4), V: int32(8 + i%56)}
+	}
 	for _, name := range oracle.BackendNames() {
 		t.Run(name, func(t *testing.T) {
 			reg := obs.NewRegistry()
 			o, err := oracle.NewDynamic(base, oracle.DynamicOptions{
-				Oracle: oracle.Options{Backend: name, Seed: 5, Registry: reg, SampleEvery: 1},
+				Oracle: oracle.Options{Backend: name, Seed: 5, Registry: reg, SampleEvery: 1, Workers: 2},
 			})
 			if err != nil {
 				t.Fatalf("NewDynamic: %v", err)
@@ -263,6 +270,7 @@ func TestDynamicUpdatesRaceStatsAndMetrics(t *testing.T) {
 						return
 					}
 					o.AnswerBatch(qs)
+					o.AnswerBatch(bulk)
 					if info := o.Snapshot(false); info.N != 64 {
 						t.Errorf("snapshot during updates: %+v", info)
 						return
@@ -291,6 +299,9 @@ func TestDynamicUpdatesRaceStatsAndMetrics(t *testing.T) {
 			<-done
 			if info := o.Snapshot(true); !info.Verified || !info.Consistent {
 				t.Fatalf("verify snapshot after racing updates: %+v", info)
+			}
+			if name == oracle.BackendLandmarkBiBFS && o.BackendStats().Counters["path_bulk"] == 0 {
+				t.Fatal("no batch took the landmark backend's bulk sweep")
 			}
 		})
 	}

@@ -42,7 +42,9 @@ import (
 // serving layer's backends patch their tables.
 //
 // Incremental does no internal locking; callers serialize updates
-// (the oracle's Update holds its write lock across Insert/Delete).
+// against every reader of the live graphs that Graph and H expose (the
+// oracle's Update holds its write lock across Insert/Delete, and its
+// readers hold the read lock).
 type Incremental struct {
 	dg *graph.DynGraph
 	h  *graph.DynGraph // the spanner, kept like dg
@@ -107,6 +109,11 @@ func centerHash(seed uint64, v int32) uint64 {
 // Graph returns the live mutable graph the spanner tracks. Callers must
 // mutate it only through Insert/Delete, never directly.
 func (inc *Incremental) Graph() *graph.DynGraph { return inc.dg }
+
+// H returns the live maintained spanner, the graph Insert and Delete
+// repair in place: it is valid until the next update, like Graph. Spanner
+// and Edges return copies that later updates do not touch.
+func (inc *Incremental) H() *graph.Graph { return &inc.h.Graph }
 
 // Seq returns the applied-update counter (delegates to the DynGraph).
 func (inc *Incremental) Seq() uint64 { return inc.dg.Seq() }
@@ -224,21 +231,17 @@ func (inc *Incremental) update(u, v int32, add bool) (applied bool, delta Delta,
 	return true, inc.delta, nil
 }
 
-// H returns the maintained spanner as an immutable Graph: a fresh linear
-// copy of its adjacency (graph.DynGraph.Snapshot) that later updates do
-// not touch.
-func (inc *Incremental) H() *graph.Graph { return inc.h.Snapshot() }
-
 // Edges returns the current spanner edge set, each edge once with U < V,
 // sorted lexicographically — the canonical form compared byte-for-byte
-// by the incremental-vs-rebuilt differential.
-func (inc *Incremental) Edges() []graph.Edge { return inc.H().Edges() }
+// by the incremental-vs-rebuilt differential. Later updates do not
+// change the returned list.
+func (inc *Incremental) Edges() []graph.Edge { return inc.h.Edges() }
 
 // Spanner freezes the maintained structure into the immutable Spanner
 // form over snapshots of the live graph and of H. The certified stretch
 // is 3 by the per-edge detour argument in the type comment.
 func (inc *Incremental) Spanner() *Spanner {
-	h := inc.H()
+	h := inc.h.Snapshot()
 	return &Spanner{Base: inc.dg.Snapshot(), H: h, Primary: h, Algorithm: "incremental-cluster3"}
 }
 
