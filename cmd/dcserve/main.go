@@ -133,7 +133,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		hm := o.Snapshot(false).HM
+		hm := o.HM()
 		fmt.Printf("H (incremental-cluster3, dynamic): m=%d (%.1f%% of G), certified alpha=%d\n",
 			hm, 100*float64(hm)/float64(g.M()), spanner.IncrementalAlpha)
 	} else {

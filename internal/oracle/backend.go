@@ -102,8 +102,8 @@ type Backend interface {
 	// set only; delta is the net H-edge change the update made
 	// (spanner.Incremental's update report), from which a backend that
 	// patches incrementally works:
-	// the landmark table re-sweeps only the rows the delta can change,
-	// and the exact table relaxes pairs through added edges and rewrites
+	// the landmark table repairs each row in place from the delta, and
+	// the exact table relaxes pairs through added edges and rewrites
 	// the rows that removed edges were tight from. The contract, enforced
 	// by internal/check's incremental differential: after refresh, every
 	// answer must equal the answer of a backend freshly built on h with

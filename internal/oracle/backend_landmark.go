@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"cmp"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -19,12 +20,23 @@ type landmarkBackend struct {
 	h       *graph.Graph
 	lm      *landmarkTable
 	workers int
-	lmCount int    // resolved landmark count, kept for refresh
-	seed    uint64 // landmark-selection seed, kept for refresh
 
-	pathBiBFS atomic.Int64
-	pathBulk  atomic.Int64
-	frontier  *stats.Histogram
+	// The root set is kept from the delta: the sampled slots are drawn
+	// once, and the hub with its degree is kept by nextHub.
+	sample []int32
+	hub    int32
+	hubDeg int
+
+	// Refresh scratch, reused by every refresh: the next root set and the
+	// row repair's lists.
+	next   []int32
+	repair rowRepair
+
+	pathBiBFS      atomic.Int64
+	pathBulk       atomic.Int64
+	repairVertices atomic.Int64
+	rootSweeps     atomic.Int64
+	frontier       *stats.Histogram
 
 	searchPool sync.Pool // *biScratch
 }
@@ -37,15 +49,18 @@ func newLandmarkBackend(h *graph.Graph, opts Options, workers int, trace *obs.Sp
 		k = 16
 	}
 	lsp := trace.Start("landmark-table")
-	lm := buildLandmarkTable(h, k, opts.Seed)
+	hub, sample := hubOf(h), landmarkSample(h.N(), k, opts.Seed)
+	roots := placeLandmarks(nil, hub, sample)
+	lm := &landmarkTable{roots: roots, dist: h.MultiSourceBFSFrom(roots, 0)}
 	lsp.SetKV("landmarks", len(lm.roots))
 	lsp.End()
 	b := &landmarkBackend{
 		h:        h,
 		lm:       lm,
 		workers:  workers,
-		lmCount:  k,
-		seed:     opts.Seed,
+		sample:   sample,
+		hub:      hub,
+		hubDeg:   h.Degree(hub),
 		frontier: stats.NewHistogram(stats.ExpBuckets(1, 2, 22)),
 	}
 	b.searchPool.New = func() any { return newBiScratch(h.N()) }
@@ -156,77 +171,226 @@ func (b *landmarkBackend) AnswerBatch(qs []Query, out []Answer) (uint8, bool) {
 	return obs.PathBulk, true
 }
 
-// refresh implements Backend: patch the landmark table to the one a
-// fresh build on h holds. The root set is selected again, since it is
-// deterministic in (seed, h). A row is re-swept when its root is new or
-// when the delta can change it (rowStale); every other row is already
-// exact on h and stays as it is, so an update that moves one H edge
-// usually sweeps nothing. The table is patched in place unless the root
-// set changed. Counters, the frontier histogram, the search pool
+// refresh implements Backend: bring the landmark table to the one a
+// fresh build on h holds, working from the delta alone. The sampled
+// slots never change, so the root set changes only when the hub moves,
+// and nextHub keeps the hub from the degrees the delta changed. Every row
+// whose root stays is repaired in place from the delta (rowRepair), and
+// a row whose root changed is swept from scratch. The table, its root
+// slice and all scratch are reused, so a refresh that keeps the root set
+// allocates nothing. Counters, the frontier histogram, the search pool
 // (scratch is sized by n, which updates never change), and metric
 // registrations (their closures read b.lm through the receiver) all
 // survive.
 func (b *landmarkBackend) refresh(h *graph.Graph, delta spanner.Delta) {
-	old := b.lm
-	roots := selectLandmarks(h, b.lmCount, b.seed)
-	lm := old
-	if !slices.Equal(roots, old.roots) {
-		lm = &landmarkTable{roots: roots, dist: graph.NewFlatDist(len(roots), h.N())}
-	}
-	var stale []int // rows of lm to re-sweep
-	for i, r := range roots {
-		j, kept := slices.BinarySearch(old.roots, r)
-		switch {
-		case !kept || rowStale(old.dist.Row(j), h, delta):
-			stale = append(stale, i)
-		case lm != old:
-			copy(lm.dist.Row(i), old.dist.Row(j))
+	lm := b.lm
+	var fresh []int // rows whose root changed
+	if hub := b.nextHub(h, delta); hub != b.hub {
+		// With the slots sorted s_1 < … < s_{k−1}, index i of the root set
+		// holds a vertex of (s_i, s_{i+1}] (s_0 = −1, s_k = n−1) whatever
+		// the hub, so a root that stays keeps its index and its row, and
+		// only the indices whose root changed are swept.
+		b.hub = hub
+		b.next = placeLandmarks(b.next, hub, b.sample)
+		for i, r := range b.next {
+			if r != lm.roots[i] {
+				lm.roots[i] = r
+				fresh = append(fresh, i)
+			}
 		}
 	}
-	if len(stale) > 0 {
-		srcs := make([]int32, len(stale))
-		for x, i := range stale {
-			srcs[x] = roots[i]
+	b.hubDeg = h.Degree(b.hub)
+	changed := 0
+	for i, f := 0, 0; i < len(lm.roots); i++ {
+		if f < len(fresh) && fresh[f] == i {
+			f++
+			continue
+		}
+		changed += b.repair.row(lm.dist.Row(i), h, delta)
+	}
+	if len(fresh) > 0 {
+		srcs := make([]int32, len(fresh))
+		for x, i := range fresh {
+			srcs[x] = lm.roots[i]
 		}
 		h.MultiSourceBFSSweep(srcs, 0, func(x int, _ int32, dist []int32) {
-			copy(lm.dist.Row(stale[x]), dist)
+			copy(lm.dist.Row(fresh[x]), dist)
 		})
 	}
-	b.h, b.lm = h, lm
+	b.h = h
+	b.repairVertices.Add(int64(changed))
+	b.rootSweeps.Add(int64(len(fresh)))
 }
 
-// rowStale reports whether delta can change d, a BFS row taken on the
-// spanner before the delta, now that h is the spanner after it. A row d
-// is exact on h when every edge of h joins two vertices at most one
-// level apart (or two unreachable ones), so no path beats d, and every
-// reachable vertex but the root has a neighbor one level closer, so
-// every vertex has a path that meets d. d satisfied both on the old
-// spanner; only delta edges can break them:
-//
-//   - an added edge {a, b} breaks the first when |d(a)−d(b)| > 1, or when
-//     exactly one endpoint is unreachable;
-//   - a removed edge {a, b} with d(a) ≠ d(b) breaks the second when its
-//     far endpoint has no neighbor in h one level closer.
-func rowStale(d []int32, h *graph.Graph, delta spanner.Delta) bool {
+// nextHub returns h's hub (hubOf), given that b.hub was the hub before
+// delta with degree b.hubDeg. Only the delta's endpoints changed degree,
+// and only an added edge's endpoint gained any, so unless the hub's own
+// degree fell no other vertex can beat it; only then are all n degrees
+// scanned again.
+func (b *landmarkBackend) nextHub(h *graph.Graph, delta spanner.Delta) int32 {
+	hub := b.hub
+	if h.Degree(hub) < b.hubDeg {
+		return hubOf(h)
+	}
 	for _, e := range delta.Added {
-		da, db := d[e.U], d[e.V]
-		if (da == graph.Unreachable) != (db == graph.Unreachable) || da-db > 1 || db-da > 1 {
-			return true
+		for _, v := range [2]int32{e.U, e.V} {
+			if dv, dh := h.Degree(v), h.Degree(hub); dv > dh || dv == dh && v < hub {
+				hub = v
+			}
 		}
 	}
+	return hub
+}
+
+// leveled is a vertex with its level in a BFS row.
+type leveled struct{ v, d int32 }
+
+func byLevel(a, b leveled) int { return cmp.Compare(a.d, b.d) }
+
+// rowRepair is the scratch of a landmark row repair. Each list holds only
+// the vertices one repair touches and keeps its capacity for the next:
+// no n-length array.
+type rowRepair struct {
+	far   []leveled // removed edges' far endpoints, at their old levels
+	lost  []leveled // vertices that lost their level, with the old level
+	seeds []leveled // the settling BFS's starts
+	queue []leveled // the settling BFS's queue
+}
+
+// row rewrites d, the BFS row of a root on the spanner before delta, into
+// its BFS row on h, the spanner after it, and returns how many entries
+// changed. It is the unit-weight case of Ramalingam–Reps dynamic SSSP:
+//
+//  1. A removed edge {a, b} with d(a) < d(b) may have carried b's level;
+//     the far endpoints are collected from the old levels, before any
+//     level is overwritten.
+//  2. Level by level from the lowest, a collected vertex v at level ℓ
+//     keeps it when a neighbor in h at level ℓ−1 kept its own. Otherwise
+//     v is lost: its entry is cleared, it is listed with ℓ, and its
+//     neighbors at level ℓ+1 are collected in turn.
+//  3. Each lost vertex starts from its best neighbor that holds a level,
+//     each added edge is relaxed both ways, and one BFS bucketed by level
+//     settles everything from those starts, only ever lowering an entry.
+//
+// The result is exact. A row is h's BFS row iff every edge of h joins
+// two vertices at most one level apart (or two unreachable ones) and
+// every reachable vertex but the root has a neighbor one level closer.
+// After step 2 every entry left is the length of a path of h (a kept
+// vertex has a kept neighbor one level closer, down to the root), and
+// step 3 sets an entry only to one more than a neighbor's, so every entry
+// stays a path length and none falls below its distance. An edge of h can
+// join entries more than one apart only if it was added or an endpoint's
+// entry was cleared or lowered, and step 3 relaxes each such edge: an
+// added one both ways, a cleared vertex from all its neighbors, a settled
+// vertex to all of its own at its final level. So both conditions hold
+// at the end.
+func (r *rowRepair) row(d []int32, h *graph.Graph, delta spanner.Delta) int {
+	const unreached = graph.Unreachable
+	far := r.far[:0]
 	for _, e := range delta.Removed {
-		far := e.U
-		switch {
-		case d[e.U] == d[e.V]: // equal levels, or both unreachable
-			continue
-		case d[e.V] > d[e.U]:
-			far = e.V
-		}
-		if !slices.ContainsFunc(h.Neighbors(far), func(w int32) bool { return d[w] == d[far]-1 }) {
-			return true
+		// An old edge joins two reachable vertices or two unreachable
+		// ones, so unequal levels are both finite.
+		switch du, dv := d[e.U], d[e.V]; {
+		case du < dv:
+			far = append(far, leveled{e.V, dv})
+		case dv < du:
+			far = append(far, leveled{e.U, du})
 		}
 	}
-	return false
+	slices.SortFunc(far, byLevel)
+
+	// lose clears v's entry l and lists v when no neighbor holds l−1.
+	// Every lost vertex of level l−1 is cleared by then, so a neighbor
+	// that holds l−1 kept it.
+	lost := r.lost[:0]
+	lose := func(v, l int32) {
+		if d[v] != l { // lost already
+			return
+		}
+		for _, w := range h.Neighbors(v) {
+			if d[w] == l-1 {
+				return
+			}
+		}
+		d[v] = unreached
+		lost = append(lost, leveled{v, l})
+	}
+	// lost[head:tail] are the lost vertices of level l−1, whose
+	// neighbors at level l are collected after the far endpoints at l.
+	next, head := 0, 0
+	for l := int32(0); next < len(far) || head < len(lost); l++ {
+		if head == len(lost) {
+			l = far[next].d
+		}
+		tail := len(lost)
+		for ; next < len(far) && far[next].d == l; next++ {
+			lose(far[next].v, l)
+		}
+		for ; head < tail; head++ {
+			for _, y := range h.Neighbors(lost[head].v) {
+				lose(y, l)
+			}
+		}
+	}
+
+	seeds := r.seeds[:0]
+	for _, x := range lost {
+		best := unreached
+		for _, w := range h.Neighbors(x.v) {
+			if dw := d[w]; dw != unreached && (best == unreached || dw+1 < best) {
+				best = dw + 1
+			}
+		}
+		if best != unreached {
+			d[x.v] = best
+			seeds = append(seeds, leveled{x.v, best})
+		}
+	}
+	for _, e := range delta.Added {
+		for _, a := range [2][2]int32{{e.U, e.V}, {e.V, e.U}} {
+			if from, to := d[a[0]], d[a[1]]; from != unreached && (to == unreached || to > from+1) {
+				d[a[1]] = from + 1
+				seeds = append(seeds, leveled{a[1], from + 1})
+			}
+		}
+	}
+	slices.SortFunc(seeds, byLevel)
+
+	// Merge the sorted starts with the FIFO, so vertices settle in level
+	// order and each is settled once, at its final level; an entry
+	// lowered again after it was queued is skipped.
+	q := r.queue[:0]
+	changed := 0
+	for s, qi := 0, 0; s < len(seeds) || qi < len(q); {
+		var x leveled
+		if qi == len(q) || s < len(seeds) && seeds[s].d <= q[qi].d {
+			x, s = seeds[s], s+1
+		} else {
+			x, qi = q[qi], qi+1
+		}
+		if d[x.v] != x.d {
+			continue
+		}
+		changed++
+		for _, w := range h.Neighbors(x.v) {
+			if dw := d[w]; dw == unreached || dw > x.d+1 {
+				d[w] = x.d + 1
+				q = append(q, leveled{w, x.d + 1})
+			}
+		}
+	}
+	// Every vertex settled above changed, except a lost one that settled
+	// back at its old level; a lost one never settled is now unreachable.
+	for _, x := range lost {
+		switch d[x.v] {
+		case x.d:
+			changed--
+		case unreached:
+			changed++
+		}
+	}
+	r.far, r.lost, r.seeds, r.queue = far, lost, seeds, q
+	return changed
 }
 
 // Stats implements Backend.
@@ -252,6 +416,10 @@ func (b *landmarkBackend) attachMetrics(reg *obs.Registry, rl sync.Locker) {
 		"backend", label, b.pathBiBFS.Load)
 	reg.CounterFuncLabeled(metricPathBulk, "Batch queries answered exactly by the bulk multi-source BFS sweep.",
 		"backend", label, b.pathBulk.Load)
+	reg.CounterFuncLabeled(metricRepairVertices, "Landmark row entries a refresh's row repair changed.",
+		"backend", label, b.repairVertices.Load)
+	reg.CounterFuncLabeled(metricRootSweeps, "Landmark rows swept from scratch for a root new to the set.",
+		"backend", label, b.rootSweeps.Load)
 	reg.RegisterHistogram(metricFrontierMax,
 		"Largest single-side BFS frontier per exact search (vertices).", b.frontier)
 	reg.GaugeFunc(metricLandmarks, "Landmark BFS trees precomputed on H.",

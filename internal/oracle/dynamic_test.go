@@ -1,7 +1,6 @@
 package oracle
 
 import (
-	"runtime"
 	"slices"
 	"testing"
 
@@ -42,6 +41,9 @@ func TestDynamicMatchesFreshOracle(t *testing.T) {
 			info := d.Snapshot(true)
 			if !info.Verified || !info.Consistent {
 				t.Fatalf("%s step %d: snapshot verify failed: %+v", name, step, info)
+			}
+			if hm := d.HM(); hm != info.HM {
+				t.Fatalf("%s step %d: HM() = %d, snapshot HM %d", name, step, hm, info.HM)
 			}
 			s := d.inc.Spanner()
 			fresh, err := NewFromGraphs(s.Base, s.H, spanner.IncrementalAlpha, opts)
@@ -339,14 +341,74 @@ func TestUpdateStageHistograms(t *testing.T) {
 	}
 }
 
+// The landmark refresh counters, pinned on an update stream in which the
+// hub moves: oracle_landmark_repair_vertices_total counts the entries of
+// rows whose root stayed that the refresh changed, and
+// oracle_landmark_root_sweeps_total the roots new to the set.
+func TestLandmarkRefreshCounters(t *testing.T) {
+	base, err := gen.RandomRegular(64, 6, rng.New(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	d, err := NewDynamic(base, DynamicOptions{
+		Spanner: spanner.IncrementalOptions{Seed: 0xfeed},
+		Oracle:  Options{Backend: BackendLandmarkBiBFS, Seed: 17, Landmarks: 8, SampleEvery: -1, Registry: reg},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb := d.backend.(*landmarkBackend)
+	n := base.N()
+	r := rng.New(31)
+	var repaired, swept int64
+	moves := 0
+	for step := 0; step < 150; step++ {
+		u, v := int32(r.Intn(n)), int32(r.Intn(n))
+		if u == v {
+			continue
+		}
+		roots, rows := slices.Clone(lb.lm.roots), slices.Clone(lb.lm.dist.Data())
+		if res, err := d.Update(u, v, !d.g.HasEdge(u, v)); err != nil || !res.Applied {
+			t.Fatalf("step %d: update (%d,%d) = %+v, %v", step, u, v, res, err)
+		}
+		if !slices.Equal(lb.lm.roots, roots) {
+			moves++
+		}
+		for i, root := range lb.lm.roots {
+			j, kept := slices.BinarySearch(roots, root)
+			if !kept {
+				swept++
+				continue
+			}
+			for x, dx := range lb.lm.dist.Row(i) {
+				if dx != rows[j*n+x] {
+					repaired++
+				}
+			}
+		}
+	}
+	snap := reg.Snapshot()
+	got := func(name string) int64 { return snap.Counters[backendKey(name, BackendLandmarkBiBFS)] }
+	t.Logf("%d root-set changes, %d rows swept, %d entries repaired", moves, swept, repaired)
+	if moves == 0 || repaired == 0 {
+		t.Fatal("the stream moved no hub or repaired no entry")
+	}
+	if got(metricRepairVertices) != repaired || got(metricRootSweeps) != swept {
+		t.Fatalf("counters read %d repaired entries and %d swept rows, want %d and %d",
+			got(metricRepairVertices), got(metricRootSweeps), repaired, swept)
+	}
+}
+
 // An applied update is the repair plus the backend's delta refresh over
-// the live graphs, with no copy of either: toggling a base edge outside
-// the spanner (an empty H-edge delta) allocates under 1 KiB per update
-// whatever n, most of it the landmark roots' re-selection, far below one
-// copy of H (18 KiB at n=256 and 138 KiB at n=2048 on these 8-regular
-// graphs).
+// the live graphs, with no copy of either (one copy of H would be 18 KiB
+// at n=256 and 138 KiB at n=2048 on these 8-regular graphs). While the
+// landmark root set stays it allocates nothing at all: toggling a base
+// edge outside the spanner gives an empty H-edge delta, and toggling a
+// spanner edge a non-empty one that every landmark row is repaired from.
+// The roots are kept from the delta, so their re-selection no longer
+// allocates either.
 func TestUpdateAllocatesNoCopy(t *testing.T) {
-	const maxBytes = 2048
 	for _, n := range []int{256, 2048} {
 		g, err := gen.RandomRegular(n, 8, rng.New(uint64(n)))
 		if err != nil {
@@ -359,24 +421,43 @@ func TestUpdateAllocatesNoCopy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		i := slices.IndexFunc(g.Edges(), func(e graph.Edge) bool { return !d.h.HasEdge(e.U, e.V) })
-		if i < 0 {
-			t.Fatalf("n=%d: every base edge is in the spanner", n)
+		lb := d.backend.(*landmarkBackend)
+		edges := g.Edges()
+		outside := slices.IndexFunc(edges, func(e graph.Edge) bool { return !d.h.HasEdge(e.U, e.V) })
+		inside := slices.IndexFunc(edges, func(e graph.Edge) bool {
+			return d.h.HasEdge(e.U, e.V) && e.U != lb.hub && e.V != lb.hub
+		})
+		if outside < 0 || inside < 0 {
+			t.Fatalf("n=%d: no base edge outside the spanner (%d) or inside it away from the hub (%d)", n, outside, inside)
 		}
-		e, hm := g.Edges()[i], d.h.M()
-		const toggles = 50
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		for k := 0; k < toggles; k++ {
-			for _, add := range []bool{false, true} {
-				if res, err := d.Update(e.U, e.V, add); err != nil || !res.Applied || res.HM != hm {
-					t.Fatalf("n=%d: toggling %v (add=%v) = %+v, %v; want applied with HM %d", n, e, add, res, err, hm)
+		for _, tc := range []struct {
+			name string
+			e    graph.Edge
+			inH  bool
+		}{{"outside H", edges[outside], false}, {"in H", edges[inside], true}} {
+			e, hm, sweeps := tc.e, d.h.M(), lb.rootSweeps.Load()
+			toggle := func() {
+				for _, add := range []bool{false, true} {
+					res, err := d.Update(e.U, e.V, add)
+					// A spanner edge leaves H with its delete; either way
+					// the insert restores H.
+					if err != nil || !res.Applied || tc.inH && d.h.HasEdge(e.U, e.V) != add ||
+						(add || !tc.inH) && res.HM != hm {
+						t.Fatalf("n=%d %s: toggling %v (add=%v) = %+v, %v; want applied and H restored to %d edges",
+							n, tc.name, e, add, res, err, hm)
+					}
 				}
 			}
-		}
-		runtime.ReadMemStats(&m1)
-		if b := (m1.TotalAlloc - m0.TotalAlloc) / (2 * toggles); b > maxBytes {
-			t.Errorf("n=%d: an update allocates %d bytes, want at most %d", n, b, maxBytes)
+			allocs := testing.AllocsPerRun(50, toggle)
+			if d.h.M() != hm || d.h.HasEdge(e.U, e.V) != tc.inH {
+				t.Fatalf("n=%d %s: the toggles did not restore the spanner", n, tc.name)
+			}
+			if got := lb.rootSweeps.Load(); got != sweeps {
+				t.Fatalf("n=%d %s: the toggles changed the root set (%d rows swept)", n, tc.name, got-sweeps)
+			}
+			if allocs != 0 {
+				t.Errorf("n=%d %s: an update pair allocates %v times, want 0", n, tc.name, allocs)
+			}
 		}
 	}
 }

@@ -33,37 +33,56 @@ func buildLandmarkTable(h *graph.Graph, k int, seed uint64) *landmarkTable {
 }
 
 // selectLandmarks picks the sorted landmark set of a graph with n ≥ 1
-// vertices, deterministically in (seed, h): the highest-degree vertex
-// (lowest id on ties) is always a landmark — hub coverage matters most
-// for the bound's quality — and the remaining k−1 (k clamped to [1, n])
-// are a uniform sample from the rest of the vertex set drawn from a
-// seed-keyed stream.
+// vertices, deterministically in (seed, h): the hub (hubOf) is always a
+// landmark — hub coverage matters most for the bound's quality — and the
+// remaining k−1 (k clamped to [1, n]) are a uniform sample from the rest
+// of the vertex set (landmarkSample, placed around the hub by
+// placeLandmarks).
 func selectLandmarks(h *graph.Graph, k int, seed uint64) []int32 {
-	n := h.N()
-	if k > n {
-		k = n
-	}
-	if k < 1 {
-		k = 1
-	}
+	return placeLandmarks(nil, hubOf(h), landmarkSample(h.N(), k, seed))
+}
+
+// hubOf returns the highest-degree vertex of h (lowest id on ties).
+func hubOf(h *graph.Graph) int32 {
 	hub := int32(0)
-	for v := int32(1); v < int32(n); v++ {
+	for v := int32(1); v < int32(h.N()); v++ {
 		if h.Degree(v) > h.Degree(hub) {
 			hub = v
 		}
 	}
-	roots := make([]int32, 0, k)
-	roots = append(roots, hub)
-	if k > 1 {
-		r := rng.New(seed ^ 0x0a11c0de0a11c0de)
-		for _, v := range r.Sample(n-1, k-1) {
-			// Sample over [0, n−1) skipping the hub's slot.
-			id := int32(v)
-			if id >= hub {
-				id++
-			}
-			roots = append(roots, id)
+	return hub
+}
+
+// landmarkSample draws the non-hub landmark slots of a graph with n ≥ 1
+// vertices: k−1 distinct values of [0, n−1) (k clamped to [1, n]) from a
+// seed-keyed stream. They depend on (seed, n, k) alone, so a graph whose
+// hub moves keeps its slots; placeLandmarks maps them to vertices.
+func landmarkSample(n, k int, seed uint64) []int32 {
+	if k > n {
+		k = n
+	}
+	if k <= 1 {
+		return nil
+	}
+	slots := rng.New(seed^0x0a11c0de0a11c0de).Sample(n-1, k-1)
+	sample := make([]int32, len(slots))
+	for i, v := range slots {
+		sample[i] = int32(v)
+	}
+	return sample
+}
+
+// placeLandmarks writes the sorted landmark set of hub and the sampled
+// slots into roots[:0] and returns it: the hub, and each slot s as vertex
+// s when s < hub and s+1 otherwise, so the slots range over every vertex
+// but the hub.
+func placeLandmarks(roots []int32, hub int32, sample []int32) []int32 {
+	roots = append(roots[:0], hub)
+	for _, s := range sample {
+		if s >= hub {
+			s++
 		}
+		roots = append(roots, s)
 	}
 	sortInt32(roots)
 	return roots

@@ -76,6 +76,11 @@ const (
 	metricBackendBound  = "oracle_backend_stretch_bound"
 	metricBackendMemory = "oracle_backend_memory_bytes"
 
+	// Landmark refresh work: row entries the repair changed, and rows
+	// swept from scratch for a new root.
+	metricRepairVertices = "oracle_landmark_repair_vertices"
+	metricRootSweeps     = "oracle_landmark_root_sweeps"
+
 	// Update-stage histograms, registered by NewDynamic only.
 	metricUpdateRepair  = "oracle_update_stage_repair_seconds"
 	metricUpdateRefresh = "oracle_update_stage_refresh_seconds"
@@ -366,6 +371,15 @@ func (o *Oracle) Registry() *obs.Registry { return o.reg }
 // N returns the number of vertices the oracle serves — queries must have
 // both endpoints in [0, N). Updates never change it.
 func (o *Oracle) N() int { return o.n }
+
+// HM returns the served spanner's edge count, the figure Snapshot
+// reports as HM, read under the read lock without copying or hashing
+// either graph.
+func (o *Oracle) HM() int {
+	o.mu.RLock()
+	defer o.mu.RUnlock()
+	return o.h.M()
+}
 
 // Backend returns the name of the serving backend — the explicit
 // Options.Backend choice, or the auto-tuner's pick.
