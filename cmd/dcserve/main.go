@@ -71,7 +71,7 @@ func main() {
 	maxLine := flag.Int("maxline", server.DefaultMaxLineBytes, "request line length limit in bytes")
 	maxBatch := flag.Int("maxbatch", server.DefaultMaxBatch, "largest accepted 'batch <n>'")
 	idle := flag.Duration("idle", server.DefaultIdleTimeout, "per-connection idle read deadline (negative disables)")
-	writeTO := flag.Duration("writetimeout", server.DefaultWriteTimeout, "per-response write deadline (negative disables)")
+	writeTO := flag.Duration("writetimeout", server.DefaultWriteTimeout, "write deadline, armed before each write to the connection (negative disables)")
 	drain := flag.Duration("drain", server.DefaultDrainTimeout, "graceful-shutdown budget before force-closing connections")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /healthz, /debug/pprof, and /debug/requests on this HTTP address (e.g. 127.0.0.1:0)")
 	traceSample := flag.Int("trace-sample", 0, "server-side trace every Nth binary request (0 = only client-requested traces)")

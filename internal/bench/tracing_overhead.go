@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"time"
+
 	"repro/internal/obs"
 	"repro/internal/oracle"
 	"repro/internal/rng"
@@ -59,7 +61,7 @@ func prepareTracingOverhead(opt Options, reg *obs.Registry) (Iter, error) {
 			oracles[workers] = o
 		}
 		plain := o.AnswerBatchTrace(qs, nil) // untraced arm
-		tr := obs.NewReqTrace(0)             // sampled arm
+		tr := obs.NewReqTrace(0, time.Now()) // sampled arm
 		tr.SetVerb("batch", "bench")
 		traced := o.AnswerBatchTrace(qs, tr)
 		tr.Finish(flight, "")

@@ -1,6 +1,8 @@
 package check
 
 import (
+	"time"
+
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/oracle"
@@ -63,7 +65,7 @@ func checkSampler(rep *Report, family string, g *graph.Graph, v variant, distG, 
 		if !ck.assert(err == nil, "NewFromGraphs: %v", err) {
 			continue
 		}
-		tr := obs.NewReqTrace(1)
+		tr := obs.NewReqTrace(1, time.Now())
 		if arm.chunk == 0 {
 			for _, q := range qs {
 				o.DistTrace(q.U, q.V, tr) // out-of-range queries error, as intended

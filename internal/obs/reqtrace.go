@@ -93,14 +93,16 @@ type ReqTrace struct {
 	hops   []Hop
 }
 
-// NewReqTrace starts a trace. id 0 allocates a fresh trace id; a nonzero
-// id continues a trace started by an upstream process (the wire carries
-// it).
-func NewReqTrace(id uint64) *ReqTrace {
+// NewReqTrace starts a trace at start, the instant the request arrived
+// (a server passes the time its bytes came off the socket, which may be
+// before the trace is created). id 0 allocates a fresh trace id; a
+// nonzero id continues a trace started by an upstream process (the wire
+// carries it).
+func NewReqTrace(id uint64, start time.Time) *ReqTrace {
 	if id == 0 {
 		id = NewTraceID()
 	}
-	return &ReqTrace{id: id, start: time.Now()}
+	return &ReqTrace{id: id, start: start}
 }
 
 // ID returns the trace id (0 on nil).

@@ -69,7 +69,7 @@ func TestNilReqTraceSafe(t *testing.T) {
 }
 
 func TestReqTraceLifecycle(t *testing.T) {
-	tr := NewReqTrace(0x42)
+	tr := NewReqTrace(0x42, time.Now())
 	if tr.ID() != 0x42 {
 		t.Fatalf("continued id = %x, want 42", tr.ID())
 	}
@@ -123,7 +123,7 @@ func TestReqTraceLifecycle(t *testing.T) {
 }
 
 func TestReqTraceFreshIDAndErr(t *testing.T) {
-	tr := NewReqTrace(0)
+	tr := NewReqTrace(0, time.Now())
 	if tr.ID() == 0 {
 		t.Fatal("fresh trace got id 0")
 	}
@@ -145,7 +145,7 @@ func TestReqTraceFreshIDAndErr(t *testing.T) {
 // TestReqTraceConcurrent mirrors the router's fan-out: shard goroutines
 // appending hops and ORing path bits into one trace. Run under -race.
 func TestReqTraceConcurrent(t *testing.T) {
-	tr := NewReqTrace(0)
+	tr := NewReqTrace(0, time.Now())
 	const shards = 8
 	var wg sync.WaitGroup
 	for s := 0; s < shards; s++ {

@@ -305,7 +305,7 @@ func TestRouterTracedFanout(t *testing.T) {
 	ref := refOracle(t)
 
 	qs := testQueries(64)
-	tr := obs.NewReqTrace(0)
+	tr := obs.NewReqTrace(0, time.Now())
 	got, err := r.AnswerBatchTrace(qs, tr)
 	if err != nil {
 		t.Fatalf("AnswerBatchTrace: %v", err)
@@ -339,7 +339,7 @@ func TestRouterTracedFanout(t *testing.T) {
 		t.Error("batch trace carries no resolution-path bits")
 	}
 
-	tr2 := obs.NewReqTrace(0)
+	tr2 := obs.NewReqTrace(0, time.Now())
 	if _, err := r.DistTrace(3, 9, tr2); err != nil {
 		t.Fatalf("DistTrace: %v", err)
 	}

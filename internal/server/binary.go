@@ -13,19 +13,23 @@ import (
 	"repro/internal/wire"
 )
 
-// maxBinaryInflight bounds concurrently executing requests per binary
-// connection. Pipelining is the point of the frame protocol — a router
-// keeps several batches in flight on one pooled connection — but one
-// connection must not be able to occupy the whole process.
+// maxBinaryInflight bounds the frames of one binary connection that run
+// on pooled handler goroutines at once: batch and snapshot frames, and
+// every frame of a server over another Backend. Pipelining is the point of
+// the frame protocol — a router keeps several batches in flight on one
+// pooled connection — but one connection must not be able to occupy the
+// whole process.
 const maxBinaryInflight = 8
 
-// binSession is one binary (internal/wire) connection's state. Requests
-// run concurrently up to maxBinaryInflight and may complete out of order;
-// responses are serialized by wmu.
+// binSession is one binary (internal/wire) connection's state. The reader
+// goroutine answers the frames an in-process oracle answers in
+// microseconds itself, in order, and hands the others to at most
+// maxBinaryInflight pooled handlers, which may complete out of order.
+// Responses are buffered in w under wmu and flushed once per burst: when
+// the reader has no whole frame left in its read buffer, and when a
+// pooled handler finishes.
 type binSession struct {
 	srv *Server
-	br  *bufio.Reader
-	dl  deadliner
 
 	wmu sync.Mutex
 	w   *bufio.Writer
@@ -40,37 +44,43 @@ type binSession struct {
 // in-flight requests, and lets their responses flush — same discipline as
 // the text session.
 func (s *Server) runBinarySession(br *bufio.Reader, out io.Writer, dl deadliner) {
-	bs := &binSession{srv: s, br: br, dl: dl, w: bufio.NewWriterSize(out, 16<<10)}
+	bs := &binSession{srv: s, w: bufio.NewWriterSize(out, 16<<10)}
 
 	var hello [wire.HelloLen]byte
 	if _, err := io.ReadFull(br, hello[:]); err != nil {
 		return
 	}
-	cMin, cMax, err := wire.ParseHello(hello[:])
-	if err != nil {
-		s.counters.Add("errs", 1)
-		bs.writeRaw(wire.AppendHelloReply(nil, 0))
-		return
+	var version uint16 // 0 refuses the connection
+	if cMin, cMax, err := wire.ParseHello(hello[:]); err == nil {
+		version, _ = wire.Negotiate(cMin, cMax, wire.VersionMin, wire.VersionMax)
 	}
-	version, ok := wire.Negotiate(cMin, cMax, wire.VersionMin, wire.VersionMax)
-	if !ok {
+	if version == 0 {
 		s.counters.Add("errs", 1)
-		bs.writeRaw(wire.AppendHelloReply(nil, 0))
-		return
 	}
-	if !bs.writeRaw(wire.AppendHelloReply(nil, version)) {
+	bs.w.Write(wire.AppendHelloReply(nil, version)) // a failed write surfaces at the flush
+	bs.flush()
+	if version == 0 || bs.broken.Load() {
 		return
 	}
 
 	sem := make(chan struct{}, maxBinaryInflight)
+	limit := wire.FrameLimit(s.cfg.MaxBatch)
+	var readAt time.Time // when the current burst came off the socket
 	for {
+		blocking := !wire.FrameBuffered(br)
+		if blocking {
+			// The burst is answered: send its responses before a read
+			// that can wait, and start the idle clock only for such a read.
+			bs.flush()
+			s.armIdle(dl)
+		}
+		// Checked after arming: Serve's drain stores draining before it
+		// expires every read deadline, so a drain whose expired deadline
+		// the arm just overwrote is seen here.
 		if s.draining.Load() || bs.broken.Load() {
 			break
 		}
-		if dl != nil && s.cfg.IdleTimeout > 0 {
-			dl.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
-		}
-		f, err := wire.ReadFrame(br, wire.FrameLimit(s.cfg.MaxBatch))
+		f, err := wire.ReadFrame(br, limit)
 		if err != nil {
 			switch {
 			case isTimeout(err) && !s.draining.Load():
@@ -83,42 +93,65 @@ func (s *Server) runBinarySession(br *bufio.Reader, out io.Writer, dl deadliner)
 			}
 			break
 		}
+		if blocking {
+			readAt = time.Now()
+		}
 		s.counters.Add("requests", 1)
-		// Trace decision happens at receipt so the queue hop covers the
-		// time spent waiting behind the pipelining semaphore.
-		tr := bs.maybeTrace(f)
+		// Every frame of a burst is traced from the burst's read, so the
+		// queue hop covers the wait behind earlier frames of the burst and
+		// behind the pipelining semaphore.
+		tr := bs.maybeTrace(f, readAt)
+		if bs.inline(f.Type) {
+			bs.handle(f, tr)
+			continue
+		}
 		sem <- struct{}{}
 		bs.wg.Add(1)
 		go func(f wire.Frame, tr *obs.ReqTrace) {
 			defer func() { <-sem; bs.wg.Done() }()
 			bs.handle(f, tr)
+			bs.flush()
 		}(f, tr)
 	}
 	bs.wg.Wait()
+	bs.flush()
+}
+
+// inline reports whether a frame of type typ is answered on the reader
+// goroutine. An in-process oracle answers a dist, update, info or stats
+// frame in microseconds, less than a handler goroutine costs; a batch or
+// a snapshot (which may rebuild the spanner) runs long enough to hold up
+// the frames behind it, so it keeps the pool. A server over another
+// Backend pools every frame: the router's Dist is a round trip to a
+// worker, and answering it inline would serialize a connection's
+// pipelined dists.
+func (bs *binSession) inline(typ byte) bool {
+	return bs.srv.o != nil && typ != wire.MsgBatch && typ != wire.MsgSnap
 }
 
 // maybeTrace decides whether this request is traced: data requests
 // (dist/batch) are traced when the client set the wire sampling bit, or
 // when the server-side 1-in-N sampler elects them. A client-carried trace
-// id is continued; server-elected traces mint a fresh id.
-func (bs *binSession) maybeTrace(f wire.Frame) *obs.ReqTrace {
+// id is continued; server-elected traces mint a fresh id. The trace
+// starts at readAt, when the frame's bytes came off the socket.
+func (bs *binSession) maybeTrace(f wire.Frame, readAt time.Time) *obs.ReqTrace {
 	if f.Type != wire.MsgDist && f.Type != wire.MsgBatch {
 		return nil
 	}
 	if f.Trace.Sampled() {
-		return obs.NewReqTrace(f.Trace.ID)
+		return obs.NewReqTrace(f.Trace.ID, readAt)
 	}
 	if bs.srv.shouldSample() {
-		return obs.NewReqTrace(0)
+		return obs.NewReqTrace(0, readAt)
 	}
 	return nil
 }
 
-// handle answers one request frame. Runs on its own goroutine; everything
-// it touches is either owned (the frame — ReadFrame allocates per frame)
-// or internally synchronized. tr is nil for untraced requests; all
-// tracing calls below are nil-safe, so the untraced path pays only the
-// nil checks.
+// handle answers one request frame, on the reader goroutine or on a
+// pooled handler; everything it touches is either owned (the frame —
+// ReadFrame allocates per frame) or internally synchronized. tr is nil
+// for untraced requests; all tracing calls below are nil-safe, so the
+// untraced path pays only the nil checks.
 func (bs *binSession) handle(f wire.Frame, tr *obs.ReqTrace) {
 	srv := bs.srv
 	switch f.Type {
@@ -253,44 +286,30 @@ func (bs *binSession) respondErr(id uint64, msg string) {
 	bs.writeFrame(wire.Frame{Type: wire.MsgErr, ID: id, Payload: []byte(msg)})
 }
 
-// writeFrame sends one response frame under the write deadline. A write
-// error marks the session broken; later writes become no-ops and the read
-// loop exits at its next iteration.
+// writeFrame queues one response frame. A frame larger than the
+// writer's free space goes out at once, under the write deadline the
+// connection's writer arms before each write. A write error marks the
+// session broken; later writes become no-ops and the read loop exits at
+// its next iteration.
 func (bs *binSession) writeFrame(f wire.Frame) {
 	bs.wmu.Lock()
 	defer bs.wmu.Unlock()
 	if bs.broken.Load() {
 		return
 	}
-	bs.armWriteDeadline()
-	err := wire.WriteFrame(bs.w, f, wire.FrameLimit(bs.srv.cfg.MaxBatch))
-	if err == nil {
-		err = bs.w.Flush()
-	}
-	if err != nil {
+	if err := wire.WriteFrame(bs.w, f, wire.FrameLimit(bs.srv.cfg.MaxBatch)); err != nil {
 		bs.broken.Store(true)
 	}
 }
 
-// writeRaw sends pre-encoded bytes (the hello reply) under the write
-// deadline, reporting success.
-func (bs *binSession) writeRaw(b []byte) bool {
+// flush sends the queued responses; with none queued it writes nothing.
+func (bs *binSession) flush() {
 	bs.wmu.Lock()
 	defer bs.wmu.Unlock()
-	bs.armWriteDeadline()
-	_, err := bs.w.Write(b)
-	if err == nil {
-		err = bs.w.Flush()
+	if bs.broken.Load() {
+		return
 	}
-	if err != nil {
+	if err := bs.w.Flush(); err != nil {
 		bs.broken.Store(true)
-		return false
-	}
-	return true
-}
-
-func (bs *binSession) armWriteDeadline() {
-	if bs.dl != nil && bs.srv.cfg.WriteTimeout > 0 {
-		bs.dl.SetWriteDeadline(time.Now().Add(bs.srv.cfg.WriteTimeout))
 	}
 }

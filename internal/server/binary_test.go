@@ -1,7 +1,10 @@
 package server
 
 import (
+	"bytes"
+	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -126,23 +129,38 @@ func TestBinaryErrors(t *testing.T) {
 	}
 }
 
-// TestBinaryFrameCorruptionCloses sends a frame with an oversized length
-// prefix and expects MsgErr id 0 followed by a close.
-func TestBinaryFrameCorruptionCloses(t *testing.T) {
-	srv := New(testOracle(t), Config{})
-	addr, _, _ := startTCP(t, srv)
-
+// dialBinary opens a raw binary connection and completes the handshake,
+// for tests that write frame bytes themselves. The connection carries a
+// 10 s deadline, so a server that never answers fails the test.
+func dialBinary(t testing.TB, addr string) net.Conn {
+	t.Helper()
 	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	defer conn.Close()
+	t.Cleanup(func() { conn.Close() })
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
 	conn.Write(wire.AppendHello(nil, wire.VersionMin, wire.VersionMax))
 	var reply [wire.HelloLen]byte
 	if _, err := io.ReadFull(conn, reply[:]); err != nil {
 		t.Fatalf("hello reply: %v", err)
 	}
+	return conn
+}
+
+// distFrame encodes one dist request frame.
+func distFrame(id uint64, u, v int32, tc wire.TraceContext) []byte {
+	return wire.AppendFrame(nil, wire.Frame{Type: wire.MsgDist, ID: id, Trace: tc,
+		Payload: wire.AppendQuery(nil, oracle.Query{U: u, V: v})})
+}
+
+// TestBinaryFrameCorruptionCloses sends a frame with an oversized length
+// prefix and expects MsgErr id 0 followed by a close.
+func TestBinaryFrameCorruptionCloses(t *testing.T) {
+	srv := New(testOracle(t), Config{})
+	addr, _, _ := startTCP(t, srv)
+	conn := dialBinary(t, addr)
+
 	// 512 MiB length prefix: over any sane frame limit.
 	conn.Write(binary.BigEndian.AppendUint32(nil, 1<<29))
 
@@ -245,5 +263,251 @@ func TestServeStreamStillText(t *testing.T) {
 	lines := runScript(t, srv, "dist 0 1\nquit\n")
 	if len(lines) != 1 || !strings.HasPrefix(lines[0], "dist 0 1 = ") {
 		t.Fatalf("text-over-stream broke: %q", lines)
+	}
+}
+
+// writeCounter is an io.Writer that counts the writes reaching it.
+type writeCounter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// TestBinaryBurstFlushesOnce: dist frames that arrive together are
+// answered from the read buffer and their responses leave in one write,
+// in request order, each equal to the oracle's answer.
+func TestBinaryBurstFlushesOnce(t *testing.T) {
+	o := testOracle(t)
+	srv := New(o, Config{})
+	const n = 32
+	in := wire.AppendHello(nil, wire.VersionMin, wire.VersionMax)
+	for i := 0; i < n; i++ {
+		in = append(in, distFrame(uint64(i+1), int32(i), int32(3*i+1), wire.TraceContext{})...)
+	}
+	var out writeCounter
+	srv.ServeStream(context.Background(), bytes.NewReader(in), &out)
+	if out.writes != 2 {
+		t.Fatalf("%d pipelined dist frames took %d writes after the hello reply, want 1", n, out.writes-1)
+	}
+
+	resp := bytes.NewReader(out.Bytes()[wire.HelloLen:])
+	for i := 0; i < n; i++ {
+		f, err := wire.ReadFrame(resp, 0)
+		if err != nil {
+			t.Fatalf("response %d: %v", i, err)
+		}
+		a, err := wire.DecodeAnswer(f.Payload)
+		if err != nil || f.Type != wire.MsgDistR || f.ID != uint64(i+1) {
+			t.Fatalf("response %d: frame %+v (%v), want a dist answer for id %d", i, f, err, i+1)
+		}
+		want, err := o.Dist(int32(i), int32(3*i+1))
+		if err != nil || a != want {
+			t.Fatalf("response %d answered %+v, want %+v (%v)", i, a, want, err)
+		}
+	}
+}
+
+// blockingBackend serves an oracle, except that its Dist for the pair
+// block waits until release is closed.
+type blockingBackend struct {
+	Backend
+	block   oracle.Query
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (b *blockingBackend) Dist(u, v int32) (oracle.Answer, error) {
+	if u == b.block.U && v == b.block.V {
+		close(b.entered)
+		<-b.release
+	}
+	return b.Backend.Dist(u, v)
+}
+
+// TestBinaryFrontDoorKeepsPipelining: a server over another Backend
+// (dcrouter's front door, whose Dist is a worker round trip) answers a
+// dist frame while an earlier one on the same connection is still in
+// its backend.
+func TestBinaryFrontDoorKeepsPipelining(t *testing.T) {
+	b := &blockingBackend{Backend: oracleBackend{testOracle(t)}, block: oracle.Query{U: 0, V: 1},
+		entered: make(chan struct{}), release: make(chan struct{})}
+	var once sync.Once
+	release := func() { once.Do(func() { close(b.release) }) }
+	defer release()
+	addr, _, _ := startTCP(t, NewBackend(b, Config{}))
+	c := dialWire(t, addr)
+
+	slow := make(chan error, 1)
+	go func() {
+		_, err := c.Dist(0, 1)
+		slow <- err
+	}()
+	select {
+	case <-b.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the blocking dist never reached the backend")
+	}
+	fast := make(chan error, 1)
+	go func() {
+		a, err := c.Dist(2, 3)
+		if err == nil && (a.U != 2 || a.V != 3) {
+			err = fmt.Errorf("answered for (%d,%d)", a.U, a.V)
+		}
+		fast <- err
+	}()
+	select {
+	case err := <-fast:
+		if err != nil {
+			t.Fatalf("dist behind a blocked one: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a dist frame behind one blocked in the backend went unanswered")
+	}
+	release()
+	if err := <-slow; err != nil {
+		t.Fatalf("blocked dist after release: %v", err)
+	}
+}
+
+// TestBinaryIdleTimeout: a binary connection that sends a whole frame and
+// half of the next, then nothing, gets the whole frame answered at once —
+// the read that waits for the rest must not hold its response — and then
+// the idle-timeout error frame and a close.
+func TestBinaryIdleTimeout(t *testing.T) {
+	const idle = time.Second
+	srv := New(testOracle(t), Config{IdleTimeout: idle})
+	addr, _, _ := startTCP(t, srv)
+	conn := dialBinary(t, addr)
+
+	half := distFrame(2, 2, 3, wire.TraceContext{})
+	if _, err := conn.Write(append(distFrame(1, 0, 1, wire.TraceContext{}), half[:len(half)/2]...)); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	conn.SetReadDeadline(time.Now().Add(idle / 2))
+	if resp, err := wire.ReadFrame(conn, 0); err != nil || resp.Type != wire.MsgDistR || resp.ID != 1 {
+		t.Fatalf("whole frame before the half one: got %+v, %v; want its answer before the idle timeout", resp, err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	resp, err := wire.ReadFrame(conn, 0)
+	if err != nil {
+		t.Fatalf("reading the idle-timeout frame: %v", err)
+	}
+	if resp.Type != wire.MsgErr || resp.ID != 0 || string(resp.Payload) != "idle timeout, closing connection" {
+		t.Fatalf("got frame %+v (%q), want the idle-timeout error", resp, resp.Payload)
+	}
+	if _, err := wire.ReadFrame(conn, 0); !errors.Is(err, io.EOF) {
+		t.Fatalf("connection not closed after the idle timeout: %v", err)
+	}
+	if got := srv.Counter("timeouts"); got != 1 {
+		t.Fatalf("timeouts counter = %d, want 1", got)
+	}
+}
+
+// TestBinaryStaleWriteDeadline: a response larger than the session's
+// 16 KiB write buffer, sent after the connection idled past
+// WriteTimeout, arrives whole. The buffer spills it to the socket before
+// any flush, so the deadline must be armed for that write too, not left
+// over from the last flush.
+func TestBinaryStaleWriteDeadline(t *testing.T) {
+	o := testOracle(t)
+	srv := New(o, Config{WriteTimeout: 50 * time.Millisecond})
+	addr, _, _ := startTCP(t, srv)
+	c := dialWire(t, addr)
+
+	if _, err := c.Dist(0, 1); err != nil {
+		t.Fatalf("Dist: %v", err)
+	}
+	time.Sleep(150 * time.Millisecond)
+	qs := make([]oracle.Query, 2000) // a 34 KB answer
+	for i := range qs {
+		qs[i] = oracle.Query{U: int32(i % 128), V: int32(i * 7 % 128)}
+	}
+	got, err := c.Batch(qs)
+	if err != nil {
+		t.Fatalf("Batch after an idle spell: %v", err)
+	}
+	want := o.AnswerBatch(qs)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("answer %d: got %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// drainOnArm is a connection whose n-th SetReadDeadline call (counting
+// from 1) first runs the server's drain, the way Serve's drain runs if
+// it lands just before a session arms its idle deadline: the session's
+// deadline then overwrites the expired one.
+type drainOnArm struct {
+	net.Conn
+	srv   *Server
+	n     int
+	calls int
+}
+
+func (c *drainOnArm) SetReadDeadline(t time.Time) error {
+	c.calls++
+	if c.calls == c.n {
+		c.srv.draining.Store(true)
+		c.Conn.SetReadDeadline(time.Now())
+	}
+	return c.Conn.SetReadDeadline(t)
+}
+
+// tcpPair returns the two ends of one loopback TCP connection.
+func tcpPair(t testing.TB) (server, client net.Conn) {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	defer l.Close()
+	if client, err = net.DialTimeout("tcp", l.Addr().String(), 5*time.Second); err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	if server, err = l.Accept(); err != nil {
+		t.Fatalf("accept: %v", err)
+	}
+	t.Cleanup(func() { server.Close(); client.Close() })
+	return server, client
+}
+
+// TestDrainRaceWithReadArm: a drain that lands between a session's drain
+// check and its idle-deadline arm still ends the session at once, on the
+// sniff, in the text loop and in the binary loop, instead of leaving it
+// blocked until the idle timeout (here a minute).
+func TestDrainRaceWithReadArm(t *testing.T) {
+	o := testOracle(t)
+	cases := []struct {
+		name string
+		send []byte
+		n    int // the arm the drain lands on
+	}{
+		{"sniff", nil, 1},
+		{"text", []byte("dist 0"), 2},
+		{"binary", wire.AppendHello(nil, wire.VersionMin, wire.VersionMax), 2},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			srv := New(o, Config{IdleTimeout: time.Minute})
+			server, client := tcpPair(t)
+			if _, err := client.Write(c.send); err != nil {
+				t.Fatalf("write: %v", err)
+			}
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				srv.runSession(server, server, &drainOnArm{Conn: server, srv: srv, n: c.n})
+			}()
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("session kept reading after a drain that landed as it armed its idle deadline")
+			}
+		})
 	}
 }

@@ -19,6 +19,24 @@ type deadliner interface {
 	SetWriteDeadline(t time.Time) error
 }
 
+// deadlineWriter is a connection's write side with the write deadline
+// armed before every write. Sessions buffer their responses, and a
+// buffered writer reaches the connection on a flush or mid-write, when a
+// response outgrows its free space; arming here covers both, so no write
+// runs under a deadline armed for an earlier one that may have passed
+// while the connection sat idle.
+type deadlineWriter struct {
+	w       io.Writer
+	dl      deadliner
+	timeout time.Duration
+}
+
+// Write arms the write deadline, then writes p to the connection.
+func (d deadlineWriter) Write(p []byte) (int, error) {
+	d.dl.SetWriteDeadline(time.Now().Add(d.timeout))
+	return d.w.Write(p)
+}
+
 // session is one connection's protocol state.
 type session struct {
 	srv *Server
@@ -33,25 +51,24 @@ type session struct {
 // connection, an idle timeout, or a server drain.
 func (s *Server) runSession(in io.Reader, out io.Writer, dl deadliner) {
 	br := bufio.NewReaderSize(in, 4096)
-	if s.draining.Load() {
-		return
+	if dl != nil && s.cfg.WriteTimeout > 0 {
+		out = deadlineWriter{w: out, dl: dl, timeout: s.cfg.WriteTimeout}
 	}
 	// The sniff runs under the idle deadline like any other read: a
 	// connection that sends nothing is a slow loris whichever protocol it
 	// was going to speak. One byte suffices because the binary magic byte
 	// is non-ASCII — peeking more could hang an interactive text client
 	// that typed a short line.
-	if dl != nil && s.cfg.IdleTimeout > 0 {
-		dl.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
+	s.armIdle(dl)
+	// Checked after arming, like every session read; see armIdle.
+	if s.draining.Load() {
+		return
 	}
 	first, err := br.Peek(1)
 	if err != nil {
 		if isTimeout(err) && !s.draining.Load() {
 			s.counters.Add("timeouts", 1)
 			s.counters.Add("errs", 1)
-			if dl != nil && s.cfg.WriteTimeout > 0 {
-				dl.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-			}
 			io.WriteString(out, "err idle timeout, closing connection\n")
 		}
 		return
@@ -69,12 +86,12 @@ func (s *Server) runSession(in io.Reader, out io.Writer, dl deadliner) {
 // is answered before the connection closes.
 func (s *Server) runTextSession(in io.Reader, out io.Writer, dl deadliner) {
 	sess := &session{srv: s, rd: newLineReader(in, s.cfg.MaxLineBytes), w: bufio.NewWriter(out), dl: dl}
-	defer sess.flush()
+	defer sess.w.Flush()
 	for {
+		s.armIdle(dl)
 		if s.draining.Load() {
 			return
 		}
-		sess.armReadDeadline()
 		line, tooLong, err := sess.rd.readLine()
 		if tooLong {
 			s.counters.Add("toolong", 1)
@@ -108,10 +125,14 @@ func (s *Server) runTextSession(in io.Reader, out io.Writer, dl deadliner) {
 	}
 }
 
-// armReadDeadline starts the idle clock for the next read.
-func (sess *session) armReadDeadline() {
-	if sess.dl != nil && sess.srv.cfg.IdleTimeout > 0 {
-		sess.dl.SetReadDeadline(time.Now().Add(sess.srv.cfg.IdleTimeout))
+// armIdle starts the idle clock for a read that can block. A session
+// checks the drain after arming, never only before: Serve's drain stores
+// draining before it expires every read deadline, so a drain that lands
+// between a check and the arm — whose deadline overwrites the expired
+// one — is still seen by the check that follows.
+func (s *Server) armIdle(dl deadliner) {
+	if dl != nil && s.cfg.IdleTimeout > 0 {
+		dl.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
 	}
 }
 
@@ -121,19 +142,11 @@ func (sess *session) writeLine(line string) {
 	sess.w.WriteByte('\n')
 }
 
-// flush pushes queued response lines under the write deadline.
-func (sess *session) flush() error {
-	if sess.dl != nil && sess.srv.cfg.WriteTimeout > 0 {
-		sess.dl.SetWriteDeadline(time.Now().Add(sess.srv.cfg.WriteTimeout))
-	}
-	return sess.w.Flush()
-}
-
 // respond writes and flushes a single response line; a non-nil error means
 // the connection is unusable.
 func (sess *session) respond(line string) error {
 	sess.writeLine(line)
-	return sess.flush()
+	return sess.w.Flush()
 }
 
 // respondErrf answers "err <message>" and counts it.

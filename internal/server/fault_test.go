@@ -215,3 +215,40 @@ func TestTruncatedMaxBatchCostsNothing(t *testing.T) {
 		t.Fatalf("server unhealthy after truncated batch: %q", got)
 	}
 }
+
+// TestTextBatchAfterIdleWriteTimeout: a batch answer larger than the
+// text session's 4 KiB writer arrives whole after the connection sat idle
+// past WriteTimeout. The writer spills mid-batch, before the flush, so
+// the write deadline must be armed for that write, not left over from
+// the previous response.
+func TestTextBatchAfterIdleWriteTimeout(t *testing.T) {
+	o := testOracle(t)
+	srv := New(o, Config{WriteTimeout: 50 * time.Millisecond})
+	addr, _, _ := startTCP(t, srv)
+	c := dialClient(t, addr)
+
+	c.send("dist 0 1")
+	if got := c.readLine(); !strings.HasPrefix(got, "dist 0 1 = ") {
+		t.Fatalf("dist answered %q", got)
+	}
+	time.Sleep(150 * time.Millisecond)
+	const n = 300 // about 10 KB of answers
+	var req strings.Builder
+	fmt.Fprintf(&req, "batch %d\n", n)
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&req, "dist %d %d\n", i%128, (i*7+1)%128)
+	}
+	c.conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
+	if _, err := c.conn.Write([]byte(req.String())); err != nil {
+		t.Fatalf("write batch: %v", err)
+	}
+	for i := 0; i < n; i++ {
+		got, err := c.tryReadLine(5 * time.Second)
+		if err != nil {
+			t.Fatalf("batch line %d: %v", i, err)
+		}
+		if want := fmt.Sprintf("dist %d %d = ", i%128, (i*7+1)%128); !strings.HasPrefix(got, want) {
+			t.Fatalf("batch line %d = %q, want prefix %q", i, got, want)
+		}
+	}
+}

@@ -121,7 +121,7 @@ func (sess *session) handleTrace(fields []string) error {
 		return sess.respondErrf("%s", err)
 	}
 	srv := sess.srv
-	tr := obs.NewReqTrace(0)
+	tr := obs.NewReqTrace(0, time.Now())
 	tr.SetVerb("trace", fmt.Sprintf("u=%d v=%d", u, v))
 	ans, err := srv.distTrace(u, v, tr)
 	if err != nil {
@@ -164,7 +164,7 @@ func (sess *session) handleBatch(fields []string) error {
 	limit := int32(srv.b.N())
 	for i := 0; i < n; i++ {
 		resp = append(resp, "")
-		sess.armReadDeadline()
+		srv.armIdle(sess.dl)
 		line, tooLong, rerr := sess.rd.readLine()
 		if tooLong {
 			srv.counters.Add("toolong", 1)
@@ -224,7 +224,7 @@ func (sess *session) handleBatch(fields []string) error {
 	for _, r := range resp {
 		sess.writeLine(r)
 	}
-	return sess.flush()
+	return sess.w.Flush()
 }
 
 // formatDist renders a dist response. Disconnected pairs answer the

@@ -86,7 +86,10 @@ type Config struct {
 	// complete line for this long is answered "err idle timeout" and
 	// closed (the slow-loris guard). Ignored on deadline-less streams.
 	IdleTimeout time.Duration
-	// WriteTimeout is the per-response write deadline.
+	// WriteTimeout bounds each write of responses to the connection: a
+	// flush, or a response too large for the session's write buffer. The
+	// deadline is armed just before the write, never left over from an
+	// earlier one.
 	WriteTimeout time.Duration
 	// DrainTimeout bounds graceful shutdown: connections still open this
 	// long after the context is cancelled are force-closed.
@@ -152,9 +155,9 @@ type Server struct {
 }
 
 // stageSet holds the per-stage latency histograms (with trace-id
-// exemplars) sampled requests feed: time spent queued behind the
-// pipelining limit, in the backend, and writing the response. All nil
-// when no Registry is configured; observe is nil-safe.
+// exemplars) sampled requests feed: time spent queued behind earlier
+// frames and the pipelining limit, in the backend, and writing the
+// response. All nil when no Registry is configured; observe is nil-safe.
 type stageSet struct {
 	queue, backend, write       *stats.Histogram
 	queueEx, backendEx, writeEx *obs.Exemplar
@@ -171,9 +174,9 @@ func newStageSet(reg *obs.Registry, prefix string) stageSet {
 	mk := func(stage, help string) (*stats.Histogram, *obs.Exemplar) {
 		return reg.HistogramExemplar(prefix+"_stage_"+stage+"_seconds", help, bounds)
 	}
-	ss.queue, ss.queueEx = mk("queue", "Sampled-request time between frame receipt and handler start.")
+	ss.queue, ss.queueEx = mk("queue", "Sampled-request time between the frame's bytes coming off the socket and handler start.")
 	ss.backend, ss.backendEx = mk("backend", "Sampled-request time inside the backend (oracle or fleet fan-out).")
-	ss.write, ss.writeEx = mk("write", "Sampled-request time encoding and flushing the response frame.")
+	ss.write, ss.writeEx = mk("write", "Sampled-request time writing the response frame to the connection's buffer (a burst's shared flush is not counted).")
 	return ss
 }
 

@@ -1,6 +1,9 @@
 package server
 
 import (
+	"bytes"
+	"context"
+	"io"
 	"regexp"
 	"strings"
 	"testing"
@@ -188,5 +191,39 @@ func TestBinaryServerSampling(t *testing.T) {
 		if rec.ID == "0000000000000000" {
 			t.Error("server-elected trace kept id 0")
 		}
+	}
+}
+
+// TestBinaryBurstTraceStart: the traced frames of one burst all start at
+// the read that brought them in, so each one's queue hop counts the wait
+// behind the frames answered before it.
+func TestBinaryBurstTraceStart(t *testing.T) {
+	flight := obs.NewFlightRecorder(16, 4, time.Hour)
+	srv := New(testOracle(t), Config{Flight: flight})
+	const n = 8
+	in := wire.AppendHello(nil, wire.VersionMin, wire.VersionMax)
+	for i := 0; i < n; i++ {
+		in = append(in, distFrame(uint64(i+1), int32(i), int32(i+9), wire.SampledContext(uint64(i+1)))...)
+	}
+	srv.ServeStream(context.Background(), bytes.NewReader(in), io.Discard)
+
+	recent := flight.Recent() // newest first
+	if len(recent) != n {
+		t.Fatalf("flight recorder holds %d traces, want %d", len(recent), n)
+	}
+	start := recent[0].Start
+	var prevQueue float64
+	for i := n - 1; i >= 0; i-- {
+		rec := recent[i]
+		if !rec.Start.Equal(start) {
+			t.Fatalf("trace %s starts at %v, want the burst's read at %v", rec.ID, rec.Start, start)
+		}
+		if len(rec.Hops) == 0 || rec.Hops[0].Name != "queue" {
+			t.Fatalf("trace %s hops = %v, want a leading queue hop", rec.ID, hopNames(rec))
+		}
+		if q := rec.Hops[0].DurUS; q < prevQueue {
+			t.Fatalf("trace %s queued %.1fµs, less than the frame before it (%.1fµs)", rec.ID, q, prevQueue)
+		}
+		prevQueue = rec.Hops[0].DurUS
 	}
 }

@@ -194,6 +194,11 @@ func (c *Client) roundTrip(typ byte, payload []byte, tc TraceContext) (Frame, er
 		return Frame{}, err
 	}
 
+	// Stopped on every return: under the module's go 1.22 timer rules a
+	// timer that is never stopped stays live until it fires, which would
+	// hold every answered request's timer for RequestTimeout.
+	timer := time.NewTimer(c.opts.RequestTimeout)
+	defer timer.Stop()
 	select {
 	case f, ok := <-ch:
 		if !ok {
@@ -206,7 +211,7 @@ func (c *Client) roundTrip(typ byte, payload []byte, tc TraceContext) (Frame, er
 			return Frame{}, &RemoteError{Msg: string(f.Payload)}
 		}
 		return f, nil
-	case <-time.After(c.opts.RequestTimeout):
+	case <-timer.C:
 		// The id stays claimed forever if we just walk away; the stream
 		// itself may also be wedged. Either way the connection is done.
 		err := fmt.Errorf("wire: request %d timed out after %v", id, c.opts.RequestTimeout)

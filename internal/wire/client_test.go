@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -175,6 +176,41 @@ func TestClientRequestTimeoutKillsConnection(t *testing.T) {
 	}
 	if _, err := c.Stats(); err == nil {
 		t.Fatal("dead client accepted another request")
+	}
+}
+
+// TestClientStopsRequestTimers: an answered request leaves no live
+// timer. Under the module's go 1.22 timer rules a timer that is never
+// stopped stays reachable until it fires, about 270 bytes per request
+// held for the whole RequestTimeout (30 s by default).
+func TestClientStopsRequestTimers(t *testing.T) {
+	addr := stubServer(t, func(f Frame) *Frame {
+		return &Frame{Type: MsgInfoR, ID: f.ID, Payload: AppendInfo(nil, Info{N: 1, MaxBatch: 1})}
+	})
+	c, err := Dial(addr, ClientOptions{})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer c.Close()
+	if _, err := c.Info(); err != nil { // warm the pending map and buffers
+		t.Fatalf("Info: %v", err)
+	}
+
+	const calls = 4000
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	before := ms.HeapAlloc
+	for i := 0; i < calls; i++ {
+		if _, err := c.Info(); err != nil {
+			t.Fatalf("Info %d: %v", i, err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	if grew := int64(ms.HeapAlloc) - int64(before); grew > calls*64 {
+		t.Fatalf("live heap grew %d bytes over %d answered requests (%d per request): request timers left running",
+			grew, calls, grew/calls)
 	}
 }
 

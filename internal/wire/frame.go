@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -10,8 +11,8 @@ import (
 
 // Frame is one decoded protocol frame. ReadFrame allocates Payload per
 // frame, so a frame stays valid while later frames are read — which is
-// what lets a pipelining server hand each frame to its own handler
-// goroutine. Trace is zero for untraced requests.
+// what lets a pipelining server hand a slow frame (a batch) to a pooled
+// handler and read on. Trace is zero for untraced requests.
 type Frame struct {
 	Type    byte
 	ID      uint64
@@ -101,6 +102,20 @@ func ReadFrame(r io.Reader, maxBody int) (Frame, error) {
 		Trace:   TraceContext{ID: binary.BigEndian.Uint64(buf[9:17]), Flags: buf[17]},
 		Payload: buf[frameBodyMin:],
 	}, nil
+}
+
+// FrameBuffered reports whether br's buffer already holds the whole next
+// frame, so reading it cannot block on the connection. It peeks only
+// bytes already buffered and never reads. A server answers the frames of
+// one burst from the buffer and flushes their responses once, when the
+// next read would wait.
+func FrameBuffered(br *bufio.Reader) bool {
+	n := br.Buffered()
+	if n < frameHeaderLen {
+		return false
+	}
+	hdr, _ := br.Peek(frameHeaderLen) // buffered, so Peek does no read
+	return uint64(binary.BigEndian.Uint32(hdr)) <= uint64(n-frameHeaderLen)
 }
 
 // AppendHello appends the 8-byte client hello advertising [minV, maxV].

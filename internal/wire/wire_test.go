@@ -37,6 +37,64 @@ func TestNegotiate(t *testing.T) {
 	}
 }
 
+// readCounter is an io.Reader over fixed bytes that counts its Read
+// calls, so a test can check a bufio.Reader was served from its buffer.
+type readCounter struct {
+	b     []byte
+	reads int
+}
+
+func (r *readCounter) Read(p []byte) (int, error) {
+	r.reads++
+	if len(r.b) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, r.b)
+	r.b = r.b[n:]
+	return n, nil
+}
+
+// TestFrameBuffered: the helper reports a whole next frame only from
+// bytes already buffered, and never reads to find out.
+func TestFrameBuffered(t *testing.T) {
+	f := AppendFrame(nil, Frame{Type: MsgDist, ID: 7, Payload: AppendQuery(nil, oracle.Query{U: 1, V: 2})})
+	two := append(append([]byte(nil), f...), f...)
+	cases := []struct {
+		name string
+		in   []byte
+		want bool
+	}{
+		{"partial length", f[:frameHeaderLen-1], false},
+		{"length only", f[:frameHeaderLen], false},
+		{"partial body", f[:len(f)-1], false},
+		{"one frame", f, true},
+		{"frame and a half", two[:len(f)+frameHeaderLen+1], true},
+		{"length over any buffer", []byte{0xFF, 0xFF, 0xFF, 0xFF, 0}, false},
+	}
+	for _, c := range cases {
+		rc := &readCounter{b: c.in}
+		br := bufio.NewReader(rc)
+		br.Peek(1) // one fill takes everything the peer sent
+		if got := FrameBuffered(br); got != c.want {
+			t.Errorf("%s: FrameBuffered = %v, want %v", c.name, got, c.want)
+		}
+		if rc.reads != 1 {
+			t.Errorf("%s: FrameBuffered read from the connection (%d reads)", c.name, rc.reads)
+		}
+	}
+
+	// Once the buffered frame is consumed, the half frame behind it does
+	// not count.
+	rc := &readCounter{b: two[:len(f)+frameHeaderLen+1]}
+	br := bufio.NewReader(rc)
+	if _, err := ReadFrame(br, 0); err != nil {
+		t.Fatalf("ReadFrame: %v", err)
+	}
+	if FrameBuffered(br) || rc.reads != 1 {
+		t.Fatalf("after one frame: FrameBuffered = %v after %d reads, want false after 1", FrameBuffered(br), rc.reads)
+	}
+}
+
 func TestHelloRoundTrip(t *testing.T) {
 	b := AppendHello(nil, 2, 7)
 	if len(b) != HelloLen {

@@ -56,8 +56,8 @@ UNDOC=$(awk '
         internal/server/*.go internal/wire/*.go | grep -v _test)) \
     || { echo "undocumented exported symbols:"; echo "$UNDOC"; exit 1; }
 
-echo "== wire protocol suite (version refusal, trace-context echo, update/snapshot messages)"
-go test -race -count=1 -run 'Negotiate|BinaryVersionRejected|CrossVersionV4ClientV4Server|FrameTraceRoundTrip|TraceContext|BinaryTrace|UpdateSnap|BinaryUpdate|BinaryStatic|BinaryConcurrent' \
+echo "== wire protocol suite (version refusal, trace-context echo, update/snapshot messages, burst flush, session deadlines, drain race)"
+go test -race -count=1 -run 'Negotiate|BinaryVersionRejected|CrossVersionV4ClientV4Server|FrameTraceRoundTrip|TraceContext|BinaryTrace|UpdateSnap|BinaryUpdate|BinaryStatic|BinaryConcurrent|FrameBuffered|BinaryBurst|BinaryFrontDoor|BinaryIdleTimeout|StaleWriteDeadline|TextBatchAfterIdleWriteTimeout|DrainRaceWithReadArm|ClientStopsRequestTimers' \
     ./internal/wire/ ./internal/server/
 
 echo "== fuzz smoke (line protocol + wire frames + graphio reader, 5s each)"
