@@ -48,7 +48,6 @@ func main() {
 	alpha := flag.Int("alpha", 3, "greedy spanner stretch")
 	backend := flag.String("oracle-backend", "auto",
 		"worker distance-resolution backend: landmark-bibfs|exact-cached|sparse-hub|auto (-spawn mode; auto tunes once on worker 0, replicas reuse the pick)")
-	landmarks := flag.Int("landmarks", 16, "landmark BFS trees per worker oracle (-spawn mode)")
 	workers := flag.Int("workers", 0, "per-worker batch pool size (0 = GOMAXPROCS; -spawn mode)")
 
 	spawn := flag.Int("spawn", 0, "boot this many in-process worker replicas on loopback")
@@ -124,9 +123,8 @@ func main() {
 		chosen := *backend
 		fleet, err := router.StartLocalFleet(*spawn, func(i int) (*oracle.Oracle, error) {
 			o, err := oracle.New(dc, oracle.Options{
-				Backend:   chosen,
-				Landmarks: *landmarks,
-				Workers:   *workers,
+				Backend: chosen,
+				Workers: *workers,
 			})
 			if err == nil && i == 0 {
 				if rep := o.TunerReport(); rep != nil {

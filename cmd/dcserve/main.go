@@ -59,7 +59,6 @@ func main() {
 	alpha := flag.Int("alpha", 3, "greedy spanner stretch")
 	backend := flag.String("oracle-backend", "auto",
 		"distance-resolution backend: landmark-bibfs|exact-cached|sparse-hub|auto (benchmark at startup and pick)")
-	landmarks := flag.Int("landmarks", 16, "landmark BFS trees precomputed on the spanner (landmark-bibfs backend)")
 	sparseHubs := flag.Int("sparse-hubs", 0, "hub count for the sparse-hub backend (0 = ceil(sqrt(n)))")
 	memBudget := flag.Int64("oracle-mem", 0, "auto-tuner memory budget in bytes (0 = 128 MiB, negative = unlimited)")
 	workers := flag.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
@@ -112,7 +111,6 @@ func main() {
 
 	oracleOpts := oracle.Options{
 		Backend:      *backend,
-		Landmarks:    *landmarks,
 		SparseHubs:   *sparseHubs,
 		MemoryBudget: *memBudget,
 		Workers:      *workers,
@@ -161,9 +159,8 @@ func main() {
 		fmt.Printf("oracle tuner:\n%s", rep)
 	}
 	bs := o.BackendStats()
-	fmt.Printf("oracle: backend=%s (stretch-bound=%d, %.1f KiB, %d landmarks) ready in %v\n",
-		bs.Name, bs.StretchBound, float64(bs.MemoryBytes)/1024, len(o.Landmarks()),
-		time.Since(t0).Round(time.Microsecond))
+	fmt.Printf("oracle: backend=%s (stretch-bound=%d, %.1f KiB) ready in %v\n",
+		bs.Name, bs.StretchBound, float64(bs.MemoryBytes)/1024, time.Since(t0).Round(time.Microsecond))
 
 	o.MarkServingStart()
 	srvCfg := server.Config{

@@ -120,8 +120,8 @@ func main() {
 			fmt.Printf("oracle tuner:\n%s", rep)
 		}
 		bs := o.BackendStats()
-		fmt.Printf("oracle: backend=%s stretch-bound=%d mem=%.1fKiB landmarks=%d\n",
-			bs.Name, bs.StretchBound, float64(bs.MemoryBytes)/1024, len(o.Landmarks()))
+		fmt.Printf("oracle: backend=%s stretch-bound=%d mem=%.1fKiB\n",
+			bs.Name, bs.StretchBound, float64(bs.MemoryBytes)/1024)
 	}
 
 	if *certify {

@@ -154,10 +154,10 @@ func MinCongestion(g *Graph, prob Problem, seed uint64) (*Routing, error) {
 // Oracle re-exports: the concurrent DC-spanner query engine serving
 // point-to-point Dist/Route queries with realized-stretch accounting.
 // Distance resolution is pluggable (OracleOptions.Backend): the default
-// landmark-bibfs engine (landmark tables + bidirectional BFS), an
-// exact all-pairs table for small graphs, a
-// stretch-3 hub/bunch structure for sparse graphs, or "auto" to
-// benchmark them at startup and serve the fastest within budget.
+// landmark-bibfs engine (a bidirectional BFS, nothing precomputed), an
+// exact all-pairs table for small graphs, a stretch-3 hub/bunch
+// structure for sparse graphs, or "auto" to benchmark them at startup
+// and serve the fastest within budget.
 type (
 	// Oracle answers distance and route queries over a DC-spanner.
 	Oracle = oracle.Oracle
@@ -174,8 +174,8 @@ type (
 // Oracle backend names for OracleOptions.Backend (see the oracle package
 // for each engine's space/query-time/stretch contract).
 const (
-	// OracleBackendLandmarkBiBFS is the default landmark + bidirectional
-	// BFS engine: exact on the spanner, O(k·n) space.
+	// OracleBackendLandmarkBiBFS is the default bidirectional BFS
+	// engine: exact on the spanner, nothing precomputed.
 	OracleBackendLandmarkBiBFS = oracle.BackendLandmarkBiBFS
 	// OracleBackendExactCached precomputes the all-pairs table: O(n²)
 	// space, O(1) exact queries — the small-graph choice.

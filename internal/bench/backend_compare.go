@@ -12,8 +12,8 @@ import (
 // workload over the shared scenario spanner: each iteration answers the
 // same query batch through every backend and folds all answers into one
 // fingerprint, so the measurement both times the backends side by side
-// and proves they agree wherever they promise to (the exact and
-// unbounded-landmark backends answer identically; the sparse backend's
+// and proves they agree wherever they promise to (the exact table and
+// the bidirectional search answer identically; the sparse backend's
 // answers are deterministic, so its bounds fold in reproducibly too).
 //
 // Per-backend wall time accumulates in the bench_backend_ns{backend=...}

@@ -49,7 +49,8 @@ func backendSweep(opts Options, oSeed uint64) []backendConfig {
 // checkBackendAnswer asserts the backend-generic answer contract against
 // the exact distance matrix: unreachable pairs answered unreachable,
 // exact claims exactly right, every answer admissible (never below the
-// true distance) and within the backend's declared stretch bound of it.
+// true distance) and within the backend's declared stretch bound of it,
+// and every answer's Bound equal to its Dist.
 func checkBackendAnswer(ck *checker, a oracle.Answer, distH *graph.TriDist, stretchBound int) {
 	u, v := a.U, a.V
 	if u == v {
@@ -59,8 +60,8 @@ func checkBackendAnswer(ck *checker, a oracle.Answer, distH *graph.TriDist, stre
 	}
 	ref := distH.At(u, v)
 	if ref == graph.Unreachable {
-		ck.assert(a.Dist == graph.Unreachable,
-			"(%d,%d): answered %d on a disconnected pair", u, v, a.Dist)
+		ck.assert(a.Dist == graph.Unreachable && a.Bound == graph.Unreachable,
+			"(%d,%d): answered dist=%d bound=%d on a disconnected pair", u, v, a.Dist, a.Bound)
 		return
 	}
 	if !ck.assert(a.Dist != graph.Unreachable,
@@ -79,18 +80,16 @@ func checkBackendAnswer(ck *checker, a oracle.Answer, distH *graph.TriDist, stre
 	ck.assert(int64(a.Dist) <= int64(stretchBound)*int64(ref),
 		"(%d,%d): answered %d, over the declared %d× bound of the true distance %d",
 		u, v, a.Dist, stretchBound, ref)
-	if a.Bound != graph.Unreachable {
-		ck.assert(a.Bound >= ref, "(%d,%d): admissible bound %d below the true distance %d", u, v, a.Bound, ref)
-		ck.assert(a.Dist <= a.Bound, "(%d,%d): answer %d above its own bound %d", u, v, a.Dist, a.Bound)
-	}
+	ck.assert(a.Bound >= ref, "(%d,%d): admissible bound %d below the true distance %d", u, v, a.Bound, ref)
+	ck.assert(a.Bound == a.Dist, "(%d,%d): bound %d differs from the answer %d", u, v, a.Bound, a.Dist)
 }
 
 // checkBackends sweeps every oracle backend over one spanner variant
 // against the exact all-pairs matrix: the declared stretch bound must
 // hold on every query, Exact claims must be exactly right, and
 // AnswerBatch must equal the sequential answers at every worker count.
-// This is the backend-generic complement to checkOracle, which pins the
-// landmark backend's sharper per-path contract.
+// This is the backend-generic complement to checkOracle, which pins
+// landmark-bibfs's exact answers and both of its paths.
 func checkBackends(rep *Report, family string, v variant, distH *graph.TriDist, opts Options, r *rng.RNG) {
 	n := v.h.N()
 	qn := 120

@@ -10,8 +10,8 @@
 //
 // The contract it enforces is the one distance-oracle papers state as the
 // definition of correctness: agreement with the exact distance matrix.
-// Every optimized path — oracle.Dist / AnswerBatch (every backend, all
-// landmark counts), the oracle's realized-stretch sampler,
+// Every optimized path — oracle.Dist / AnswerBatch (every backend), the
+// oracle's realized-stretch sampler,
 // spanner.Verify*StretchOpts and routing.NodeCongestion* at every worker
 // count — must agree bit-for-bit with its naive reference on every
 // generator family. The references are kept obviously correct (plain

@@ -108,7 +108,6 @@ func TestInvariantCheckersCatchViolations(t *testing.T) {
 func TestCheckAnswerCatchesWrongAnswers(t *testing.T) {
 	g := gen.Path(5)
 	dist := AllPairs(g)
-	lms := []int32{0}
 	cases := []struct {
 		name string
 		a    oracle.Answer
@@ -121,7 +120,7 @@ func TestCheckAnswerCatchesWrongAnswers(t *testing.T) {
 	for _, tc := range cases {
 		rep := &Report{}
 		ck := &checker{rep: rep, family: "test", check: tc.name, seed: 1}
-		checkAnswer(ck, tc.a, dist, lms)
+		checkAnswer(ck, tc.a, dist)
 		if rep.OK() {
 			t.Errorf("%s: corrupted answer produced no divergence", tc.name)
 		}
@@ -129,7 +128,7 @@ func TestCheckAnswerCatchesWrongAnswers(t *testing.T) {
 	// And a correct answer must not fire.
 	rep := &Report{}
 	ck := &checker{rep: rep, family: "test", check: "good", seed: 1}
-	checkAnswer(ck, oracle.Answer{U: 0, V: 3, Dist: 3, Bound: 3, Exact: true}, dist, lms)
+	checkAnswer(ck, oracle.Answer{U: 0, V: 3, Dist: 3, Bound: 3, Exact: true}, dist)
 	if !rep.OK() {
 		t.Errorf("correct answer flagged: %v", rep.Divergences)
 	}

@@ -34,8 +34,8 @@ type Options struct {
 	// Backend restricts the backend sweep to one oracle backend (a
 	// Backend* name from the oracle package) and forces it into the
 	// router differential. Empty sweeps every backend. The
-	// landmark-specific differential (checkOracle's per-path contract)
-	// runs only when the landmark backend is in scope.
+	// landmark-bibfs differential (checkOracle) runs only when that
+	// backend is in scope.
 	Backend string
 	// Logf, when non-nil, receives per-family progress lines.
 	Logf func(format string, args ...any)
@@ -283,26 +283,10 @@ func sampleQueries(n, count int, r *rng.RNG) []oracle.Query {
 	return qs
 }
 
-// refBound recomputes the landmark upper bound min_l d(u,l) + d(l,v) from
-// the exact distance table and the oracle's own landmark choice.
-func refBound(distH *graph.TriDist, lms []int32, u, v int32) int32 {
-	best := graph.Unreachable
-	for _, l := range lms {
-		du, dv := distH.At(l, u), distH.At(l, v)
-		if du == graph.Unreachable || dv == graph.Unreachable {
-			continue
-		}
-		if s := du + dv; best == graph.Unreachable || s < best {
-			best = s
-		}
-	}
-	return best
-}
-
 // checkAnswer asserts one landmark-bibfs Answer against the exact
-// reference: the landmark bound, and an exact answer equal to the exact
-// spanner distance.
-func checkAnswer(ck *checker, a oracle.Answer, distH *graph.TriDist, lms []int32) {
+// reference: a bound equal to the answer, and an exact answer equal to
+// the exact spanner distance.
+func checkAnswer(ck *checker, a oracle.Answer, distH *graph.TriDist) {
 	u, v := a.U, a.V
 	if u == v {
 		ck.assert(a.Dist == 0 && a.Bound == 0 && a.Exact,
@@ -310,19 +294,17 @@ func checkAnswer(ck *checker, a oracle.Answer, distH *graph.TriDist, lms []int32
 		return
 	}
 	ref := distH.At(u, v)
-	bound := refBound(distH, lms, u, v)
-	if !ck.assert(a.Bound == bound,
-		"(%d,%d): bound=%d, reference landmark bound=%d", u, v, a.Bound, bound) {
+	if !ck.assert(a.Bound == a.Dist, "(%d,%d): bound=%d differs from dist=%d", u, v, a.Bound, a.Dist) {
 		return
 	}
 	ck.assert(a.Exact && a.Dist == ref,
 		"(%d,%d): dist=%d exact=%v, want exact %d (reference BFS)", u, v, a.Dist, a.Exact, ref)
 }
 
-// checkOracle runs the oracle differential for one spanner variant: every
-// landmark count over two passes (the second reuses the pooled search
-// scratch the first left behind), AnswerBatch at every worker count, and
-// invalid queries.
+// checkOracle runs the landmark-bibfs differential for one spanner
+// variant: one oracle over two passes (the second reuses the pooled
+// search scratch the first left behind), AnswerBatch at every worker
+// count, and invalid queries.
 func checkOracle(rep *Report, family string, v variant, distH *graph.TriDist, opts Options, r *rng.RNG) {
 	n := v.h.N()
 	qn := 150
@@ -332,28 +314,18 @@ func checkOracle(rep *Report, family string, v variant, distH *graph.TriDist, op
 	qs := sampleQueries(n, qn, r)
 	oSeed := r.Uint64() | 1 // nonzero: 0 would mean "inherit build seed"
 
-	for _, lc := range []int{1, 3, n} {
-		o, err := oracle.NewFromGraphs(v.h, v.h, alpha, oracle.Options{
-			Landmarks: lc, Seed: oSeed, Workers: 1, SampleEvery: -1,
-		})
-		ck := &checker{rep: rep, family: family,
-			check: fmt.Sprintf("oracle-dist/%s/lm=%d", v.name, lc), seed: opts.Seed}
-		if !ck.assert(err == nil, "NewFromGraphs: %v", err) {
-			continue
-		}
-		lms := o.Landmarks()
-		want := lc
-		if want > n {
-			want = n
-		}
-		ck.assert(len(lms) == want, "asked for %d landmarks, got %d", want, len(lms))
+	o, err := oracle.NewFromGraphs(v.h, v.h, alpha, oracle.Options{
+		Seed: oSeed, Workers: 1, SampleEvery: -1,
+	})
+	ck := &checker{rep: rep, family: family, check: "oracle-dist/" + v.name, seed: opts.Seed}
+	if ck.assert(err == nil, "NewFromGraphs: %v", err) {
 		for pass := 0; pass < 2; pass++ {
 			for _, q := range qs {
 				a, err := o.Dist(q.U, q.V)
 				if !ck.assert(err == nil, "Dist(%d,%d) pass %d: %v", q.U, q.V, pass, err) {
 					continue
 				}
-				checkAnswer(ck, a, distH, lms)
+				checkAnswer(ck, a, distH)
 			}
 		}
 	}
@@ -366,14 +338,13 @@ func checkOracle(rep *Report, family string, v variant, distH *graph.TriDist, op
 	var first []oracle.Answer
 	for _, w := range workerCounts {
 		o, err := oracle.NewFromGraphs(v.h, v.h, alpha, oracle.Options{
-			Landmarks: 3, Seed: oSeed, Workers: w, SampleEvery: -1,
+			Seed: oSeed, Workers: w, SampleEvery: -1,
 		})
 		ck := &checker{rep: rep, family: family,
 			check: fmt.Sprintf("oracle-batch/%s/workers=%d", v.name, w), seed: opts.Seed}
 		if !ck.assert(err == nil, "NewFromGraphs: %v", err) {
 			continue
 		}
-		lms := o.Landmarks()
 		out := o.AnswerBatch(batch)
 		if !ck.assert(len(out) == len(batch), "got %d answers for %d queries", len(out), len(batch)) {
 			continue
@@ -385,7 +356,7 @@ func checkOracle(rep *Report, family string, v variant, distH *graph.TriDist, op
 					"invalid query (%d,%d): got dist=%d bound=%d exact=%v", q.U, q.V, a.Dist, a.Bound, a.Exact)
 				continue
 			}
-			checkAnswer(ck, a, distH, lms)
+			checkAnswer(ck, a, distH)
 		}
 		if first == nil {
 			first = out

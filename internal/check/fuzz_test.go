@@ -21,7 +21,7 @@ import (
 // the expensive part).
 var fuzzServer = sync.OnceValue(func() *server.Server {
 	g := gen.Cycle(9)
-	o, err := oracle.NewFromGraphs(g, g, 3, oracle.Options{Landmarks: 2, Workers: 1})
+	o, err := oracle.NewFromGraphs(g, g, 3, oracle.Options{Workers: 1})
 	if err != nil {
 		panic(err)
 	}

@@ -34,7 +34,7 @@ func runRouterDifferential(rep *Report, opts Options) {
 		// opts.Backend rides through so the whole wire round trip is
 		// exercised per backend.
 		return oracle.NewFromGraphs(g, g, alpha, oracle.Options{
-			Backend: opts.Backend, Landmarks: 4, Seed: oSeed, Workers: 1, SampleEvery: -1,
+			Backend: opts.Backend, Seed: oSeed, Workers: 1, SampleEvery: -1,
 		})
 	}
 

@@ -179,7 +179,7 @@ func Build(g *graph.Graph, opts Options) (*DCSpanner, error) {
 func (d *DCSpanner) Base() *graph.Graph { return d.sp.Base }
 
 // Seed returns the seed the spanner was built with, so derived structures
-// (e.g. a query oracle's landmark table) can key their own deterministic
+// (e.g. a query oracle's hub table) can key their own deterministic
 // randomness off it.
 func (d *DCSpanner) Seed() uint64 { return d.opts.Seed }
 

@@ -101,7 +101,7 @@ func OracleBackends(cfg Config) (*Result, error) {
 		"hosts, so this experiment carries no\n" +
 		"byte-identity pin. The tight budget evicts the exact table and demonstrates\n" +
 		"the fallback order: sparse-hub where its bunches fit, else landmark-bibfs\n" +
-		"(never skipped — it is the bounded-memory floor).\n" +
+		"(never skipped — it precomputes nothing, the bounded-memory floor).\n" +
 		"paper: the oracle is serving machinery beyond the paper's scope, but the\n" +
 		"sparse-hub backend's stretch≤3 contract is the same α=3 distance-stretch\n" +
 		"regime as Theorem 2, realized by Thorup–Zwick bunches instead of spanner\n" +

@@ -15,10 +15,11 @@ import (
 // baselines and differential fingerprints are unaffected by the backend
 // layer's existence.
 const (
-	// BackendLandmarkBiBFS is the original engine: landmark upper bounds
-	// plus a bidirectional BFS for the exact spanner distance.
-	// Space O(k·n); query O(k) for the bound plus O(d·deg) for the
-	// exact search. Stretch bound 1: every answer is exact on H.
+	// BackendLandmarkBiBFS is the original engine: a bidirectional BFS
+	// for the exact spanner distance, with a bulk multi-source BFS arm
+	// for batches. It precomputes nothing (the name is from a landmark
+	// table it once kept beside the search); query O(d·deg). Stretch
+	// bound 1: every answer is exact on H.
 	BackendLandmarkBiBFS = "landmark-bibfs"
 	// BackendExactCached precomputes the full all-pairs distance matrix
 	// (a triangular n(n−1)/2 table) at build time. Space O(n²), query
@@ -66,8 +67,8 @@ type Backend interface {
 	// matrix for every generator family.
 	StretchBound() int
 	// MemoryBytes estimates the backend's resident precomputed state
-	// (landmark rows, the all-pairs table, hub rows and bunches) — the
-	// figure the startup tuner gates candidates on.
+	// (the all-pairs table, hub rows and bunches; 0 for landmark-bibfs)
+	// — the figure the startup tuner gates candidates on.
 	MemoryBytes() int64
 	// Dist resolves one query with both endpoints validated in range and
 	// u ≠ v. It returns the filled Answer and the obs.Path* bit of the
@@ -82,7 +83,7 @@ type Backend interface {
 	AnswerBatch(qs []Query, out []Answer) (mask uint8, handled bool)
 	// Stats snapshots the backend's own counters (resolution paths,
 	// table sizes) alongside its declared contract. The map keys are
-	// stable short names ("path_bibfs", "landmarks", ...).
+	// stable short names ("path_bibfs", "hubs", ...).
 	Stats() BackendStats
 
 	// attachMetrics registers the backend's counters into the oracle's
@@ -100,10 +101,8 @@ type Backend interface {
 	// registrations all survive). h is the oracle's live spanner, which
 	// the update has already repaired in place, so it holds the new edge
 	// set only; delta is the net H-edge change the update made
-	// (spanner.Incremental's update report), from which a backend that
-	// patches incrementally works:
-	// the landmark table repairs each row in place from the delta, and
-	// the exact table relaxes pairs through added edges and rewrites
+	// (spanner.Incremental's update report), from which the exact table
+	// patches itself: it relaxes pairs through added edges and rewrites
 	// the rows that removed edges were tight from. The contract, enforced
 	// by internal/check's incremental differential: after refresh, every
 	// answer must equal the answer of a backend freshly built on h with
@@ -133,13 +132,13 @@ func backendKey(name, backend string) string {
 }
 
 // buildBackend constructs the named backend over the spanner h. The
-// Options carry every knob a backend reads (landmark count, SparseHubs,
-// Seed, Workers); name must be a concrete backend
-// name — BackendAuto is resolved by the tuner before this is called.
+// Options carry every knob a backend reads (SparseHubs, Seed); name must
+// be a concrete backend name — BackendAuto is resolved by the tuner
+// before this is called.
 func buildBackend(name string, h *graph.Graph, opts Options, workers int, trace *obs.Span) (Backend, error) {
 	switch name {
 	case "", BackendLandmarkBiBFS:
-		return newLandmarkBackend(h, opts, workers, trace), nil
+		return newBiBFSBackend(h, workers), nil
 	case BackendExactCached:
 		return newExactBackend(h, workers, trace), nil
 	case BackendSparseHub:

@@ -54,8 +54,9 @@ type sparseBackend struct {
 	pathHub   atomic.Int64
 }
 
-// sparseHubSeed decorrelates hub sampling from the landmark backend's
-// landmark sampling at equal Options.Seed.
+// sparseHubSeed keys hub sampling off Options.Seed. It once decorrelated
+// the hubs from landmark-bibfs's landmarks; it stays because every hub
+// table depends on it.
 const sparseHubSeed = 0x5b_a5e_0dd_b0b_cafe
 
 // defaultSparseHubs is the hub-count default: ⌈√n⌉, the space-balancing

@@ -10,9 +10,10 @@ import (
 )
 
 // Every backend must agree with the exact spanner distance within its
-// declared stretch bound, and an Exact answer must be the exact distance.
-// The landmark backend (unbounded) and the exact table both declare 1, so
-// they must match outright; the sparse backend declares 3.
+// declared stretch bound, an Exact answer must be the exact distance, and
+// every answer's Bound must equal its Dist. The bidirectional search and
+// the exact table both declare 1, so they must match outright; the
+// sparse backend declares 3.
 func TestBackendsRespectDeclaredStretch(t *testing.T) {
 	dc := buildTestSpanner(t, 160, 36, 21)
 	h := dc.Graph()
@@ -56,8 +57,8 @@ func TestBackendsRespectDeclaredStretch(t *testing.T) {
 				t.Fatalf("%s: (%d,%d) answered %d, over declared %d× of exact %d",
 					name, q.U, q.V, a.Dist, bound, exact.Dist)
 			}
-			if a.Bound != graph.Unreachable && a.Bound < exact.Dist {
-				t.Fatalf("%s: (%d,%d) Bound %d below exact %d", name, q.U, q.V, a.Bound, exact.Dist)
+			if a.Bound != a.Dist {
+				t.Fatalf("%s: (%d,%d) Bound %d differs from Dist %d", name, q.U, q.V, a.Bound, a.Dist)
 			}
 		}
 	}
@@ -141,8 +142,9 @@ func TestAutoTunerPicksAndReports(t *testing.T) {
 			t.Fatalf("auto answer %+v != direct %s answer %+v", a, rep.Chosen, b)
 		}
 	}
-	// A budget below every estimate still serves: the landmark backend is
-	// never skipped, so auto-tuning cannot fail on memory alone.
+	// A budget below every estimate still serves: landmark-bibfs holds 0
+	// bytes and is never skipped, so auto-tuning cannot fail on memory
+	// alone.
 	tiny, err := New(dc, Options{Backend: BackendAuto, MemoryBudget: 1, SampleEvery: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -191,20 +193,5 @@ func TestBackendMetricsLabeled(t *testing.T) {
 				t.Errorf("%s exposition missing %q", name, want)
 			}
 		}
-	}
-}
-
-// Landmark-only accessors degrade gracefully on other backends.
-func TestLandmarkAccessorsOnOtherBackends(t *testing.T) {
-	dc := buildTestSpanner(t, 96, 32, 27)
-	o, err := New(dc, Options{Backend: BackendExactCached, SampleEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.Landmarks() != nil || o.LandmarkBytes() != nil {
-		t.Error("exact backend reported landmark state")
-	}
-	if s := o.Stats(); s.Landmarks != 0 || s.Backend != BackendExactCached {
-		t.Errorf("Stats backend fields wrong: %+v", s)
 	}
 }

@@ -15,7 +15,7 @@ import (
 func TestAnswerBulkMatchesPerQueryPath(t *testing.T) {
 	dc := buildTestSpanner(t, 128, 32, 13)
 	mk := func(workers int) *Oracle {
-		o, err := New(dc, Options{Landmarks: 6, Workers: workers, SampleEvery: -1})
+		o, err := New(dc, Options{Workers: workers, SampleEvery: -1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,7 +19,7 @@ import (
 // BFS reference.
 func exactDistContract(t *testing.T, g *graph.Graph, seed uint64) {
 	t.Helper()
-	o, err := NewFromGraphs(g, g, 3, Options{Landmarks: 3, Seed: seed, SampleEvery: -1})
+	o, err := NewFromGraphs(g, g, 3, Options{Seed: seed, SampleEvery: -1})
 	if err != nil {
 		t.Fatalf("NewFromGraphs: %v", err)
 	}

@@ -14,7 +14,7 @@ import (
 // must never change an answer.
 func TestAnswerBatchConcurrentHammer(t *testing.T) {
 	dc := buildTestSpanner(t, 128, 32, 23)
-	o, err := New(dc, Options{Landmarks: 8, Workers: 4})
+	o, err := New(dc, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func TestAnswerBatchConcurrentHammer(t *testing.T) {
 		pool[i] = Query{U: int32(r.Intn(128)), V: int32(r.Intn(128))}
 	}
 	// Sequential ground truth, computed on a second oracle.
-	ref, err := New(dc, Options{Landmarks: 8, Workers: 1})
+	ref, err := New(dc, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestAnswerBatchConcurrentHammer(t *testing.T) {
 // goroutines to exercise every lock and atomic under -race.
 func TestConcurrentDistAndRoute(t *testing.T) {
 	dc := buildTestSpanner(t, 64, 18, 29)
-	o, err := New(dc, Options{Landmarks: 4, Workers: 4, SampleEvery: 8})
+	o, err := New(dc, Options{Workers: 4, SampleEvery: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -131,13 +131,12 @@ func TestExactRefreshPatchesTable(t *testing.T) {
 	mutate("reinsert", bulk)
 }
 
-// Landmark and exact refreshes, driven by update streams through
-// Oracle.Update: after every update the landmark table must be
-// byte-identical to a fresh build's on the current spanner, and the
-// exact-cached answers must equal a fresh build's for every pair. The
-// three streams reach the refresh's three cases: a root set that changes
-// when the hub moves, rows that deletions disconnect and insertions
-// reconnect, and deltas of several spanner edges from cluster moves.
+// Landmark-bibfs and exact-cached refreshes, driven by update streams
+// through Oracle.Update: after every update both must answer every pair
+// as an exact table freshly built on the current spanner does. The three
+// streams reach a hub move (H's highest-degree vertex changes), rows of
+// the exact table that deletions disconnect and insertions reconnect, and
+// deltas of several spanner edges from cluster moves.
 func TestLandmarkRefreshMatchesFreshBuild(t *testing.T) {
 	reg, err1 := gen.RandomRegular(64, 6, rng.New(9))
 	cubic, err2 := gen.RandomRegular(48, 3, rng.New(4))
@@ -159,7 +158,7 @@ func TestLandmarkRefreshMatchesFreshBuild(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sopt := spanner.IncrementalOptions{Seed: 0xfeed}
-			lmOpts := Options{Backend: BackendLandmarkBiBFS, Seed: 17, Landmarks: 8, SampleEvery: -1}
+			lmOpts := Options{Backend: BackendLandmarkBiBFS, SampleEvery: -1}
 			exOpts := Options{Backend: BackendExactCached, SampleEvery: -1}
 			lm, err1 := NewDynamic(tc.base, DynamicOptions{Spanner: sopt, Oracle: lmOpts})
 			ex, err2 := NewDynamic(tc.base, DynamicOptions{Spanner: sopt, Oracle: exOpts})
@@ -171,7 +170,7 @@ func TestLandmarkRefreshMatchesFreshBuild(t *testing.T) {
 			n := int32(tc.base.N())
 			r := rng.New(31)
 			hubMoves, disconnects, multi := 0, 0, 0
-			roots := lm.Landmarks()
+			hub := hubOf(mirror.H())
 			connected := mirror.H().Connected()
 			for step := 0; step < 150; step++ {
 				var (
@@ -204,17 +203,13 @@ func TestLandmarkRefreshMatchesFreshBuild(t *testing.T) {
 					}
 				}
 				s := mirror.Spanner()
-				freshLM, err1 := NewFromGraphs(s.Base, s.H, spanner.IncrementalAlpha, lmOpts)
-				freshEx, err2 := NewFromGraphs(s.Base, s.H, spanner.IncrementalAlpha, exOpts)
-				if err1 != nil || err2 != nil {
-					t.Fatal(err1, err2)
+				freshEx, err := NewFromGraphs(s.Base, s.H, spanner.IncrementalAlpha, exOpts)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if string(lm.LandmarkBytes()) != string(freshLM.LandmarkBytes()) {
-					t.Fatalf("step %d (%d,%d,add=%v): refreshed landmark table differs from a fresh build", step, u, v, add)
-				}
-				if now := lm.Landmarks(); !slices.Equal(now, roots) {
+				if now := hubOf(s.H); now != hub {
 					hubMoves++
-					roots = now
+					hub = now
 				}
 				now := s.H.Connected()
 				if connected && !now {
@@ -223,17 +218,19 @@ func TestLandmarkRefreshMatchesFreshBuild(t *testing.T) {
 				connected = now
 				for a := int32(0); a < n; a++ {
 					for b := a + 1; b < n; b++ {
-						got, _ := ex.Dist(a, b)
 						want, _ := freshEx.Dist(a, b)
-						if got != want {
-							t.Fatalf("step %d pair (%d,%d): refreshed exact answer %+v, fresh build %+v", step, a, b, got, want)
+						for _, o := range []*Oracle{lm, ex} {
+							if got, _ := o.Dist(a, b); got != want {
+								t.Fatalf("step %d pair (%d,%d): refreshed %s answer %+v, fresh exact build %+v",
+									step, a, b, o.Backend(), got, want)
+							}
 						}
 					}
 				}
 			}
-			t.Logf("%d root-set changes, %d disconnections, %d multi-edge deltas", hubMoves, disconnects, multi)
+			t.Logf("%d hub moves, %d disconnections, %d multi-edge deltas", hubMoves, disconnects, multi)
 			if !tc.want(hubMoves, disconnects, multi) {
-				t.Fatalf("stream missed its case: %d root-set changes, %d disconnections, %d multi-edge deltas",
+				t.Fatalf("stream missed its case: %d hub moves, %d disconnections, %d multi-edge deltas",
 					hubMoves, disconnects, multi)
 			}
 		})
@@ -341,73 +338,13 @@ func TestUpdateStageHistograms(t *testing.T) {
 	}
 }
 
-// The landmark refresh counters, pinned on an update stream in which the
-// hub moves: oracle_landmark_repair_vertices_total counts the entries of
-// rows whose root stayed that the refresh changed, and
-// oracle_landmark_root_sweeps_total the roots new to the set.
-func TestLandmarkRefreshCounters(t *testing.T) {
-	base, err := gen.RandomRegular(64, 6, rng.New(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	d, err := NewDynamic(base, DynamicOptions{
-		Spanner: spanner.IncrementalOptions{Seed: 0xfeed},
-		Oracle:  Options{Backend: BackendLandmarkBiBFS, Seed: 17, Landmarks: 8, SampleEvery: -1, Registry: reg},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lb := d.backend.(*landmarkBackend)
-	n := base.N()
-	r := rng.New(31)
-	var repaired, swept int64
-	moves := 0
-	for step := 0; step < 150; step++ {
-		u, v := int32(r.Intn(n)), int32(r.Intn(n))
-		if u == v {
-			continue
-		}
-		roots, rows := slices.Clone(lb.lm.roots), slices.Clone(lb.lm.dist.Data())
-		if res, err := d.Update(u, v, !d.g.HasEdge(u, v)); err != nil || !res.Applied {
-			t.Fatalf("step %d: update (%d,%d) = %+v, %v", step, u, v, res, err)
-		}
-		if !slices.Equal(lb.lm.roots, roots) {
-			moves++
-		}
-		for i, root := range lb.lm.roots {
-			j, kept := slices.BinarySearch(roots, root)
-			if !kept {
-				swept++
-				continue
-			}
-			for x, dx := range lb.lm.dist.Row(i) {
-				if dx != rows[j*n+x] {
-					repaired++
-				}
-			}
-		}
-	}
-	snap := reg.Snapshot()
-	got := func(name string) int64 { return snap.Counters[backendKey(name, BackendLandmarkBiBFS)] }
-	t.Logf("%d root-set changes, %d rows swept, %d entries repaired", moves, swept, repaired)
-	if moves == 0 || repaired == 0 {
-		t.Fatal("the stream moved no hub or repaired no entry")
-	}
-	if got(metricRepairVertices) != repaired || got(metricRootSweeps) != swept {
-		t.Fatalf("counters read %d repaired entries and %d swept rows, want %d and %d",
-			got(metricRepairVertices), got(metricRootSweeps), repaired, swept)
-	}
-}
-
-// An applied update is the repair plus the backend's delta refresh over
-// the live graphs, with no copy of either (one copy of H would be 18 KiB
-// at n=256 and 138 KiB at n=2048 on these 8-regular graphs). While the
-// landmark root set stays it allocates nothing at all: toggling a base
-// edge outside the spanner gives an empty H-edge delta, and toggling a
-// spanner edge a non-empty one that every landmark row is repaired from.
-// The roots are kept from the delta, so their re-selection no longer
-// allocates either.
+// An applied update is the repair plus the backend's refresh over the
+// live graphs, with no copy of either (one copy of H would be 18 KiB at
+// n=256 and 138 KiB at n=2048 on these 8-regular graphs), and on
+// landmark-bibfs it allocates nothing at all: toggling a base edge
+// outside the spanner gives an empty H-edge delta, toggling a spanner
+// edge a non-empty one, and toggling a spanner edge at H's
+// highest-degree vertex also moves which vertex that is.
 func TestUpdateAllocatesNoCopy(t *testing.T) {
 	for _, n := range []int{256, 2048} {
 		g, err := gen.RandomRegular(n, 8, rng.New(uint64(n)))
@@ -421,21 +358,23 @@ func TestUpdateAllocatesNoCopy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lb := d.backend.(*landmarkBackend)
-		edges := g.Edges()
+		// The first spanner edge of both inputs is at the hub, so the
+		// plain spanner case takes one away from it to stay distinct.
+		edges, hub := g.Edges(), hubOf(d.h)
+		atHub := func(e graph.Edge) bool { return e.U == hub || e.V == hub }
 		outside := slices.IndexFunc(edges, func(e graph.Edge) bool { return !d.h.HasEdge(e.U, e.V) })
-		inside := slices.IndexFunc(edges, func(e graph.Edge) bool {
-			return d.h.HasEdge(e.U, e.V) && e.U != lb.hub && e.V != lb.hub
-		})
-		if outside < 0 || inside < 0 {
-			t.Fatalf("n=%d: no base edge outside the spanner (%d) or inside it away from the hub (%d)", n, outside, inside)
+		inside := slices.IndexFunc(edges, func(e graph.Edge) bool { return d.h.HasEdge(e.U, e.V) && !atHub(e) })
+		hubEdge := slices.IndexFunc(edges, func(e graph.Edge) bool { return d.h.HasEdge(e.U, e.V) && atHub(e) })
+		if outside < 0 || inside < 0 || hubEdge < 0 {
+			t.Fatalf("n=%d: no base edge outside the spanner (%d), inside it (%d) or inside it at the hub (%d)",
+				n, outside, inside, hubEdge)
 		}
 		for _, tc := range []struct {
 			name string
 			e    graph.Edge
 			inH  bool
-		}{{"outside H", edges[outside], false}, {"in H", edges[inside], true}} {
-			e, hm, sweeps := tc.e, d.h.M(), lb.rootSweeps.Load()
+		}{{"outside H", edges[outside], false}, {"in H", edges[inside], true}, {"in H at the hub", edges[hubEdge], true}} {
+			e, hm := tc.e, d.h.M()
 			toggle := func() {
 				for _, add := range []bool{false, true} {
 					res, err := d.Update(e.U, e.V, add)
@@ -451,9 +390,6 @@ func TestUpdateAllocatesNoCopy(t *testing.T) {
 			allocs := testing.AllocsPerRun(50, toggle)
 			if d.h.M() != hm || d.h.HasEdge(e.U, e.V) != tc.inH {
 				t.Fatalf("n=%d %s: the toggles did not restore the spanner", n, tc.name)
-			}
-			if got := lb.rootSweeps.Load(); got != sweeps {
-				t.Fatalf("n=%d %s: the toggles changed the root set (%d rows swept)", n, tc.name, got-sweeps)
 			}
 			if allocs != 0 {
 				t.Errorf("n=%d %s: an update pair allocates %v times, want 0", n, tc.name, allocs)

@@ -14,7 +14,7 @@ import (
 func TestPathCountersPartitionResolutions(t *testing.T) {
 	dc := buildTestSpanner(t, 128, 32, 5)
 	reg := obs.NewRegistry()
-	o, err := New(dc, Options{Landmarks: 8, Registry: reg})
+	o, err := New(dc, Options{Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestPathCountersPartitionResolutions(t *testing.T) {
 func TestStatsFromRegistrySnapshot(t *testing.T) {
 	dc := buildTestSpanner(t, 128, 32, 6)
 	reg := obs.NewRegistry()
-	o, err := New(dc, Options{Landmarks: 8, Registry: reg, SampleEvery: 8})
+	o, err := New(dc, Options{Registry: reg, SampleEvery: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,6 @@ func TestStatsFromRegistrySnapshot(t *testing.T) {
 		"oracle_path_bibfs_total",
 		"oracle_dist_latency_seconds_bucket{le=",
 		"oracle_realized_alpha",
-		"oracle_landmarks",
 	} {
 		if !strings.Contains(b.String(), want) {
 			t.Errorf("exposition missing %q", want)
@@ -107,11 +106,11 @@ func TestStatsFromRegistrySnapshot(t *testing.T) {
 // working registry, and two such oracles do not collide.
 func TestPrivateRegistryWhenNil(t *testing.T) {
 	dc := buildTestSpanner(t, 128, 32, 9)
-	o1, err := New(dc, Options{Landmarks: 4})
+	o1, err := New(dc, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	o2, err := New(dc, Options{Landmarks: 4})
+	o2, err := New(dc, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,9 +6,8 @@
 // Distance resolution is pluggable behind the Backend interface; three
 // engines ship (see Options.Backend and DESIGN.md §14):
 //
-//   - landmark-bibfs (the default): a k-landmark upper-bound table
-//     answering min_l d(u,l)+d(l,v) in O(k), and a bidirectional BFS
-//     for the exact-on-spanner distance;
+//   - landmark-bibfs (the default): a bidirectional BFS on H for the
+//     exact-on-spanner distance, with nothing precomputed;
 //   - exact-cached: a precomputed all-pairs table for small graphs —
 //     O(n²) space, O(1) queries, every answer exact;
 //   - sparse-hub: the two-level hub/bunch design for sparse graphs —
@@ -20,8 +19,8 @@
 // Because H is an (α, β)-DC-spanner, the exact-on-H distance is within
 // the certified α of the true distance on G; the oracle verifies this
 // empirically by re-answering a deterministic sample of queries exactly
-// on G, with the same pooled bidirectional BFS the landmark backend runs
-// on H, and tracking the realized stretch. All structures are safe for
+// on G, with the same pooled bidirectional BFS landmark-bibfs runs on
+// H, and tracking the realized stretch. All structures are safe for
 // concurrent use and AnswerBatch fans queries out over a worker pool;
 // answers are independent of scheduling because resolution is
 // deterministic.
@@ -69,17 +68,11 @@ const (
 	metricRealizedAlpha = "oracle_realized_alpha"
 	metricMeanStretch   = "oracle_mean_stretch"
 	metricMaxCongestion = "oracle_max_route_congestion"
-	metricLandmarks     = "oracle_landmarks"
 	metricSparseHubs    = "oracle_sparse_hubs"
 	metricBunchEntries  = "oracle_sparse_bunch_entries"
 	metricBackendInfo   = "oracle_backend_info"
 	metricBackendBound  = "oracle_backend_stretch_bound"
 	metricBackendMemory = "oracle_backend_memory_bytes"
-
-	// Landmark refresh work: row entries the repair changed, and rows
-	// swept from scratch for a new root.
-	metricRepairVertices = "oracle_landmark_repair_vertices"
-	metricRootSweeps     = "oracle_landmark_root_sweeps"
 
 	// Update-stage histograms, registered by NewDynamic only.
 	metricUpdateRepair  = "oracle_update_stage_repair_seconds"
@@ -95,14 +88,11 @@ type Options struct {
 	// BackendAuto to benchmark them at startup and serve the fastest
 	// within MemoryBudget. Empty means BackendLandmarkBiBFS.
 	Backend string
-	// Landmarks is the number of BFS trees precomputed on H by the
-	// landmark-bibfs backend (clamped to [1, n]); 0 means the default 16.
-	Landmarks int
 	// SparseHubs is the sparse-hub backend's hub count — its space/query
 	// knob: more hubs mean bigger rows but smaller bunches and tighter
 	// bounds. 0 means ⌈√n⌉, the point balancing rows against bunches.
 	SparseHubs int
-	// Seed keys landmark/hub selection; 0 inherits the spanner's build
+	// Seed keys sparse-hub's hub selection; 0 inherits the spanner's build
 	// seed (so oracle determinism follows spanner determinism).
 	Seed uint64
 	// Workers bounds AnswerBatch's worker pool; 0 means GOMAXPROCS.
@@ -144,10 +134,9 @@ type Answer struct {
 	// stretch of the true spanner distance); graph.Unreachable for
 	// disconnected pairs and invalid queries.
 	Dist int32
-	// Bound is the backend's admissible upper bound on the spanner
-	// distance — the O(k) landmark bound for landmark-bibfs, the hub
-	// bound for sparse-hub, Dist itself for exact-cached
-	// (graph.Unreachable when nothing connects the endpoints).
+	// Bound equals Dist on every answer of every backend: the exact
+	// distance, or sparse-hub's hub bound on an inexact answer. The wire
+	// answer encoding still carries it.
 	Bound int32
 	// Exact reports whether Dist is the exact spanner distance.
 	Exact bool
@@ -186,7 +175,6 @@ type Stats struct {
 	// MaxCongestion is the highest per-node count of served Route paths
 	// crossing a vertex (C(P, v) over the routes answered so far).
 	MaxCongestion int64
-	Landmarks     int // landmark-bibfs BFS trees; 0 for other backends
 
 	// Per-backend reporting: the serving backend's name, declared
 	// contract, and own counters. Resolution-path counts are
@@ -407,35 +395,6 @@ func (o *Oracle) MarkServingStart() {
 	o.start.Store(&now)
 }
 
-// Landmarks returns the sorted landmark vertex ids of the landmark-bibfs
-// backend, or nil when another backend serves.
-func (o *Oracle) Landmarks() []int32 {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return append([]int32(nil), o.landmarks()...)
-}
-
-// landmarks is Landmarks without the lock or the copy, for callers that
-// already hold the read lock.
-func (o *Oracle) landmarks() []int32 {
-	if lb, ok := o.backend.(*landmarkBackend); ok {
-		return lb.lm.roots
-	}
-	return nil
-}
-
-// LandmarkBytes serializes the landmark-bibfs backend's landmark table —
-// two oracles over the same spanner and seed produce identical bytes
-// (the determinism contract) — or nil when another backend serves.
-func (o *Oracle) LandmarkBytes() []byte {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	if lb, ok := o.backend.(*landmarkBackend); ok {
-		return lb.lm.Bytes()
-	}
-	return nil
-}
-
 // readLocked wraps a gauge closure that reads update-replaced state so it
 // runs under rl (the oracle's read lock).
 func readLocked(rl sync.Locker, f func() float64) func() float64 {
@@ -507,8 +466,8 @@ func (o *Oracle) resolve(u, v int32) (Answer, uint8, error) {
 }
 
 // maybeSampleStretch re-answers every sampleEvery-th query u ≠ v exactly
-// on G, with a pooled bidirectional BFS (the search the landmark backend
-// runs on H), and records the realized stretch dist_H / dist_G. The
+// on G, with a pooled bidirectional BFS (the search landmark-bibfs runs
+// on H), and records the realized stretch dist_H / dist_G. The
 // caller holds the read lock, so no update moves G under the search. The
 // scratch is sized n, which updates never change, so the pool outlives
 // every Update.
@@ -597,7 +556,6 @@ func (o *Oracle) StatsFrom(snap obs.Snapshot) Stats {
 		Queries:             snap.Counters[metricDistQueries],
 		Routes:              snap.Counters[metricRouteQueries],
 		CertifiedAlpha:      o.alpha,
-		Landmarks:           len(o.landmarks()),
 		StretchSamples:      int(snap.Gauges[metricStretchN]),
 		RealizedAlpha:       snap.Gauges[metricRealizedAlpha],
 		MeanStretch:         snap.Gauges[metricMeanStretch],
@@ -626,8 +584,8 @@ func (o *Oracle) StatsFrom(snap obs.Snapshot) Stats {
 // String renders the snapshot as a single report line.
 func (s Stats) String() string {
 	return fmt.Sprintf(
-		"backend=%s queries=%d routes=%d p50=%.3gs p95=%.3gs p99=%.3gs routeP50=%.3gs routeP99=%.3gs qps=%.0f realizedAlpha=%.3f (certified %d, %d samples) maxCong=%d landmarks=%d",
+		"backend=%s queries=%d routes=%d p50=%.3gs p95=%.3gs p99=%.3gs routeP50=%.3gs routeP99=%.3gs qps=%.0f realizedAlpha=%.3f (certified %d, %d samples) maxCong=%d",
 		s.Backend, s.Queries, s.Routes, s.LatencyP50, s.LatencyP95, s.LatencyP99,
 		s.RouteLatencyP50, s.RouteLatencyP99,
-		s.QPS, s.RealizedAlpha, s.CertifiedAlpha, s.StretchSamples, s.MaxCongestion, s.Landmarks)
+		s.QPS, s.RealizedAlpha, s.CertifiedAlpha, s.StretchSamples, s.MaxCongestion)
 }

@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -29,7 +30,7 @@ func buildTestSpanner(t testing.TB, n, d int, seed uint64) *core.DCSpanner {
 
 func TestDistMatchesExactSpannerDistance(t *testing.T) {
 	dc := buildTestSpanner(t, 128, 32, 3)
-	o, err := New(dc, Options{Landmarks: 8})
+	o, err := New(dc, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,8 +50,8 @@ func TestDistMatchesExactSpannerDistance(t *testing.T) {
 		if ans.Dist != want {
 			t.Fatalf("Dist(%d,%d) = %d, want %d", u, v, ans.Dist, want)
 		}
-		if ans.Bound != graph.Unreachable && ans.Bound < want {
-			t.Fatalf("landmark bound %d below true distance %d for (%d,%d)", ans.Bound, want, u, v)
+		if ans.Bound != ans.Dist {
+			t.Fatalf("Dist(%d,%d) bound %d, want the answer %d", u, v, ans.Bound, ans.Dist)
 		}
 	}
 }
@@ -64,7 +65,7 @@ func TestRealizedStretchWithinCertifiedAlpha(t *testing.T) {
 	if alpha <= 0 {
 		t.Fatalf("expander spanner must certify a constant alpha, got %d", alpha)
 	}
-	o, err := New(dc, Options{Landmarks: 16})
+	o, err := New(dc, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,45 +101,28 @@ func TestRealizedStretchWithinCertifiedAlpha(t *testing.T) {
 	}
 }
 
-// TestLandmarkDeterminism: two oracles built from the same seed must have
-// byte-identical landmark tables; a different seed must not (on a graph
-// large enough that collisions are implausible).
+// TestLandmarkDeterminism: two sparse-hub oracles built from the same
+// seed must have byte-identical hub tables; a different seed must not (on
+// a graph large enough that collisions are implausible).
 func TestLandmarkDeterminism(t *testing.T) {
 	dc := buildTestSpanner(t, 128, 32, 11)
-	a, err := New(dc, Options{Landmarks: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(dc, Options{Landmarks: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.LandmarkBytes(), b.LandmarkBytes()) {
-		t.Fatal("same seed produced different landmark tables")
-	}
-	c, err := New(dc, Options{Landmarks: 12, Seed: 999})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(a.LandmarkBytes(), c.LandmarkBytes()) {
-		t.Fatal("different seeds produced identical landmark tables")
-	}
-	// The highest-degree hub is always a landmark.
-	h := dc.Graph()
-	hub := int32(0)
-	for v := int32(1); v < int32(h.N()); v++ {
-		if h.Degree(v) > h.Degree(hub) {
-			hub = v
+	hubs := func(seed uint64) *landmarkTable {
+		o, err := New(dc, Options{Backend: BackendSparseHub, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
 		}
+		return o.backend.(*sparseBackend).hubs
 	}
-	found := false
-	for _, r := range a.Landmarks() {
-		if r == hub {
-			found = true
-		}
+	a, b, c := hubs(0), hubs(0), hubs(999)
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("same seed produced different hub tables")
 	}
-	if !found {
-		t.Fatalf("hub %d missing from landmarks %v", hub, a.Landmarks())
+	if bytes.Equal(a.Bytes(), c.Bytes()) {
+		t.Fatal("different seeds produced identical hub tables")
+	}
+	// The highest-degree vertex is always a hub.
+	if hub := hubOf(dc.Graph()); !slices.Contains(a.roots, hub) {
+		t.Fatalf("hub %d missing from hubs %v", hub, a.roots)
 	}
 }
 
@@ -146,7 +130,7 @@ func TestLandmarkDeterminism(t *testing.T) {
 // query counter and the latency histogram.
 func TestSymmetricDistAndStats(t *testing.T) {
 	dc := buildTestSpanner(t, 128, 32, 5)
-	o, err := New(dc, Options{Landmarks: 4})
+	o, err := New(dc, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +164,7 @@ func TestDisconnectedPair(t *testing.T) {
 		b.AddEdge(e[0], e[1])
 	}
 	g := b.MustBuild()
-	o, err := NewFromGraphs(g, g, 1, Options{Landmarks: 2})
+	o, err := NewFromGraphs(g, g, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +183,7 @@ func TestDisconnectedPair(t *testing.T) {
 
 func TestRouteIsValidShortestPath(t *testing.T) {
 	dc := buildTestSpanner(t, 128, 32, 13)
-	o, err := New(dc, Options{Landmarks: 6})
+	o, err := New(dc, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +214,7 @@ func TestRouteIsValidShortestPath(t *testing.T) {
 
 func TestAnswerBatchMatchesSequentialAndHandlesInvalid(t *testing.T) {
 	dc := buildTestSpanner(t, 128, 32, 17)
-	o, err := New(dc, Options{Landmarks: 8, Workers: 4})
+	o, err := New(dc, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ func twoTriangleOracle(t *testing.T) *Oracle {
 		b.AddEdge(e[0], e[1])
 	}
 	g := b.MustBuild()
-	o, err := NewFromGraphs(g, g, 1, Options{Landmarks: 2})
+	o, err := NewFromGraphs(g, g, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func twoTriangleOracle(t *testing.T) *Oracle {
 // QPS and skewing the quantiles relative to the caller's own query totals.
 func TestRouteDoesNotInflateDistAccounting(t *testing.T) {
 	dc := buildTestSpanner(t, 128, 32, 23)
-	o, err := New(dc, Options{Landmarks: 6})
+	o, err := New(dc, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestRouteDoesNotInflateDistAccounting(t *testing.T) {
 // construction and the first query dilutes the figure.
 func TestMarkServingStartResetsQPSClock(t *testing.T) {
 	dc := buildTestSpanner(t, 64, 18, 29)
-	o, err := New(dc, Options{Landmarks: 4})
+	o, err := New(dc, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

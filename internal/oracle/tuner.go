@@ -138,7 +138,7 @@ func autoTune(h *graph.Graph, opts Options, workers int, trace *obs.Span) (Backe
 	var builtChoices []TunerChoice
 	for _, name := range BackendNames() {
 		est := tunerEstimate(name, n, opts)
-		if budget > 0 && est > budget && name != BackendLandmarkBiBFS {
+		if budget > 0 && est > budget {
 			rep.Candidates = append(rep.Candidates, TunerChoice{
 				Name: name, MemoryBytes: est, Skipped: "estimate over memory budget",
 			})
@@ -150,7 +150,7 @@ func autoTune(h *graph.Graph, opts Options, workers int, trace *obs.Span) (Backe
 			return nil, nil, err
 		}
 		buildNs := time.Since(t0).Nanoseconds()
-		if budget > 0 && b.MemoryBytes() > budget && name != BackendLandmarkBiBFS {
+		if budget > 0 && b.MemoryBytes() > budget {
 			rep.Candidates = append(rep.Candidates, TunerChoice{
 				Name: name, BuildNs: buildNs, MemoryBytes: b.MemoryBytes(),
 				StretchBound: b.StretchBound(), Skipped: "built size over memory budget",
@@ -182,8 +182,9 @@ func autoTune(h *graph.Graph, opts Options, workers int, trace *obs.Span) (Backe
 		builtChoices = append(builtChoices, c)
 	}
 	if len(built) == 0 {
-		// Unreachable in practice — the landmark backend is never skipped
-		// — but keep the failure explicit rather than a nil deref.
+		// Unreachable in practice — landmark-bibfs holds 0 bytes, so no
+		// budget skips it — but keep the failure explicit rather than a
+		// nil deref.
 		return nil, nil, fmt.Errorf("oracle: auto-tuner found no backend within the %s budget", fmtBytes(budget))
 	}
 	minNs := builtChoices[0].QueryNs
@@ -219,11 +220,6 @@ func tunerEstimate(name string, n int, opts Options) int64 {
 			k = defaultSparseHubs(n)
 		}
 		return sparseMemoryEstimate(n, k)
-	default:
-		k := opts.Landmarks
-		if k == 0 {
-			k = 16
-		}
-		return 4 * int64(k) * int64(n+1)
 	}
+	return 0 // landmark-bibfs precomputes nothing
 }

@@ -78,8 +78,8 @@ func TestTunerTwoVertexAnswersEveryProbe(t *testing.T) {
 }
 
 // A budget below every non-landmark estimate exercises the
-// estimate-over-budget Skipped branch for each of them; the landmark
-// backend is exempt and must serve.
+// estimate-over-budget Skipped branch for each of them; landmark-bibfs
+// precomputes nothing, so its 0-byte estimate fits and it must serve.
 func TestTunerBudgetSkipsEveryNonLandmarkEstimate(t *testing.T) {
 	dc := buildTestSpanner(t, 96, 32, 31)
 	o, err := New(dc, Options{Backend: BackendAuto, MemoryBudget: 1, SampleEvery: -1, Workers: 1})

@@ -35,7 +35,7 @@ func testOracle(t testing.TB) func(i int) (*oracle.Oracle, error) {
 		if err != nil {
 			return nil, err
 		}
-		return oracle.New(dc, oracle.Options{Landmarks: 8})
+		return oracle.New(dc, oracle.Options{})
 	}
 }
 
@@ -365,7 +365,7 @@ func TestRouterRejectsMismatchedFleet(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return oracle.New(dc, oracle.Options{Landmarks: 4})
+		return oracle.New(dc, oracle.Options{})
 	}, server.Config{})
 	if err != nil {
 		t.Fatalf("small fleet: %v", err)

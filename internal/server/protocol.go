@@ -229,8 +229,9 @@ func (sess *session) handleBatch(fields []string) error {
 
 // formatDist renders a dist response. Disconnected pairs answer the
 // protocol word "unreachable" — the raw graph.Unreachable sentinel (-1)
-// must never leak to clients — and a landmark bound that reaches no
-// common landmark renders as "none". A negative elapsed omits the us=
+// must never leak to clients — and a bound of graph.Unreachable beside a
+// finite distance renders as "none": no backend answers one, but a
+// worker's wire answer is outside input. A negative elapsed omits the us=
 // latency field (batch answers are timed in aggregate by the oracle).
 func formatDist(a oracle.Answer, elapsed time.Duration) string {
 	if a.Dist == graph.Unreachable {

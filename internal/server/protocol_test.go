@@ -98,7 +98,7 @@ func TestDistUnreachableWord(t *testing.T) {
 		b.AddEdge(e[0], e[1])
 	}
 	g := b.MustBuild()
-	o, err := oracle.NewFromGraphs(g, g, 1, oracle.Options{Landmarks: 2})
+	o, err := oracle.NewFromGraphs(g, g, 1, oracle.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func testOracle(t testing.TB) *oracle.Oracle {
 	if err != nil {
 		t.Fatalf("core.Build: %v", err)
 	}
-	o, err := oracle.New(dc, oracle.Options{Landmarks: 8})
+	o, err := oracle.New(dc, oracle.Options{})
 	if err != nil {
 		t.Fatalf("oracle.New: %v", err)
 	}

@@ -130,14 +130,6 @@ func sampleEdges(g *graph.Graph, p float64, r *rng.RNG) *graph.Graph {
 	})
 }
 
-// NeighborhoodMatchingReport describes the Lemma 4 / Figure 2 measurement
-// for one vertex pair.
-type NeighborhoodMatchingReport struct {
-	U, V         int32
-	MatchingSize int // maximum bipartite matching between N(u) and N(v)
-	Lemma4Bound  float64
-}
-
 // NeighborhoodMatching computes a maximum matching between N(u) and N(v)
 // using edges of g — Lemma 4's M between N_u and N_v (Figure 2). The
 // returned edges are node-disjoint edges of g with one endpoint playing

@@ -172,10 +172,12 @@ echo "fleet e2e: router drained cleanly"
 
 echo "== dynamic churn e2e (race-built dcserve -dynamic + dcload update mix + /metrics scrapes, verified end state)"
 # The server is built with -race and halts on the first report: updates
-# patch the backend tables that queries, stats and the /metrics scrape
-# read, so a reader that skips the oracle's lock fails this step. It runs
-# once per backend whose refresh patches its tables from the H-edge
-# delta.
+# edit the live spanner and the backend tables that queries, stats and
+# the /metrics scrape read, so a reader that skips the oracle's lock
+# fails this step. It runs with exact-cached, whose refresh patches its
+# table from the H-edge delta, and with landmark-bibfs, which
+# precomputes nothing but is the dynamic default and churn_rw's backend:
+# its searches and bulk sweeps read the live H that every update edits.
 go build -race -o /tmp/dcserve.race.verify ./cmd/dcserve
 for be in exact-cached landmark-bibfs; do
     rm -f /tmp/dcserve.dyn.log
