@@ -125,7 +125,7 @@ func Build(g *graph.Graph, opts Options) (*DCSpanner, error) {
 		if k <= 0 {
 			k = 2
 		}
-		sp, err := spanner.BaswanaSenTraced(g, k, seedRNG(opts.Seed), tr)
+		sp, err := spanner.BaswanaSen(g, k, seedRNG(opts.Seed), tr)
 		if err != nil {
 			return nil, err
 		}

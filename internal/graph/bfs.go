@@ -11,28 +11,15 @@ func (g *Graph) BFS(src int32) []int32 {
 	for i := range dist {
 		dist[i] = Unreachable
 	}
-	g.bfsInto(src, -1, dist, nil)
-	return dist
-}
-
-// BFSWithin computes hop distances from src but abandons vertices farther
-// than limit hops; those report Unreachable. limit < 0 means no limit.
-func (g *Graph) BFSWithin(src int32, limit int32) []int32 {
-	dist := make([]int32, g.n)
-	for i := range dist {
-		dist[i] = Unreachable
-	}
-	g.bfsInto(src, limit, dist, nil)
+	g.bfsInto(src, dist, nil)
 	return dist
 }
 
 // bfsInto runs BFS from src into dist (which must be pre-filled with
 // Unreachable). If parent is non-nil it records BFS-tree parents (parent of
-// src is src). Vertices beyond limit hops are not explored when limit >= 0.
-// The queue is reused storage allocated per call; for bulk workloads use
-// NewBFSScratch. It returns the number of queue entries scanned — the
-// work-counting seam the depth-limit test pins the early break on.
-func (g *Graph) bfsInto(src, limit int32, dist, parent []int32) int {
+// src is src). The queue is reused storage allocated per call; for bulk
+// workloads use NewBFSScratch.
+func (g *Graph) bfsInto(src int32, dist, parent []int32) {
 	queue := make([]int32, 0, 64)
 	queue = append(queue, src)
 	dist[src] = 0
@@ -41,16 +28,9 @@ func (g *Graph) bfsInto(src, limit int32, dist, parent []int32) int {
 	}
 	for head := 0; head < len(queue); head++ {
 		v := queue[head]
-		dv := dist[v]
-		if limit >= 0 && dv >= limit {
-			// Queue distances are monotone non-decreasing, so every later
-			// entry is at or beyond the limit level too: stop instead of
-			// scanning the rest of the queue one by one.
-			return head + 1
-		}
 		for _, w := range g.Neighbors(v) {
 			if dist[w] == Unreachable {
-				dist[w] = dv + 1
+				dist[w] = dist[v] + 1
 				if parent != nil {
 					parent[w] = v
 				}
@@ -58,7 +38,6 @@ func (g *Graph) bfsInto(src, limit int32, dist, parent []int32) int {
 			}
 		}
 	}
-	return len(queue)
 }
 
 // Dist returns the hop distance between u and v, or Unreachable if they are
@@ -136,7 +115,7 @@ func (g *Graph) ShortestPath(u, v int32) []int32 {
 	for i := range dist {
 		dist[i] = Unreachable
 	}
-	g.bfsInto(u, -1, dist, parent)
+	g.bfsInto(u, dist, parent)
 	if dist[v] == Unreachable {
 		return nil
 	}

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -160,17 +161,6 @@ func TestBFSPathGraph(t *testing.T) {
 		if dist[v] != int32(v) {
 			t.Errorf("dist[%d] = %d, want %d", v, dist[v], v)
 		}
-	}
-}
-
-func TestBFSWithinCutoff(t *testing.T) {
-	g := path(t, 10)
-	dist := g.BFSWithin(0, 3)
-	if dist[3] != 3 {
-		t.Errorf("dist[3] = %d, want 3", dist[3])
-	}
-	if dist[4] != Unreachable {
-		t.Errorf("dist[4] = %d, want Unreachable", dist[4])
 	}
 }
 
@@ -377,6 +367,43 @@ func TestPathWithin(t *testing.T) {
 	}
 	if p2 := s.PathWithin(g, 0, 4, 3, parent); p2 != nil {
 		t.Fatalf("PathWithin beyond limit returned %v", p2)
+	}
+}
+
+// Regression for the PathWithin capacity panic: limit == -1 used to size
+// the path slice with capacity limit+1 == 0 (harmless but undersized), and
+// any other negative "unlimited" limit panicked with a negative capacity.
+func TestPathWithinUnlimitedReconstruction(t *testing.T) {
+	// Path graph 0-1-...-9: the unique shortest path has 10 vertices.
+	n := 10
+	b := NewBuilder(n)
+	for i := 0; i < n-1; i++ {
+		b.AddEdge(int32(i), int32(i+1))
+	}
+	g := b.BuildDedup()
+	s := NewBFSScratch(n)
+	parent := make([]int32, n)
+	want := make([]int32, n)
+	for i := range want {
+		want[i] = int32(i)
+	}
+	for _, limit := range []int32{-1, -5, int32(n)} {
+		got := s.PathWithin(g, 0, int32(n-1), limit, parent)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("limit %d: path %v, want %v", limit, got, want)
+		}
+	}
+	// Too-tight limit: no path.
+	if got := s.PathWithin(g, 0, int32(n-1), 3, parent); got != nil {
+		t.Fatalf("limit 3: path %v, want nil", got)
+	}
+	// Disconnected target: nil even unlimited.
+	b2 := NewBuilder(3)
+	b2.AddEdge(0, 1)
+	g2 := b2.BuildDedup()
+	s2 := NewBFSScratch(3)
+	if got := s2.PathWithin(g2, 0, 2, -1, make([]int32, 3)); got != nil {
+		t.Fatalf("disconnected: path %v, want nil", got)
 	}
 }
 

@@ -2,7 +2,6 @@ package oracle
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -68,7 +67,8 @@ type Backend interface {
 	StretchBound() int
 	// MemoryBytes estimates the backend's resident precomputed state
 	// (the all-pairs table, hub rows and bunches; 0 for landmark-bibfs)
-	// — the figure the startup tuner gates candidates on.
+	// — the figure the startup tuner gates candidates on. It reads only
+	// fixed fields and atomics, so reporting calls it without a lock.
 	MemoryBytes() int64
 	// Dist resolves one query with both endpoints validated in range and
 	// u ≠ v. It returns the filled Answer and the obs.Path* bit of the
@@ -81,39 +81,35 @@ type Backend interface {
 	// the mask is the OR of path bits taken; handled=false punts the
 	// batch to the Oracle's per-query worker pool, which calls Dist.
 	AnswerBatch(qs []Query, out []Answer) (mask uint8, handled bool)
-	// Stats snapshots the backend's own counters (resolution paths,
-	// table sizes) alongside its declared contract. The map keys are
-	// stable short names ("path_bibfs", "hubs", ...).
-	Stats() BackendStats
 
 	// attachMetrics registers the backend's counters into the oracle's
 	// registry, labeled backend="<name>". Called exactly once, on the
 	// backend actually serving — tuner candidates that lose are never
 	// attached, so candidate probing cannot collide on metric names.
-	// Closures reading state that refresh replaces (table sizes, bunch
-	// counts) run under rl, the oracle's read lock; atomic counters need
-	// no lock.
-	attachMetrics(reg *obs.Registry, rl sync.Locker)
+	// Every closure it registers reads an atomic or a field fixed at
+	// construction, so a scrape never waits for an update.
+	attachMetrics(reg *obs.Registry)
 
-	// refresh brings the backend's precomputed state up to date with h,
-	// the dynamic-graph path that repairs backends in place instead of
-	// tearing down and rebuilding the oracle (counters, pools, and metric
-	// registrations all survive). h is the oracle's live spanner, which
-	// the update has already repaired in place, so it holds the new edge
-	// set only; delta is the net H-edge change the update made
-	// (spanner.Incremental's update report), from which the exact table
-	// patches itself: it relaxes pairs through added edges and rewrites
-	// the rows that removed edges were tight from. The contract, enforced
-	// by internal/check's incremental differential: after refresh, every
-	// answer must equal the answer of a backend freshly built on h with
-	// the same Options. The Oracle serializes refresh against every
-	// reader: Update holds its lock exclusively here.
-	refresh(h *graph.Graph, delta spanner.Delta)
+	// refresh brings the backend's precomputed state up to date with its
+	// spanner, the dynamic-graph path that repairs backends in place
+	// instead of tearing down and rebuilding the oracle (counters, pools,
+	// and metric registrations all survive). The backend's graph is the
+	// oracle's live spanner, fixed at construction, which the update has
+	// already repaired in place, so it holds the new edge set only; delta
+	// is the net H-edge change the update made (spanner.Incremental's
+	// update report), from which the exact table patches itself: it
+	// relaxes pairs through added edges and rewrites the rows that
+	// removed edges were tight from. The contract, enforced by
+	// internal/check's incremental differential: after refresh, every
+	// answer must equal the answer of a backend freshly built on the
+	// current spanner with the same Options. The Oracle serializes
+	// refresh against every query: Update holds its lock exclusively
+	// here.
+	refresh(delta spanner.Delta)
 }
 
-// BackendStats is a point-in-time snapshot of one backend's counters and
-// declared contract, embedded in Stats so mixed-backend fleets report
-// per-backend numbers instead of blending them.
+// BackendStats is the serving backend's declared contract and size. Its
+// per-path counters are the backend-labeled families on the registry.
 type BackendStats struct {
 	// Name is the backend's registered name.
 	Name string
@@ -121,8 +117,6 @@ type BackendStats struct {
 	StretchBound int
 	// MemoryBytes estimates the backend's precomputed state.
 	MemoryBytes int64
-	// Counters holds the backend's own counters under stable short keys.
-	Counters map[string]int64
 }
 
 // backendKey returns the registry snapshot key of a backend-labeled
@@ -131,18 +125,18 @@ func backendKey(name, backend string) string {
 	return name + `{backend="` + backend + `"}`
 }
 
-// buildBackend constructs the named backend over the spanner h. The
-// Options carry every knob a backend reads (SparseHubs, Seed); name must
-// be a concrete backend name — BackendAuto is resolved by the tuner
-// before this is called.
-func buildBackend(name string, h *graph.Graph, opts Options, workers int, trace *obs.Span) (Backend, error) {
+// buildBackend constructs the named backend over the spanner h, which
+// it serves for its lifetime. The Options carry every knob a backend
+// reads (SparseHubs, Seed); name must be a concrete backend name —
+// BackendAuto is resolved by the tuner before this is called.
+func buildBackend(name string, h *graph.Graph, opts Options, workers int) (Backend, error) {
 	switch name {
 	case "", BackendLandmarkBiBFS:
 		return newBiBFSBackend(h, workers), nil
 	case BackendExactCached:
-		return newExactBackend(h, workers, trace), nil
+		return newExactBackend(h, workers), nil
 	case BackendSparseHub:
-		return newSparseBackend(h, opts, workers, trace), nil
+		return newSparseBackend(h, opts, workers), nil
 	default:
 		return nil, fmt.Errorf("oracle: unknown backend %q (have %v, or %q)",
 			name, BackendNames(), BackendAuto)

@@ -135,27 +135,14 @@ func (b *bibfsBackend) AnswerBatch(qs []Query, out []Answer) (uint8, bool) {
 	return obs.PathBulk, true
 }
 
-// refresh implements Backend: nothing is precomputed, so the backend
-// only searches the new spanner from here on.
-func (b *bibfsBackend) refresh(h *graph.Graph, _ spanner.Delta) { b.h = h }
-
-// Stats implements Backend.
-func (b *bibfsBackend) Stats() BackendStats {
-	return BackendStats{
-		Name:         b.Name(),
-		StretchBound: b.StretchBound(),
-		MemoryBytes:  b.MemoryBytes(),
-		Counters: map[string]int64{
-			"path_bibfs": b.pathBiBFS.Load(),
-			"path_bulk":  b.pathBulk.Load(),
-		},
-	}
-}
+// refresh implements Backend: nothing is precomputed, and the search
+// reads the live spanner an update has already repaired.
+func (b *bibfsBackend) refresh(spanner.Delta) {}
 
 // attachMetrics implements Backend: every counter is labeled with the
 // backend's name, so mixed-backend fleets scraped into one place stay
 // distinguishable and per-backend path counts never blend.
-func (b *bibfsBackend) attachMetrics(reg *obs.Registry, _ sync.Locker) {
+func (b *bibfsBackend) attachMetrics(reg *obs.Registry) {
 	label := b.Name()
 	reg.CounterFuncLabeled(metricPathBiBFS, "Resolutions answered exactly by bidirectional BFS.",
 		"backend", label, b.pathBiBFS.Load)

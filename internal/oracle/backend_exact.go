@@ -1,7 +1,6 @@
 package oracle
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -28,13 +27,9 @@ type exactBackend struct {
 // newExactBackend BFS-labels the whole graph. The sweep writes each
 // row's upper-triangle slots only — distinct slots across rows — so the
 // build is race-free and deterministic at any worker count.
-func newExactBackend(h *graph.Graph, workers int, trace *obs.Span) *exactBackend {
-	sp := trace.Start("exact-table")
-	n := h.N()
-	b := &exactBackend{h: h, tri: graph.NewTriDist(n), workers: workers}
+func newExactBackend(h *graph.Graph, workers int) *exactBackend {
+	b := &exactBackend{h: h, tri: graph.NewTriDist(h.N()), workers: workers}
 	b.fillAll()
-	sp.SetKV("entries", n*(n-1)/2)
-	sp.End()
 	return b
 }
 
@@ -118,9 +113,8 @@ func (b *exactBackend) AnswerBatch(qs []Query, out []Answer) (uint8, bool) {
 // The delta is the net change between the old and new spanners (not the
 // base-graph update, whose spanner footprint can be several edges), so
 // the rule stays exact no matter what the maintenance layer did upstream.
-func (b *exactBackend) refresh(h *graph.Graph, delta spanner.Delta) {
-	b.h = h
-	n := int32(h.N())
+func (b *exactBackend) refresh(delta spanner.Delta) {
+	n := int32(b.h.N())
 	for _, e := range delta.Added {
 		b.patchInsert(e.U, e.V)
 	}
@@ -205,20 +199,8 @@ func (b *exactBackend) patchInsert(a, c int32) {
 	}
 }
 
-// Stats implements Backend.
-func (b *exactBackend) Stats() BackendStats {
-	return BackendStats{
-		Name:         b.Name(),
-		StretchBound: b.StretchBound(),
-		MemoryBytes:  b.MemoryBytes(),
-		Counters: map[string]int64{
-			"path_exact": b.pathExact.Load(),
-		},
-	}
-}
-
 // attachMetrics implements Backend.
-func (b *exactBackend) attachMetrics(reg *obs.Registry, _ sync.Locker) {
+func (b *exactBackend) attachMetrics(reg *obs.Registry) {
 	reg.CounterFuncLabeled(metricPathExact, "Resolutions served from the precomputed all-pairs table.",
 		"backend", b.Name(), b.pathExact.Load)
 }

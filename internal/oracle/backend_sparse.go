@@ -3,7 +3,6 @@ package oracle
 import (
 	"math"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -39,7 +38,7 @@ import (
 type sparseBackend struct {
 	h       *graph.Graph
 	hubs    *landmarkTable
-	k       int    // resolved hub count, kept for refresh
+	k       int    // resolved hub count: the hub table's fixed row count
 	seed    uint64 // hub-selection seed (already sparseHubSeed-keyed)
 	workers int
 
@@ -49,6 +48,9 @@ type sparseBackend struct {
 	bunchOff []int32
 	bunchW   []int32
 	bunchD   []int32
+	// entries is len(bunchW), published when rebuild finishes so that
+	// MemoryBytes and the gauges read it without the oracle's lock.
+	entries atomic.Int64
 
 	pathBunch atomic.Int64
 	pathHub   atomic.Int64
@@ -72,7 +74,7 @@ func defaultSparseHubs(n int) int {
 // BFS. Bunch radii are exact — d(u,A)−1, or the whole component when no
 // hub is reachable — never truncated: truncation would break both the
 // stretch-3 proof and exact unreachability.
-func newSparseBackend(h *graph.Graph, opts Options, workers int, trace *obs.Span) *sparseBackend {
+func newSparseBackend(h *graph.Graph, opts Options, workers int) *sparseBackend {
 	n := h.N()
 	k := opts.SparseHubs
 	if k <= 0 {
@@ -81,20 +83,17 @@ func newSparseBackend(h *graph.Graph, opts Options, workers int, trace *obs.Span
 	if k > n {
 		k = n
 	}
-	sp := trace.Start("sparse-hub-table")
 	b := &sparseBackend{h: h, k: k, seed: opts.Seed ^ sparseHubSeed, workers: workers}
-	b.rebuild(h)
-	sp.SetKV("hubs", len(b.hubs.roots))
-	sp.SetKV("bunch-entries", len(b.bunchW))
-	sp.End()
+	b.rebuild()
 	return b
 }
 
 // rebuild recomputes the hub table, the d(u, A) column minima, every
-// bunch, and the CSR pack over h with the stored (k, seed) — the shared
-// body of construction and refresh, so a refreshed backend is structure-
-// for-structure the backend a fresh build would produce.
-func (b *sparseBackend) rebuild(h *graph.Graph) {
+// bunch, and the CSR pack over b.h with the stored (k, seed) — the
+// shared body of construction and refresh, so a refreshed backend is
+// structure-for-structure the backend a fresh build would produce.
+func (b *sparseBackend) rebuild() {
+	h := b.h
 	n := h.N()
 	hubs := buildLandmarkTable(h, b.k, b.seed)
 	// d(u, A): the column minimum over the hub rows.
@@ -120,7 +119,7 @@ func (b *sparseBackend) rebuild(h *graph.Graph) {
 			bunches[u] = bs.grow(h, int32(u), dA[u])
 		}
 	})
-	b.h, b.hubs = h, hubs
+	b.hubs = hubs
 	b.bunchOff = make([]int32, n+1)
 	total := 0
 	for u := 0; u < n; u++ {
@@ -136,17 +135,15 @@ func (b *sparseBackend) rebuild(h *graph.Graph) {
 			b.bunchD[off+int32(i)] = e.d
 		}
 	}
+	b.entries.Store(int64(total))
 }
 
 // refresh implements Backend: bunch membership is a global property of
 // the spanner (one edge can move d(u, A) and re-cut every bunch radius
 // along a path), so the backend ignores the delta and recomputes hubs
 // and bunches in place via rebuild. Path counters and metric
-// registrations survive — the gauge closures read b.hubs/b.bunchW
-// through the receiver.
-func (b *sparseBackend) refresh(h *graph.Graph, _ spanner.Delta) {
-	b.rebuild(h)
-}
+// registrations survive; the bunch gauge reads the published entries.
+func (b *sparseBackend) refresh(spanner.Delta) { b.rebuild() }
 
 // bunchEntry is one bunch member with its exact distance from the owner.
 type bunchEntry struct{ w, d int32 }
@@ -220,10 +217,11 @@ func (b *sparseBackend) Name() string { return BackendSparseHub }
 // the type's doc comment.
 func (b *sparseBackend) StretchBound() int { return 3 }
 
-// MemoryBytes implements Backend: hub rows plus the bunch CSR.
+// MemoryBytes implements Backend: k hub rows plus the bunch CSR, whose
+// offsets are n+1 words and whose entries rebuild publishes.
 func (b *sparseBackend) MemoryBytes() int64 {
-	rows := int64(4 * len(b.hubs.roots) * (1 + b.h.N()))
-	return rows + int64(4*len(b.bunchOff)) + int64(8*len(b.bunchW))
+	n := int64(b.h.N())
+	return 4*int64(b.k)*(1+n) + 4*(n+1) + 8*b.entries.Load()
 }
 
 // sparseMemoryEstimate predicts the backend's footprint before building
@@ -270,30 +268,15 @@ func (b *sparseBackend) AnswerBatch(qs []Query, out []Answer) (uint8, bool) {
 	return 0, false
 }
 
-// Stats implements Backend.
-func (b *sparseBackend) Stats() BackendStats {
-	return BackendStats{
-		Name:         b.Name(),
-		StretchBound: b.StretchBound(),
-		MemoryBytes:  b.MemoryBytes(),
-		Counters: map[string]int64{
-			"path_bunch":    b.pathBunch.Load(),
-			"path_hub":      b.pathHub.Load(),
-			"hubs":          int64(len(b.hubs.roots)),
-			"bunch_entries": int64(len(b.bunchW)),
-		},
-	}
-}
-
 // attachMetrics implements Backend.
-func (b *sparseBackend) attachMetrics(reg *obs.Registry, rl sync.Locker) {
+func (b *sparseBackend) attachMetrics(reg *obs.Registry) {
 	label := b.Name()
 	reg.CounterFuncLabeled(metricPathBunch, "Resolutions answered exactly from a hub bunch.",
 		"backend", label, b.pathBunch.Load)
 	reg.CounterFuncLabeled(metricPathHub, "Resolutions served the O(k) hub upper bound.",
 		"backend", label, b.pathHub.Load)
 	reg.GaugeFunc(metricSparseHubs, "Hub BFS rows precomputed by the sparse-hub backend.",
-		readLocked(rl, func() float64 { return float64(len(b.hubs.roots)) }))
+		func() float64 { return float64(b.k) })
 	reg.GaugeFunc(metricBunchEntries, "Total bunch entries held by the sparse-hub backend.",
-		readLocked(rl, func() float64 { return float64(len(b.bunchW)) }))
+		func() float64 { return float64(b.entries.Load()) })
 }

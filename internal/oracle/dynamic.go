@@ -127,7 +127,7 @@ func (o *Oracle) Update(u, v int32, add bool) (UpdateResult, error) {
 		return res, err
 	}
 	t1 := time.Now()
-	o.backend.refresh(o.h, delta)
+	o.backend.refresh(delta)
 	t2 := time.Now()
 	o.stages.repair.Observe(t1.Sub(t0).Seconds())
 	o.stages.refresh.Observe(t2.Sub(t1).Seconds())

@@ -1,8 +1,10 @@
 package oracle
 
 import (
+	"io"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -73,12 +75,12 @@ func TestDynamicMatchesFreshOracle(t *testing.T) {
 // transitions through graph.Unreachable.
 func TestExactRefreshPatchesTable(t *testing.T) {
 	n := 40
-	cur := gen.ErdosRenyi(n, 0.09, rng.New(5))
-	b := newExactBackend(cur, 2, nil)
+	live := graph.NewDynGraph(gen.ErdosRenyi(n, 0.09, rng.New(5)))
+	b := newExactBackend(&live.Graph, 2)
 
 	check := func(stage string) {
 		t.Helper()
-		want := newExactBackend(b.h, 2, nil)
+		want := newExactBackend(live.Snapshot(), 2)
 		for u := int32(0); u < int32(n); u++ {
 			for v := u + 1; v < int32(n); v++ {
 				if got, exp := b.tri.At(u, v), want.tri.At(u, v); got != exp {
@@ -88,44 +90,35 @@ func TestExactRefreshPatchesTable(t *testing.T) {
 		}
 	}
 
-	// mutate flips each listed edge of b.h and refreshes with the net
-	// delta, as spanner.Incremental reports it.
+	// mutate flips each listed edge of the live graph in place and
+	// refreshes with the net delta, as Oracle.Update does with the one
+	// spanner.Incremental reports.
 	mutate := func(stage string, toggle []graph.Edge) {
 		t.Helper()
-		have := make(map[graph.Edge]bool, b.h.M())
-		for _, e := range b.h.Edges() {
-			have[e] = true
-		}
 		var delta spanner.Delta
 		for _, e := range toggle {
 			e = e.Normalize()
-			if have[e] {
+			if live.HasEdge(e.U, e.V) {
+				live.Delete(e.U, e.V)
 				delta.Removed = append(delta.Removed, e)
 			} else {
+				live.Insert(e.U, e.V)
 				delta.Added = append(delta.Added, e)
 			}
-			have[e] = !have[e]
 		}
-		var edges []graph.Edge
-		for e, in := range have {
-			if in {
-				edges = append(edges, e)
-			}
-		}
-		b.refresh(graph.FromEdges(n, edges), delta)
+		b.refresh(delta)
 		check(stage)
 	}
 
 	// Pure insertions exercise the min-rule patch alone.
 	mutate("insert", []graph.Edge{{U: 0, V: 39}, {U: 3, V: 30}, {U: 11, V: 25}})
 	// A small deletion exercises the affected-row rewrite.
-	some := b.h.Edges()[:2]
-	mutate("delete", append([]graph.Edge(nil), some...))
+	mutate("delete", live.Edges()[:2])
 	// Mixed add/remove in one refresh.
-	mutate("mixed", []graph.Edge{{U: 0, V: 39}, {U: 1, V: 38}, b.h.Edges()[4]})
+	mutate("mixed", []graph.Edge{{U: 0, V: 39}, {U: 1, V: 38}, live.Edges()[4]})
 	// Delete most edges at once: nearly every row is affected, driving
 	// the >n/2 full-resweep fallback and plenty of Unreachable pairs.
-	bulk := append([]graph.Edge(nil), b.h.Edges()[:b.h.M()*3/4]...)
+	bulk := live.Edges()[:live.M()*3/4]
 	mutate("bulk-delete", bulk)
 	// Reconnect.
 	mutate("reinsert", bulk)
@@ -237,33 +230,71 @@ func TestLandmarkRefreshMatchesFreshBuild(t *testing.T) {
 	}
 }
 
-// Sparse-hub refresh rebuilds hubs and bunches in place to exactly the
-// structures a fresh build would hold.
+// Sparse-hub refresh rebuilds hubs and bunches in place, over the live
+// graph an update has mutated, to exactly the structures a fresh build
+// would hold, and publishes the size a fresh build reports.
 func TestSparseRefreshMatchesFreshBuild(t *testing.T) {
-	h0 := gen.ErdosRenyi(56, 0.08, rng.New(13))
+	live := graph.NewDynGraph(gen.ErdosRenyi(56, 0.08, rng.New(13)))
 	opts := Options{Seed: 23, SparseHubs: 7}
-	b := newSparseBackend(h0, opts, 2, nil)
-	edges := h0.Edges()
-	added := []graph.Edge{{U: 2, V: 55}}
-	h1 := graph.FromEdges(56, append(edges[:len(edges)-3:len(edges)-3], added...))
-	b.refresh(h1, spanner.Delta{Added: added, Removed: edges[len(edges)-3:]})
-	fresh := newSparseBackend(h1, opts, 2, nil)
+	b := newSparseBackend(&live.Graph, opts, 2)
+	var delta spanner.Delta
+	edges := live.Edges()
+	for _, e := range edges[len(edges)-3:] {
+		live.Delete(e.U, e.V)
+		delta.Removed = append(delta.Removed, e)
+	}
+	if ok, err := live.Insert(2, 55); !ok || err != nil {
+		t.Fatalf("Insert(2, 55) = %v, %v", ok, err)
+	}
+	delta.Added = []graph.Edge{{U: 2, V: 55}}
+	b.refresh(delta)
+	fresh := newSparseBackend(live.Snapshot(), opts, 2)
 	if string(b.hubs.Bytes()) != string(fresh.hubs.Bytes()) {
 		t.Fatal("refreshed hub table differs from a fresh build")
 	}
-	eq32 := func(a, c []int32) bool {
-		if len(a) != len(c) {
-			return false
-		}
-		for i := range a {
-			if a[i] != c[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if !eq32(b.bunchOff, fresh.bunchOff) || !eq32(b.bunchW, fresh.bunchW) || !eq32(b.bunchD, fresh.bunchD) {
+	if !slices.Equal(b.bunchOff, fresh.bunchOff) || !slices.Equal(b.bunchW, fresh.bunchW) ||
+		!slices.Equal(b.bunchD, fresh.bunchD) {
 		t.Fatal("refreshed bunch CSR differs from a fresh build")
+	}
+	if got, want := b.MemoryBytes(), fresh.MemoryBytes(); got != want {
+		t.Fatalf("refreshed MemoryBytes = %d, fresh build %d", got, want)
+	}
+}
+
+// Reporting reads no state an update changes, so it never waits for
+// one: with the oracle's lock held exclusively, as Update holds it, the
+// stats snapshot, the backend's contract and a /metrics render all
+// return, for every backend.
+func TestReportingDoesNotWaitForUpdates(t *testing.T) {
+	base := gen.ErdosRenyi(48, 0.1, rng.New(6))
+	for _, name := range BackendNames() {
+		t.Run(name, func(t *testing.T) {
+			o, err := NewDynamic(base, DynamicOptions{Oracle: Options{Backend: name, SampleEvery: -1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			o.mu.Lock()
+			defer o.mu.Unlock()
+			for _, rep := range []struct {
+				name string
+				call func()
+			}{
+				{"Stats", func() { o.Stats() }},
+				{"BackendStats", func() { o.BackendStats() }},
+				{"WritePrometheus", func() { o.Registry().WritePrometheus(io.Discard) }},
+			} {
+				done := make(chan struct{})
+				go func() {
+					defer close(done)
+					rep.call()
+				}()
+				select {
+				case <-done:
+				case <-time.After(2 * time.Second):
+					t.Errorf("%s waited for the oracle's write lock", rep.name)
+				}
+			}
+		})
 	}
 }
 

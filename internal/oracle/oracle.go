@@ -28,9 +28,11 @@
 // An oracle built by NewDynamic also serves a live graph: Update applies
 // one edge mutation to the base graph, an incrementally maintained
 // spanner (spanner.Incremental), and the backend's tables in place. One
-// RWMutex inside the Oracle guards exactly that mutable state —
-// queries, stats, and metric reads take it shared, Update exclusively —
-// and a static oracle is the zero-update case of the same type.
+// RWMutex inside the Oracle guards exactly that mutable state — queries
+// take it shared, Update exclusively — and a static oracle is the
+// zero-update case of the same type. Reporting (Stats, BackendStats, the
+// registry's closures) reads no state an update changes and takes no
+// lock.
 package oracle
 
 import (
@@ -116,9 +118,6 @@ type Options struct {
 	// process-wide registry is how dcserve unifies /metrics, the wire
 	// stats response, and the demo summary.
 	Registry *obs.Registry
-	// Trace, when non-nil, receives precomputation phase spans (the
-	// backend build, and the tuner sweep under Backend "auto").
-	Trace *obs.Span
 }
 
 // Query is one point-to-point distance request.
@@ -176,14 +175,11 @@ type Stats struct {
 	// crossing a vertex (C(P, v) over the routes answered so far).
 	MaxCongestion int64
 
-	// Per-backend reporting: the serving backend's name, declared
-	// contract, and own counters. Resolution-path counts are
-	// attributed to this backend alone — a fleet mixing backends
-	// aggregates per-name, never blending counters across engines.
+	// The serving backend's name and declared stretch bound. Its
+	// resolution-path counts are the backend-labeled families on the
+	// registry, so a fleet mixing backends never blends them.
 	Backend             string
 	BackendStretchBound int
-	BackendMemoryBytes  int64
-	BackendCounters     map[string]int64
 }
 
 // Oracle answers distance and route queries over a DC-spanner through a
@@ -191,10 +187,10 @@ type Stats struct {
 type Oracle struct {
 	// mu guards the state an Update changes: on a dynamic oracle the
 	// adjacency of g and h themselves, which inc mutates in place, and
-	// the backend's precomputed tables. Readers of that state take it
-	// shared, for as long as they read a graph; on a static oracle it is
-	// never taken exclusively. No method holding the read lock may call
-	// one that takes it: a nested RLock deadlocks once a writer waits.
+	// the backend's precomputed tables. Dist, AnswerBatch, Route,
+	// Snapshot and HM take it shared, for as long as they read a graph,
+	// and Update exclusively; on a static oracle it is never taken
+	// exclusively. Reporting never takes it.
 	mu    sync.RWMutex
 	g     *graph.Graph // base graph G; on a dynamic oracle inc's live graph
 	h     *graph.Graph // spanner H (the serving graph); on a dynamic oracle inc's live spanner
@@ -270,9 +266,9 @@ func NewFromGraphs(g, h *graph.Graph, alpha int, opts Options) (*Oracle, error) 
 		err   error
 	)
 	if opts.Backend == BackendAuto {
-		be, tuner, err = autoTune(h, opts, workers, opts.Trace)
+		be, tuner, err = autoTune(h, opts, workers)
 	} else {
-		be, err = buildBackend(opts.Backend, h, opts, workers, opts.Trace)
+		be, err = buildBackend(opts.Backend, h, opts, workers)
 	}
 	if err != nil {
 		return nil, err
@@ -319,8 +315,8 @@ func (o *Oracle) registerMetrics(reg *obs.Registry) {
 		func() float64 { return float64(o.backend.StretchBound()) })
 	reg.GaugeFunc(metricBackendMemory,
 		"Estimated bytes of the serving backend's precomputed state.",
-		readLocked(o.mu.RLocker(), func() float64 { return float64(o.backend.MemoryBytes()) }))
-	o.backend.attachMetrics(reg, o.mu.RLocker())
+		func() float64 { return float64(o.backend.MemoryBytes()) })
+	o.backend.attachMetrics(reg)
 	reg.RegisterHistogram(metricDistLatency, "Dist query service time.", o.latency)
 	reg.RegisterHistogram(metricRouteLatency, "Route query service time.", o.routeLatency)
 	reg.GaugeFunc(metricStretchN, "Realized-stretch samples taken.", func() float64 {
@@ -377,12 +373,14 @@ func (o *Oracle) Backend() string { return o.backend.Name() }
 // Options.Backend named a concrete backend.
 func (o *Oracle) TunerReport() *TunerReport { return o.tuner }
 
-// BackendStats snapshots the serving backend's own counters and
-// declared contract (also embedded in Stats).
+// BackendStats reports the serving backend's declared contract and
+// size.
 func (o *Oracle) BackendStats() BackendStats {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return o.backend.Stats()
+	return BackendStats{
+		Name:         o.backend.Name(),
+		StretchBound: o.backend.StretchBound(),
+		MemoryBytes:  o.backend.MemoryBytes(),
+	}
 }
 
 // MarkServingStart resets the serving clock that Stats.QPS is measured
@@ -393,16 +391,6 @@ func (o *Oracle) BackendStats() BackendStats {
 func (o *Oracle) MarkServingStart() {
 	now := time.Now()
 	o.start.Store(&now)
-}
-
-// readLocked wraps a gauge closure that reads update-replaced state so it
-// runs under rl (the oracle's read lock).
-func readLocked(rl sync.Locker, f func() float64) func() float64 {
-	return func() float64 {
-		rl.Lock()
-		defer rl.Unlock()
-		return f()
-	}
 }
 
 // Dist answers a single distance query. Safe for concurrent use. The
@@ -544,14 +532,8 @@ func (o *Oracle) Stats() Stats {
 // StatsFrom derives the Stats view from an already-taken registry
 // snapshot — the path by which a serving layer that also owns counters
 // in the same registry (internal/server) renders its whole stats line
-// from one capture instant. The backend's contract
-// and table sizes are read under the oracle's read lock, which snap's
-// registry closures also take — so take the snapshot first, never while
-// holding that lock.
+// from one capture instant.
 func (o *Oracle) StatsFrom(snap obs.Snapshot) Stats {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	name := o.backend.Name()
 	s := Stats{
 		Queries:             snap.Counters[metricDistQueries],
 		Routes:              snap.Counters[metricRouteQueries],
@@ -560,10 +542,8 @@ func (o *Oracle) StatsFrom(snap obs.Snapshot) Stats {
 		RealizedAlpha:       snap.Gauges[metricRealizedAlpha],
 		MeanStretch:         snap.Gauges[metricMeanStretch],
 		MaxCongestion:       int64(snap.Gauges[metricMaxCongestion]),
-		Backend:             name,
+		Backend:             o.backend.Name(),
 		BackendStretchBound: o.backend.StretchBound(),
-		BackendMemoryBytes:  o.backend.MemoryBytes(),
-		BackendCounters:     o.backend.Stats().Counters,
 	}
 	lat := snap.Histograms[metricDistLatency]
 	s.LatencyMean = lat.Mean()

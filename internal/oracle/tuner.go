@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/graph"
-	"repro/internal/obs"
 	"repro/internal/rng"
 )
 
@@ -111,7 +110,7 @@ const tunerQueryTolerance = 0.05
 //
 // The winner is served as built: its probe answers stay in its counters,
 // which reads as a small warm-up rather than a distortion.
-func autoTune(h *graph.Graph, opts Options, workers int, trace *obs.Span) (Backend, *TunerReport, error) {
+func autoTune(h *graph.Graph, opts Options, workers int) (Backend, *TunerReport, error) {
 	budget := opts.MemoryBudget
 	if budget == 0 {
 		budget = defaultMemoryBudget
@@ -131,8 +130,6 @@ func autoTune(h *graph.Graph, opts Options, workers int, trace *obs.Span) (Backe
 		qs[i] = Query{U: u, V: v}
 	}
 
-	sp := trace.Start("backend-tuner")
-	defer sp.End()
 	rep := &TunerReport{}
 	var built []Backend
 	var builtChoices []TunerChoice
@@ -145,7 +142,7 @@ func autoTune(h *graph.Graph, opts Options, workers int, trace *obs.Span) (Backe
 			continue
 		}
 		t0 := time.Now()
-		b, err := buildBackend(name, h, opts, workers, nil)
+		b, err := buildBackend(name, h, opts, workers)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -205,7 +202,6 @@ func autoTune(h *graph.Graph, opts Options, workers int, trace *obs.Span) (Backe
 	}
 	best := built[bestIdx]
 	rep.Chosen = best.Name()
-	sp.SetKV("chosen", rep.Chosen)
 	return best, rep, nil
 }
 

@@ -216,12 +216,14 @@ func TestBinaryConcurrentUpdatesAndQueries(t *testing.T) {
 }
 
 // Updates racing every reader of the state they change, once per
-// backend: the stats line (text "stats" and MsgStats), a /metrics
-// scrape, queries whose every answer the stretch sampler re-checks on
-// the live G, routes searched on the live H, a 128-query batch that the
-// landmark backend answers by sweeping the live H with two workers, and
-// snapshots, which copy both live graphs. Each reader must take the
-// oracle's lock, so this test is clean under -race; the verify snapshot
+// backend (sparse-hub rebuilds its hubs and bunches on each): queries
+// whose every answer the stretch sampler re-checks on the live G, routes
+// searched on the live H, a 128-query batch that the landmark backend
+// answers by sweeping the live H with two workers, and snapshots, which
+// copy both live graphs, all of which take the oracle's lock; and the
+// stats line (text "stats" and MsgStats), Stats, BackendStats and a
+// /metrics scrape, which take none and read only fixed fields, atomics
+// and the registry. This test is clean under -race; the verify snapshot
 // at the end proves the racing updates still left a consistent spanner.
 func TestDynamicUpdatesRaceStatsAndMetrics(t *testing.T) {
 	base := gen.ErdosRenyi(64, 0.08, rng.New(4))
@@ -259,6 +261,14 @@ func TestDynamicUpdatesRaceStatsAndMetrics(t *testing.T) {
 					}
 					if err := reg.WritePrometheus(io.Discard); err != nil {
 						t.Errorf("WritePrometheus: %v", err)
+						return
+					}
+					if s := o.Stats(); s.Backend != name {
+						t.Errorf("Stats().Backend = %q", s.Backend)
+						return
+					}
+					if bs := o.BackendStats(); bs.Name != name {
+						t.Errorf("BackendStats().Name = %q", bs.Name)
 						return
 					}
 					if _, err := o.Dist(3, 33); err != nil {
@@ -300,7 +310,8 @@ func TestDynamicUpdatesRaceStatsAndMetrics(t *testing.T) {
 			if info := o.Snapshot(true); !info.Verified || !info.Consistent {
 				t.Fatalf("verify snapshot after racing updates: %+v", info)
 			}
-			if name == oracle.BackendLandmarkBiBFS && o.BackendStats().Counters["path_bulk"] == 0 {
+			if name == oracle.BackendLandmarkBiBFS &&
+				reg.Snapshot().Counters[`oracle_path_bulk{backend="landmark-bibfs"}`] == 0 {
 				t.Fatal("no batch took the landmark backend's bulk sweep")
 			}
 		})

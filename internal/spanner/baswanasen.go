@@ -15,15 +15,10 @@ import (
 // classical distance-only spanners).
 //
 // Phase 1 runs k−1 rounds of cluster sampling with probability n^{−1/k};
-// phase 2 connects every vertex to each adjacent surviving cluster.
-func BaswanaSen(g *graph.Graph, k int, r *rng.RNG) (*Spanner, error) {
-	return BaswanaSenTraced(g, k, r, nil)
-}
-
-// BaswanaSenTraced is BaswanaSen with phase tracing: each clustering
-// round and the vertex–cluster joining phase open spans under parent
-// (nil disables tracing at zero cost).
-func BaswanaSenTraced(g *graph.Graph, k int, r *rng.RNG, parent *obs.Span) (*Spanner, error) {
+// phase 2 connects every vertex to each adjacent surviving cluster. Each
+// clustering round and the joining phase open spans under parent (nil
+// disables tracing at zero cost).
+func BaswanaSen(g *graph.Graph, k int, r *rng.RNG, parent *obs.Span) (*Spanner, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("spanner: BaswanaSen needs k >= 1")
 	}

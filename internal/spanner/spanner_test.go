@@ -310,7 +310,7 @@ func TestBaswanaSenStretch(t *testing.T) {
 	r := rng.New(11)
 	g := gen.MustRandomRegular(150, 20, r)
 	for _, k := range []int{2, 3} {
-		sp, err := BaswanaSen(g, k, r)
+		sp, err := BaswanaSen(g, k, r, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -328,7 +328,7 @@ func TestBaswanaSenStretch(t *testing.T) {
 func TestBaswanaSenSparsifies(t *testing.T) {
 	r := rng.New(12)
 	g := gen.Clique(100) // densest case
-	sp, err := BaswanaSen(g, 2, r)
+	sp, err := BaswanaSen(g, 2, r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestBaswanaSenSparsifies(t *testing.T) {
 
 func TestBaswanaSenK1IsIdentity(t *testing.T) {
 	g := gen.Cycle(10)
-	sp, err := BaswanaSen(g, 1, rng.New(13))
+	sp, err := BaswanaSen(g, 1, rng.New(13), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -172,14 +172,18 @@ echo "fleet e2e: router drained cleanly"
 
 echo "== dynamic churn e2e (race-built dcserve -dynamic + dcload update mix + /metrics scrapes, verified end state)"
 # The server is built with -race and halts on the first report: updates
-# edit the live spanner and the backend tables that queries, stats and
-# the /metrics scrape read, so a reader that skips the oracle's lock
-# fails this step. It runs with exact-cached, whose refresh patches its
-# table from the H-edge delta, and with landmark-bibfs, which
-# precomputes nothing but is the dynamic default and churn_rw's backend:
-# its searches and bulk sweeps read the live H that every update edits.
+# edit the live spanner and the backend tables that queries read under
+# the oracle's lock, while stats and the /metrics scrape take no lock and
+# may read only fixed fields, atomics and the registry, so a reader of
+# mutable state that skips the lock fails this step. It runs with
+# exact-cached, whose refresh patches its table from the H-edge delta;
+# with landmark-bibfs, which precomputes nothing but is the dynamic
+# default and churn_rw's backend, whose searches and bulk sweeps read the
+# live H that every update edits; and with sparse-hub, which rebuilds its
+# hubs and bunches on every applied update while the scrape reads the
+# bunch-entry count that each rebuild publishes.
 go build -race -o /tmp/dcserve.race.verify ./cmd/dcserve
-for be in exact-cached landmark-bibfs; do
+for be in exact-cached landmark-bibfs sparse-hub; do
     rm -f /tmp/dcserve.dyn.log
     : >/tmp/dcserve.dyn.scrapes
     # No expander regime needed here: dynamic mode maintains the
