@@ -58,7 +58,8 @@ func main() {
 	k := flag.Int("k", 2, "Baswana-Sen parameter (stretch 2k-1)")
 	alpha := flag.Int("alpha", 3, "greedy spanner stretch")
 	backend := flag.String("oracle-backend", "auto",
-		"distance-resolution backend: landmark-bibfs|exact-cached|sparse-hub|auto (benchmark at startup and pick)")
+		"distance-resolution backend: landmark-bibfs|exact-cached|sparse-hub|auto (benchmark at startup and pick); "+
+			"with -dynamic, auto serves landmark-bibfs untuned and exact-cached and sparse-hub are refused")
 	sparseHubs := flag.Int("sparse-hubs", 0, "hub count for the sparse-hub backend (0 = ceil(sqrt(n)))")
 	memBudget := flag.Int64("oracle-mem", 0, "auto-tuner memory budget in bytes (0 = 128 MiB, negative = unlimited)")
 	workers := flag.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")

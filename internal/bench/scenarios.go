@@ -297,7 +297,7 @@ func prepareChurn(opt Options, reg *obs.Registry) (Iter, error) {
 		if !ok {
 			dyn, err := oracle.NewDynamic(g, oracle.DynamicOptions{
 				Spanner: spanner.IncrementalOptions{Seed: opt.Seed},
-				Oracle: oracle.Options{Backend: oracle.BackendExactCached,
+				Oracle: oracle.Options{Backend: oracle.BackendLandmarkBiBFS,
 					Workers: workers, Seed: opt.Seed, SampleEvery: -1},
 			})
 			if err != nil {

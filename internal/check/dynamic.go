@@ -11,9 +11,10 @@ import (
 
 // checkDynamic is the incremental-maintenance differential: drive seeded
 // batches of edge updates through the incremental spanner and through a
-// full oracle.NewDynamic engine per backend, and after EVERY batch assert
-// that the incrementally maintained state is indistinguishable from a
-// from-scratch build on the current edge set.
+// full oracle.NewDynamic engine, which serves landmark-bibfs (the one
+// backend a dynamic oracle serves), and after EVERY batch assert that the
+// incrementally maintained state is indistinguishable from a from-scratch
+// build on the current edge set.
 //
 // Three layers are compared per batch:
 //
@@ -28,12 +29,13 @@ import (
 //     pair, and must satisfy the backend answer contract against an
 //     exact all-pairs reference on the current spanner.
 //
-// One more landmark-bibfs engine samples realized stretch every
-// samplerEvery queries. It takes every update but answers nothing until
-// the last batch is done; then a fixed stream through it must report the
-// StretchSamples, RealizedAlpha and MeanStretch that FoldSampledStretch
-// computes over the current G and H, so its sampler measures against the
-// base graph the updates left behind.
+// One more engine samples realized stretch every samplerEvery queries.
+// It takes every update but answers nothing until the last batch is
+// done; then a fixed stream through it must report the StretchSamples,
+// RealizedAlpha and MeanStretch that FoldSampledStretch computes over the
+// current G and H, so its sampler measures against the base graph the
+// updates left behind. A non-empty opts.Backend other than landmark-bibfs
+// builds neither engine; the spanner layer is still checked.
 func checkDynamic(rep *Report, family string, g *graph.Graph, opts Options, r *rng.RNG) {
 	n := g.N()
 	if n < 2 {
@@ -46,11 +48,12 @@ func checkDynamic(rep *Report, family string, g *graph.Graph, opts Options, r *r
 
 	oSeed := r.Uint64() | 1
 	var engines []*dynEngine
-	addEngine := func(name, backend string, sampleEvery int) *dynEngine {
+	addEngine := func(name string, sampleEvery int) *dynEngine {
 		ck := &checker{rep: rep, family: family, check: "dynamic-engine/" + name, seed: opts.Seed}
 		d, err := oracle.NewDynamic(g, oracle.DynamicOptions{
 			Spanner: sopt,
-			Oracle:  oracle.Options{Backend: backend, Seed: oSeed, Workers: 1, SampleEvery: sampleEvery},
+			Oracle: oracle.Options{Backend: oracle.BackendLandmarkBiBFS, Seed: oSeed, Workers: 1,
+				SampleEvery: sampleEvery},
 		})
 		if !ck.assert(err == nil, "NewDynamic: %v", err) {
 			return nil
@@ -59,14 +62,10 @@ func checkDynamic(rep *Report, family string, g *graph.Graph, opts Options, r *r
 		engines = append(engines, en)
 		return en
 	}
-	for _, name := range []string{oracle.BackendLandmarkBiBFS, oracle.BackendExactCached, oracle.BackendSparseHub} {
-		if opts.Backend == "" || opts.Backend == name {
-			addEngine(name, name, -1)
-		}
-	}
 	var sampler *dynEngine
 	if opts.Backend == "" || opts.Backend == oracle.BackendLandmarkBiBFS {
-		sampler = addEngine("sampler", oracle.BackendLandmarkBiBFS, samplerEvery)
+		addEngine(oracle.BackendLandmarkBiBFS, -1)
+		sampler = addEngine("sampler", samplerEvery)
 	}
 
 	// cur mirrors the live edge set so every generated update is a real
@@ -138,7 +137,7 @@ func checkDynamic(rep *Report, family string, g *graph.Graph, opts Options, r *r
 			eck.assert(si.HM == fresh.HM(), "engine HM=%d, fresh build has %d", si.HM, fresh.HM())
 
 			freshO, err := oracle.NewFromGraphs(s.Base, s.H, spanner.IncrementalAlpha,
-				oracle.Options{Backend: en.name, Seed: oSeed, Workers: 1, SampleEvery: -1})
+				oracle.Options{Backend: oracle.BackendLandmarkBiBFS, Seed: oSeed, Workers: 1, SampleEvery: -1})
 			if !eck.assert(err == nil, "fresh oracle: %v", err) {
 				continue
 			}
@@ -150,7 +149,7 @@ func checkDynamic(rep *Report, family string, g *graph.Graph, opts Options, r *r
 					continue
 				}
 				if !eck.assert(live == want,
-					"(%d,%d): refreshed backend answers %+v, fresh build answers %+v", q.U, q.V, live, want) {
+					"(%d,%d): live engine answers %+v, fresh build answers %+v", q.U, q.V, live, want) {
 					break
 				}
 				checkBackendAnswer(eck, live, distH, sb)
@@ -192,7 +191,7 @@ func checkDynamic(rep *Report, family string, g *graph.Graph, opts Options, r *r
 	}
 }
 
-// dynEngine pairs a live engine with its backend name for reporting.
+// dynEngine pairs a live engine with the name its checks report.
 type dynEngine struct {
 	name string
 	d    *oracle.Oracle

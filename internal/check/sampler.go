@@ -16,7 +16,7 @@ const samplerEvery = 3
 // checkSampler pins the oracle's realized-stretch sampler. Oracles built
 // over (g, v.h) with SampleEvery samplerEvery answer one fixed stream
 // through each serving arm that answers exactly — Dist, the per-query
-// AnswerBatch pool at one worker, the landmark backend's bulk
+// AnswerBatch pool at eight workers, the landmark backend's bulk
 // multi-source arm and the exact-cached table — and each must report the
 // StretchSamples, RealizedAlpha and MeanStretch that FoldSampledStretch
 // computes from the exact matrices of G and H. Every arm is traced, so
@@ -49,8 +49,9 @@ func checkSampler(rep *Report, family string, g *graph.Graph, v variant, distG, 
 		path          uint8
 	}{
 		{"landmark-dist", oracle.BackendLandmarkBiBFS, 1, 0, obs.PathBiBFS},
-		// Chunks below the bulk arm's minimum batch stay on the per-query pool.
-		{"landmark-perquery", oracle.BackendLandmarkBiBFS, 1, 64, obs.PathBiBFS},
+		// Chunks below the bulk arm's minimum batch stay on the per-query
+		// pool, which settles its samples in batch order at any worker count.
+		{"landmark-perquery", oracle.BackendLandmarkBiBFS, 8, 64, obs.PathBiBFS},
 		{"landmark-bulk", oracle.BackendLandmarkBiBFS, 2, len(qs), obs.PathBulk},
 		{"exact-table", oracle.BackendExactCached, 2, len(qs), obs.PathExact},
 	}

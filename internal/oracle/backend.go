@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/spanner"
 )
 
 // Backend names accepted by Options.Backend (and the CLIs'
@@ -23,7 +22,8 @@ const (
 	// BackendExactCached precomputes the full all-pairs distance matrix
 	// (a triangular n(n−1)/2 table) at build time. Space O(n²), query
 	// O(1), stretch bound 1. Only sensible for small graphs — the tuner
-	// gates it on Options.MemoryBudget.
+	// gates it on Options.MemoryBudget. Static oracles only: NewDynamic
+	// refuses it with ErrDynamicBackend.
 	BackendExactCached = "exact-cached"
 	// BackendSparseHub is the Thorup–Zwick-style two-level design from
 	// Agarwal–Godfrey–Har-Peled's sparse-graph line of work: a hub set A
@@ -32,11 +32,13 @@ const (
 	// O(k·n + Σ|B(u)|) with E|B(u)| ≈ n/k under uniform hub sampling
 	// (k ≈ √n balances the two terms; Options.SparseHubs is the knob).
 	// Query is two binary searches plus an O(k) hub scan; stretch bound 3.
+	// Static oracles only: NewDynamic refuses it with ErrDynamicBackend.
 	BackendSparseHub = "sparse-hub"
 	// BackendAuto asks New to benchmark every candidate backend on a
 	// sampled query mix over the loaded graph and serve the fastest one
 	// that fits Options.MemoryBudget (see tuner.go for the decision
 	// rule). The choice is exposed via Oracle.Backend and TunerReport.
+	// NewDynamic runs no tuner: under auto it serves BackendLandmarkBiBFS.
 	BackendAuto = "auto"
 )
 
@@ -68,7 +70,7 @@ type Backend interface {
 	// MemoryBytes estimates the backend's resident precomputed state
 	// (the all-pairs table, hub rows and bunches; 0 for landmark-bibfs)
 	// — the figure the startup tuner gates candidates on. It reads only
-	// fixed fields and atomics, so reporting calls it without a lock.
+	// fields fixed at construction, so reporting calls it without a lock.
 	MemoryBytes() int64
 	// Dist resolves one query with both endpoints validated in range and
 	// u ≠ v. It returns the filled Answer and the obs.Path* bit of the
@@ -89,23 +91,6 @@ type Backend interface {
 	// Every closure it registers reads an atomic or a field fixed at
 	// construction, so a scrape never waits for an update.
 	attachMetrics(reg *obs.Registry)
-
-	// refresh brings the backend's precomputed state up to date with its
-	// spanner, the dynamic-graph path that repairs backends in place
-	// instead of tearing down and rebuilding the oracle (counters, pools,
-	// and metric registrations all survive). The backend's graph is the
-	// oracle's live spanner, fixed at construction, which the update has
-	// already repaired in place, so it holds the new edge set only; delta
-	// is the net H-edge change the update made (spanner.Incremental's
-	// update report), from which the exact table patches itself: it
-	// relaxes pairs through added edges and rewrites the rows that
-	// removed edges were tight from. The contract, enforced by
-	// internal/check's incremental differential: after refresh, every
-	// answer must equal the answer of a backend freshly built on the
-	// current spanner with the same Options. The Oracle serializes
-	// refresh against every query: Update holds its lock exclusively
-	// here.
-	refresh(delta spanner.Delta)
 }
 
 // BackendStats is the serving backend's declared contract and size. Its

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/spanner"
 	"repro/internal/stats"
 )
 
@@ -134,10 +133,6 @@ func (b *bibfsBackend) AnswerBatch(qs []Query, out []Answer) (uint8, bool) {
 	b.pathBulk.Add(int64(valid))
 	return obs.PathBulk, true
 }
-
-// refresh implements Backend: nothing is precomputed, and the search
-// reads the live spanner an update has already repaired.
-func (b *bibfsBackend) refresh(spanner.Delta) {}
 
 // attachMetrics implements Backend: every counter is labeled with the
 // backend's name, so mixed-backend fleets scraped into one place stay

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/spanner"
 )
 
 // exactBackend answers every query from a precomputed all-pairs distance
@@ -24,29 +23,23 @@ type exactBackend struct {
 	pathExact atomic.Int64
 }
 
-// newExactBackend BFS-labels the whole graph. The sweep writes each
-// row's upper-triangle slots only — distinct slots across rows — so the
-// build is race-free and deterministic at any worker count.
+// newExactBackend BFS-labels the whole graph by one multi-source sweep
+// over every vertex. The sweep writes each row's upper-triangle slots
+// only — distinct slots across rows — so the build is race-free and
+// deterministic at any worker count.
 func newExactBackend(h *graph.Graph, workers int) *exactBackend {
-	b := &exactBackend{h: h, tri: graph.NewTriDist(h.N()), workers: workers}
-	b.fillAll()
-	return b
-}
-
-// fillAll recomputes the whole table by one multi-source sweep over every
-// vertex (each row writes its upper-triangle slots only — disjoint across
-// rows, so race-free at any worker count).
-func (b *exactBackend) fillAll() {
-	n := b.h.N()
+	n := h.N()
+	b := &exactBackend{h: h, tri: graph.NewTriDist(n), workers: workers}
 	srcs := make([]int32, n)
 	for i := range srcs {
 		srcs[i] = int32(i)
 	}
-	b.h.MultiSourceBFSSweep(srcs, b.workers, func(i int, src int32, dist []int32) {
+	h.MultiSourceBFSSweep(srcs, workers, func(i int, src int32, dist []int32) {
 		for v := src + 1; v < int32(n); v++ {
 			b.tri.Set(src, v, dist[v])
 		}
 	})
+	return b
 }
 
 // Name implements Backend.
@@ -95,108 +88,6 @@ func (b *exactBackend) AnswerBatch(qs []Query, out []Answer) (uint8, bool) {
 	})
 	b.pathExact.Add(served.Load())
 	return obs.PathExact, true
-}
-
-// refresh implements Backend: patch the distance table in place from
-// the spanner's H-edge delta instead of resweeping every source.
-//
-//   - Insertions apply the classic one-edge relaxation
-//     d'(u,v) = min(d(u,v), d(u,a)+1+d(b,v), d(u,b)+1+d(a,v)) — exact
-//     for a single inserted edge, and exact for several when applied one
-//     edge at a time.
-//   - Deletions then rewrite only affected rows: a source x whose
-//     distances can change must have some removed edge {a,b} tight from
-//     it (|d(x,a)−d(x,b)| = 1) on the pre-removal graph, so every other
-//     row is already correct. When more than half the rows are affected a
-//     full sweep is cheaper, so refresh falls back to fillAll.
-//
-// The delta is the net change between the old and new spanners (not the
-// base-graph update, whose spanner footprint can be several edges), so
-// the rule stays exact no matter what the maintenance layer did upstream.
-func (b *exactBackend) refresh(delta spanner.Delta) {
-	n := int32(b.h.N())
-	for _, e := range delta.Added {
-		b.patchInsert(e.U, e.V)
-	}
-	if len(delta.Removed) == 0 {
-		return
-	}
-	// After the insertion patches the table is exact for h plus the
-	// removed edges — exactly the graph the tightness criterion needs.
-	affected := make([]bool, n)
-	count := 0
-	for _, e := range delta.Removed {
-		for x := int32(0); x < n; x++ {
-			if affected[x] {
-				continue
-			}
-			da, db := b.tri.At(x, e.U), b.tri.At(x, e.V)
-			if da == graph.Unreachable || db == graph.Unreachable {
-				continue
-			}
-			if da-db == 1 || db-da == 1 {
-				affected[x] = true
-				count++
-			}
-		}
-	}
-	if count == 0 {
-		return
-	}
-	if int32(count) > n/2 {
-		b.fillAll()
-		return
-	}
-	srcs := make([]int32, 0, count)
-	for x := int32(0); x < n; x++ {
-		if affected[x] {
-			srcs = append(srcs, x)
-		}
-	}
-	// Rewrite each affected row. A pair with both endpoints affected is
-	// owned by its smaller-id row, so no two rows write the same slot and
-	// the sweep stays race-free at any worker count.
-	b.h.MultiSourceBFSSweep(srcs, b.workers, func(i int, src int32, dist []int32) {
-		for v := int32(0); v < n; v++ {
-			if v == src || (affected[v] && v < src) {
-				continue
-			}
-			b.tri.Set(src, v, dist[v])
-		}
-	})
-}
-
-// patchInsert relaxes every pair through the newly inserted spanner edge
-// {a, c}: any path improved by the edge crosses it once, splitting into
-// old-distance legs, so the pre-patch columns of a and c decide every
-// new value.
-func (b *exactBackend) patchInsert(a, c int32) {
-	n := int32(b.h.N())
-	da := make([]int32, n)
-	dc := make([]int32, n)
-	for x := int32(0); x < n; x++ {
-		da[x] = b.tri.At(x, a)
-		dc[x] = b.tri.At(x, c)
-	}
-	better := func(best, left, right int32) int32 {
-		if left == graph.Unreachable || right == graph.Unreachable {
-			return best
-		}
-		if d := left + 1 + right; best == graph.Unreachable || d < best {
-			return d
-		}
-		return best
-	}
-	for u := int32(0); u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			old := b.tri.At(u, v)
-			d := better(old, da[u], dc[v])
-			d = better(d, dc[u], da[v])
-			if d != old {
-				b.tri.Set(u, v, d)
-			}
-		}
-	}
 }
 
 // attachMetrics implements Backend.

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/spanner"
 )
 
 // sparseBackend is the two-level hub/bunch design from the sparse-graph
@@ -36,11 +35,9 @@ import (
 // default) balances the terms at O(n^{3/2}). Query time is two binary
 // searches plus an O(k) hub scan.
 type sparseBackend struct {
-	h       *graph.Graph
-	hubs    *landmarkTable
-	k       int    // resolved hub count: the hub table's fixed row count
-	seed    uint64 // hub-selection seed (already sparseHubSeed-keyed)
-	workers int
+	h    *graph.Graph
+	hubs *landmarkTable
+	k    int // resolved hub count: the hub table's row count
 
 	// Bunches in CSR layout, each bunch sorted by vertex id for binary
 	// search: bunchW[bunchOff[u]:bunchOff[u+1]] are the members of B(u),
@@ -48,9 +45,7 @@ type sparseBackend struct {
 	bunchOff []int32
 	bunchW   []int32
 	bunchD   []int32
-	// entries is len(bunchW), published when rebuild finishes so that
-	// MemoryBytes and the gauges read it without the oracle's lock.
-	entries atomic.Int64
+	entries  int64 // len(bunchW), for MemoryBytes and the bunch gauge
 
 	pathBunch atomic.Int64
 	pathHub   atomic.Int64
@@ -83,19 +78,7 @@ func newSparseBackend(h *graph.Graph, opts Options, workers int) *sparseBackend 
 	if k > n {
 		k = n
 	}
-	b := &sparseBackend{h: h, k: k, seed: opts.Seed ^ sparseHubSeed, workers: workers}
-	b.rebuild()
-	return b
-}
-
-// rebuild recomputes the hub table, the d(u, A) column minima, every
-// bunch, and the CSR pack over b.h with the stored (k, seed) — the
-// shared body of construction and refresh, so a refreshed backend is
-// structure-for-structure the backend a fresh build would produce.
-func (b *sparseBackend) rebuild() {
-	h := b.h
-	n := h.N()
-	hubs := buildLandmarkTable(h, b.k, b.seed)
+	hubs := buildLandmarkTable(h, k, opts.Seed^sparseHubSeed)
 	// d(u, A): the column minimum over the hub rows.
 	dA := make([]int32, n)
 	for u := range dA {
@@ -113,14 +96,13 @@ func (b *sparseBackend) rebuild() {
 	// range with private BFS scratch, writing only its own bunches[u]
 	// slots, so the build is deterministic at any worker count.
 	bunches := make([][]bunchEntry, n)
-	graph.ParallelRangeWorkers(n, b.workers, func(w, lo, hi int) {
+	graph.ParallelRangeWorkers(n, workers, func(w, lo, hi int) {
 		bs := newBunchScratch(n)
 		for u := lo; u < hi; u++ {
 			bunches[u] = bs.grow(h, int32(u), dA[u])
 		}
 	})
-	b.hubs = hubs
-	b.bunchOff = make([]int32, n+1)
+	b := &sparseBackend{h: h, hubs: hubs, k: k, bunchOff: make([]int32, n+1)}
 	total := 0
 	for u := 0; u < n; u++ {
 		total += len(bunches[u])
@@ -135,15 +117,9 @@ func (b *sparseBackend) rebuild() {
 			b.bunchD[off+int32(i)] = e.d
 		}
 	}
-	b.entries.Store(int64(total))
+	b.entries = int64(total)
+	return b
 }
-
-// refresh implements Backend: bunch membership is a global property of
-// the spanner (one edge can move d(u, A) and re-cut every bunch radius
-// along a path), so the backend ignores the delta and recomputes hubs
-// and bunches in place via rebuild. Path counters and metric
-// registrations survive; the bunch gauge reads the published entries.
-func (b *sparseBackend) refresh(spanner.Delta) { b.rebuild() }
 
 // bunchEntry is one bunch member with its exact distance from the owner.
 type bunchEntry struct{ w, d int32 }
@@ -217,11 +193,11 @@ func (b *sparseBackend) Name() string { return BackendSparseHub }
 // the type's doc comment.
 func (b *sparseBackend) StretchBound() int { return 3 }
 
-// MemoryBytes implements Backend: k hub rows plus the bunch CSR, whose
-// offsets are n+1 words and whose entries rebuild publishes.
+// MemoryBytes implements Backend: k hub rows plus the bunch CSR of n+1
+// offset words and the bunch entries.
 func (b *sparseBackend) MemoryBytes() int64 {
 	n := int64(b.h.N())
-	return 4*int64(b.k)*(1+n) + 4*(n+1) + 8*b.entries.Load()
+	return 4*int64(b.k)*(1+n) + 4*(n+1) + 8*b.entries
 }
 
 // sparseMemoryEstimate predicts the backend's footprint before building
@@ -278,5 +254,5 @@ func (b *sparseBackend) attachMetrics(reg *obs.Registry) {
 	reg.GaugeFunc(metricSparseHubs, "Hub BFS rows precomputed by the sparse-hub backend.",
 		func() float64 { return float64(b.k) })
 	reg.GaugeFunc(metricBunchEntries, "Total bunch entries held by the sparse-hub backend.",
-		func() float64 { return float64(b.entries.Load()) })
+		func() float64 { return float64(b.entries) })
 }

@@ -16,11 +16,11 @@ import (
 //
 // Answers are identical to answering the queries sequentially: every
 // backend's resolution is deterministic, so scheduling cannot change an
-// answer. A
-// backend may serve the whole batch through a bulk arm when that is
-// cheaper — the landmark backend's multi-source BFS sweep for large
-// batches, the exact backend's parallel table fill — and the
-// answers are the same either way.
+// answer, and one serial pass settles the batch's query counts, latency
+// and stretch samples in batch order. A backend may serve the whole
+// batch through a bulk arm when that is cheaper — the landmark backend's
+// multi-source BFS sweep for large batches, the exact backend's parallel
+// table fill — and the answers are the same either way.
 func (o *Oracle) AnswerBatch(qs []Query) []Answer {
 	return o.AnswerBatchTrace(qs, nil)
 }
@@ -40,15 +40,13 @@ func (o *Oracle) AnswerBatchTrace(qs []Query, tr *obs.ReqTrace) []Answer {
 	if len(qs) == 0 {
 		return out
 	}
-	arm := "perquery"
-	var mask uint8
-	if m, handled := o.backend.AnswerBatch(qs, out); handled {
-		arm = "bulk"
-		mask = m
-		o.accountBatch(qs, out, t0)
-	} else {
+	arm := "bulk"
+	mask, handled := o.backend.AnswerBatch(qs, out)
+	if !handled {
+		arm = "perquery"
 		mask = o.answerMany(qs, out)
 	}
+	o.accountBatch(qs, out, t0)
 	if tr != nil {
 		tr.OrPath(mask)
 		tr.Hop("oracle", t0, fmt.Sprintf("n=%d arm=%s path=%s", len(qs), arm, obs.PathString(mask)))
@@ -56,15 +54,17 @@ func (o *Oracle) AnswerBatchTrace(qs []Query, tr *obs.ReqTrace) []Answer {
 	return out
 }
 
-// accountBatch settles a backend-handled batch: the backend filled every
-// valid non-self out slot (and counted them in its own path counters);
-// this serial pass mirrors the per-query path's oracle-level semantics.
-// Invalid queries get the sentinel Answer and no accounting, self queries
-// count as queries but take no resolution path, backend-served queries
-// count and feed the deterministic stretch sampler in batch order.
-// The k accounted queries claim k consecutive sequence numbers with one
-// atomic add, and latency is accounted as the batch's wall time amortized
-// uniformly over them, in one histogram call.
+// accountBatch settles a resolved batch: the backend's bulk arm or the
+// per-query pool filled every valid non-self out slot (and the backend
+// counted them in its own path counters); this serial pass mirrors the
+// per-query path's oracle-level semantics, so a batch reports the same
+// counts and stretch samples whichever arm served it and at any worker
+// count. Invalid queries get the sentinel Answer and no accounting, self
+// queries count as queries but take no resolution path, backend-served
+// queries count and feed the deterministic stretch sampler in batch
+// order. The k accounted queries claim k consecutive sequence numbers
+// with one atomic add, and latency is accounted as the batch's wall time
+// amortized uniformly over them, in one histogram call.
 func (o *Oracle) accountBatch(qs []Query, out []Answer, t0 time.Time) {
 	n := int32(o.n)
 	invalid := func(q Query) bool { return q.U < 0 || q.V < 0 || q.U >= n || q.V >= n }
@@ -96,16 +96,23 @@ func (o *Oracle) accountBatch(qs []Query, out []Answer, t0 time.Time) {
 	}
 }
 
-// answerMany runs the per-query arm over the worker pool and returns the
-// OR of the resolution-path bits taken. Each worker folds its chunk's bits
-// into its own mask byte, so the per-query path pays no atomics.
+// answerMany is the per-query arm: the worker pool resolves every valid
+// non-self query through Backend.Dist and leaves the other slots, and all
+// accounting, to accountBatch. It returns the OR of the resolution-path
+// bits taken; each worker folds its chunk's bits into its own mask byte,
+// so the per-query path pays no atomics.
 func (o *Oracle) answerMany(qs []Query, out []Answer) uint8 {
+	n := int32(o.n)
 	masks := make([]uint8, o.workers)
 	graph.ParallelRangeWorkers(len(qs), o.workers, func(w, lo, hi int) {
 		var mask uint8
 		for j := lo; j < hi; j++ {
+			q := qs[j]
+			if q.U < 0 || q.V < 0 || q.U >= n || q.V >= n || q.U == q.V {
+				continue
+			}
 			var p uint8
-			out[j], p = o.answerTimed(qs[j])
+			out[j], p = o.backend.Dist(q.U, q.V)
 			mask |= p
 		}
 		masks[w] |= mask
@@ -115,16 +122,4 @@ func (o *Oracle) answerMany(qs []Query, out []Answer) uint8 {
 		mask |= m
 	}
 	return mask
-}
-
-// answerTimed is one batch element: answer with latency accounting,
-// swallowing the out-of-range error into the Answer sentinel. The second
-// return is the resolution-path bit taken.
-func (o *Oracle) answerTimed(q Query) (Answer, uint8) {
-	t0 := time.Now()
-	a, path, err := o.answer(q.U, q.V)
-	if err == nil {
-		o.latency.Observe(time.Since(t0).Seconds())
-	}
-	return a, path
 }

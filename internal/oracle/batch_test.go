@@ -4,8 +4,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/rng"
+	"repro/internal/spanner"
 )
 
 // The bulk multi-source sweep must be answer-for-answer identical to the
@@ -109,5 +112,48 @@ func TestBulkBatchLatencyAmortizedOverAccountedQueries(t *testing.T) {
 	}
 	if best < 1.0/16 {
 		t.Fatalf("recorded latency is at most %.4f of the batch's wall time, want the whole batch charged to its one query", best)
+	}
+}
+
+// A per-query batch settles its counts and stretch samples in batch
+// order, so fresh oracles at 2 and 8 workers report exactly the stretch
+// figures of a 1-worker oracle. Each batch has too many distinct sources
+// for the bulk arm, so the per-query pool serves it.
+func TestPerQueryBatchStretchIndependentOfWorkers(t *testing.T) {
+	s := spanner.NewIncremental(gen.ErdosRenyi(300, 0.03, rng.New(1)), spanner.IncrementalOptions{Seed: 2}).Spanner()
+	r := rng.New(3)
+	qs := make([]Query, 200)
+	for i := range qs {
+		qs[i] = Query{U: int32(r.Intn(300)), V: int32(r.Intn(300))}
+	}
+	type figures struct {
+		samples     int
+		alpha, mean float64
+	}
+	run := func(workers int) figures {
+		o, err := NewFromGraphs(s.Base, s.H, spanner.IncrementalAlpha,
+			Options{Backend: BackendLandmarkBiBFS, Workers: workers, SampleEvery: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := obs.NewReqTrace(1, time.Now())
+		o.AnswerBatchTrace(qs, tr)
+		if tr.Path() != obs.PathBiBFS {
+			t.Fatalf("workers=%d: batch served by path %s, want the per-query pool's bibfs",
+				workers, obs.PathString(tr.Path()))
+		}
+		st := o.Stats()
+		return figures{st.StretchSamples, st.RealizedAlpha, st.MeanStretch}
+	}
+	want := run(1)
+	if want.samples == 0 {
+		t.Fatal("the reference oracle took no stretch sample")
+	}
+	for _, workers := range []int{2, 8} {
+		for i := 0; i < 20; i++ {
+			if got := run(workers); got != want {
+				t.Fatalf("workers=%d oracle %d: stretch figures %+v, 1-worker oracle %+v", workers, i, got, want)
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"errors"
+	"fmt"
 	"time"
 
 	"repro/internal/graph"
@@ -13,9 +14,10 @@ import (
 type DynamicOptions struct {
 	// Spanner configures the incremental maintenance layer (its seed).
 	Spanner spanner.IncrementalOptions
-	// Oracle configures the serving layer. Backend "auto" is tuned once,
-	// at startup — updates refresh the chosen backend, they never re-run
-	// the tuner.
+	// Oracle configures the serving layer. Its Backend must be "",
+	// BackendAuto or BackendLandmarkBiBFS, all of which serve
+	// landmark-bibfs without running the tuner; the table backends are
+	// refused with ErrDynamicBackend.
 	Oracle Options
 }
 
@@ -54,36 +56,38 @@ type SnapshotInfo struct {
 // NewFromGraphs: only NewDynamic oracles own a live graph.
 var ErrStatic = errors.New("updates not supported (static graph; start the server with a dynamic engine)")
 
-// updateStages holds the per-stage timing histograms of applied updates
-// (metricUpdateRepair and metricUpdateRefresh), each observed once per
-// update.
-type updateStages struct {
-	repair, refresh *stats.Histogram
-}
+// ErrDynamicBackend is NewDynamic's refusal of a backend that
+// precomputes tables from the spanner (exact-cached, sparse-hub): no
+// update keeps them current, so a dynamic oracle serves landmark-bibfs,
+// which searches the live spanner and precomputes nothing.
+var ErrDynamicBackend = errors.New("a dynamic oracle serves landmark-bibfs only")
 
 // NewDynamic builds an oracle over a live graph: a mutable base graph and
 // an incrementally maintained stretch-3 cluster spanner over it
 // (spanner.Incremental), served with that spanner's certified stretch
-// (spanner.IncrementalAlpha). The oracle serves the live G and H the
-// Incremental mutates — set once here, never copied — so Update repairs
-// everything in place: the spanner by its local cluster rule, the backend
-// through Backend.refresh. Counters, histograms, and metric registrations
-// survive every mutation.
+// (spanner.IncrementalAlpha) by the landmark-bibfs backend. The oracle
+// serves the live G and H the Incremental mutates — set once here, never
+// copied — so Update repairs the spanner in place by its local cluster
+// rule and the backend's searches read the result. Counters, histograms,
+// and metric registrations survive every mutation. Options.Backend "" and
+// BackendAuto serve landmark-bibfs without running the tuner;
+// exact-cached and sparse-hub are refused with ErrDynamicBackend.
 func NewDynamic(base *graph.Graph, opts DynamicOptions) (*Oracle, error) {
+	switch opts.Oracle.Backend {
+	case "", BackendAuto:
+		opts.Oracle.Backend = BackendLandmarkBiBFS
+	case BackendExactCached, BackendSparseHub:
+		return nil, fmt.Errorf("oracle: backend %q: %w", opts.Oracle.Backend, ErrDynamicBackend)
+	}
 	inc := spanner.NewIncremental(base, opts.Spanner)
 	o, err := NewFromGraphs(&inc.Graph().Graph, inc.H(), spanner.IncrementalAlpha, opts.Oracle)
 	if err != nil {
 		return nil, err
 	}
 	o.inc, o.sopt = inc, opts.Spanner
-	o.stages = &updateStages{
-		repair:  stats.NewLatencyHistogram(),
-		refresh: stats.NewLatencyHistogram(),
-	}
+	o.repair = stats.NewLatencyHistogram()
 	o.reg.RegisterHistogram(metricUpdateRepair,
-		"Applied update stage: local spanner repair.", o.stages.repair)
-	o.reg.RegisterHistogram(metricUpdateRefresh,
-		"Applied update stage: the backend's refresh from the H-edge delta.", o.stages.refresh)
+		"Applied update stage: local spanner repair.", o.repair)
 	return o, nil
 }
 
@@ -91,15 +95,14 @@ func NewDynamic(base *graph.Graph, opts DynamicOptions) (*Oracle, error) {
 // accepts Update.
 func (o *Oracle) IsDynamic() bool { return o.inc != nil }
 
-// Update applies one edge mutation end to end: the live graph, the
-// maintained spanner, and the backend's precomputed state, all under the
-// oracle's write lock so queries see either the old or the new
-// (graph, spanner, backend) state. No-op updates (Applied false) touch
+// Update applies one edge mutation to the live graph and the maintained
+// spanner under the oracle's write lock, so queries see either the old or
+// the new (graph, spanner) state. No-op updates (Applied false) touch
 // nothing. An applied update costs the local spanner repair, which
-// mutates the served G and H in place and yields the net H-edge delta,
-// and the backend's refresh from that delta; nothing is copied. Each
-// stage is observed in its oracle_update_stage_*_seconds histogram. A
-// static oracle answers ErrStatic.
+// mutates the served G and H in place; nothing is copied, and the
+// backend has nothing to catch up. Its time is observed in the
+// oracle_update_stage_repair_seconds histogram. A static oracle answers
+// ErrStatic.
 func (o *Oracle) Update(u, v int32, add bool) (UpdateResult, error) {
 	if o.inc == nil {
 		return UpdateResult{}, ErrStatic
@@ -109,13 +112,12 @@ func (o *Oracle) Update(u, v int32, add bool) (UpdateResult, error) {
 	t0 := time.Now()
 	var (
 		applied bool
-		delta   spanner.Delta
 		err     error
 	)
 	if add {
-		applied, delta, err = o.inc.Insert(u, v)
+		applied, _, err = o.inc.Insert(u, v)
 	} else {
-		applied, delta, err = o.inc.Delete(u, v)
+		applied, _, err = o.inc.Delete(u, v)
 	}
 	res := UpdateResult{
 		Applied: applied,
@@ -123,15 +125,10 @@ func (o *Oracle) Update(u, v int32, add bool) (UpdateResult, error) {
 		HM:      o.h.M(),
 		Seq:     o.inc.Seq(),
 	}
-	if err != nil || !applied {
-		return res, err
+	if err == nil && applied {
+		o.repair.Observe(time.Since(t0).Seconds())
 	}
-	t1 := time.Now()
-	o.backend.refresh(delta)
-	t2 := time.Now()
-	o.stages.repair.Observe(t1.Sub(t0).Seconds())
-	o.stages.refresh.Observe(t2.Sub(t1).Seconds())
-	return res, nil
+	return res, err
 }
 
 // Snapshot reports the served state: edge counts, the applied-update

@@ -1,8 +1,10 @@
 package oracle
 
 import (
+	"errors"
 	"io"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,123 +15,94 @@ import (
 	"repro/internal/spanner"
 )
 
-// The backend refresh contract, end to end: a NewDynamic oracle driven
-// through a random update sequence must answer every pair exactly like
-// an oracle freshly built on the current spanner — for every backend.
+// The dynamic contract, end to end: a NewDynamic oracle driven through a
+// random update sequence must answer every pair exactly like an oracle
+// freshly built on the current spanner.
 func TestDynamicMatchesFreshOracle(t *testing.T) {
 	base := gen.ErdosRenyi(48, 0.08, rng.New(3))
-	for _, name := range BackendNames() {
-		opts := Options{Backend: name, Seed: 42, SampleEvery: -1}
-		d, err := NewDynamic(base, DynamicOptions{
-			Spanner: spanner.IncrementalOptions{Seed: 0xfeed},
-			Oracle:  opts,
-		})
+	opts := Options{Backend: BackendLandmarkBiBFS, Seed: 42, SampleEvery: -1}
+	d, err := NewDynamic(base, DynamicOptions{
+		Spanner: spanner.IncrementalOptions{Seed: 0xfeed},
+		Oracle:  opts,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(777)
+	n := int32(base.N())
+	for step := 0; step < 120; step++ {
+		u, v := int32(r.Intn(int(n))), int32(r.Intn(int(n)))
+		if u == v {
+			continue
+		}
+		if _, err := d.Update(u, v, r.Bernoulli(0.5)); err != nil {
+			t.Fatal(err)
+		}
+		if step%10 != 9 {
+			continue
+		}
+		info := d.Snapshot(true)
+		if !info.Verified || !info.Consistent {
+			t.Fatalf("step %d: snapshot verify failed: %+v", step, info)
+		}
+		if hm := d.HM(); hm != info.HM {
+			t.Fatalf("step %d: HM() = %d, snapshot HM %d", step, hm, info.HM)
+		}
+		s := d.inc.Spanner()
+		fresh, err := NewFromGraphs(s.Base, s.H, spanner.IncrementalAlpha, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := rng.New(777)
-		n := int32(base.N())
-		for step := 0; step < 120; step++ {
-			u, v := int32(r.Intn(int(n))), int32(r.Intn(int(n)))
-			if u == v {
-				continue
-			}
-			if _, err := d.Update(u, v, r.Bernoulli(0.5)); err != nil {
-				t.Fatal(err)
-			}
-			if step%10 != 9 {
-				continue
-			}
-			info := d.Snapshot(true)
-			if !info.Verified || !info.Consistent {
-				t.Fatalf("%s step %d: snapshot verify failed: %+v", name, step, info)
-			}
-			if hm := d.HM(); hm != info.HM {
-				t.Fatalf("%s step %d: HM() = %d, snapshot HM %d", name, step, hm, info.HM)
-			}
-			s := d.inc.Spanner()
-			fresh, err := NewFromGraphs(s.Base, s.H, spanner.IncrementalAlpha, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for a := int32(0); a < n; a++ {
-				for b := a + 1; b < n; b++ {
-					got, err1 := d.Dist(a, b)
-					want, err2 := fresh.Dist(a, b)
-					if err1 != nil || err2 != nil {
-						t.Fatal(err1, err2)
-					}
-					if got != want {
-						t.Fatalf("%s step %d pair (%d,%d): refreshed answer %+v, fresh build %+v",
-							name, step, a, b, got, want)
-					}
+		for a := int32(0); a < n; a++ {
+			for b := a + 1; b < n; b++ {
+				got, err1 := d.Dist(a, b)
+				want, err2 := fresh.Dist(a, b)
+				if err1 != nil || err2 != nil {
+					t.Fatal(err1, err2)
+				}
+				if got != want {
+					t.Fatalf("step %d pair (%d,%d): live answer %+v, fresh build %+v",
+						step, a, b, got, want)
 				}
 			}
 		}
 	}
 }
 
-// Exact-backend refresh: the patched table must match a fresh sweep
-// bit for bit through insertions, deletions (both the affected-row
-// rewrite and the >n/2 full-resweep fallback), and disconnect/reconnect
-// transitions through graph.Unreachable.
-func TestExactRefreshPatchesTable(t *testing.T) {
-	n := 40
-	live := graph.NewDynGraph(gen.ErdosRenyi(n, 0.09, rng.New(5)))
-	b := newExactBackend(&live.Graph, 2)
-
-	check := func(stage string) {
-		t.Helper()
-		want := newExactBackend(live.Snapshot(), 2)
-		for u := int32(0); u < int32(n); u++ {
-			for v := u + 1; v < int32(n); v++ {
-				if got, exp := b.tri.At(u, v), want.tri.At(u, v); got != exp {
-					t.Fatalf("%s: tri(%d,%d) = %d, fresh sweep has %d", stage, u, v, got, exp)
-				}
-			}
+// A dynamic oracle serves landmark-bibfs under "", auto and its own
+// name, and runs no tuner: on a 32-regular graph with n=4096, where auto
+// on a static oracle picks exact-cached's 32 MiB table, it holds nothing.
+// exact-cached and sparse-hub are refused with ErrDynamicBackend, named
+// in the error.
+func TestDynamicServesLandmarkBiBFSOnly(t *testing.T) {
+	g, err := gen.RandomRegular(4096, 32, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"", BackendAuto, BackendLandmarkBiBFS} {
+		o, err := NewDynamic(g, DynamicOptions{Oracle: Options{Backend: name, SampleEvery: -1}})
+		if err != nil {
+			t.Fatalf("backend %q: %v", name, err)
+		}
+		if be, tuned, mem := o.Backend(), o.TunerReport() != nil, o.BackendStats().MemoryBytes; be != BackendLandmarkBiBFS || tuned || mem != 0 {
+			t.Errorf("backend %q: serves %s (tuned %v, %d bytes), want landmark-bibfs untuned at 0 bytes",
+				name, be, tuned, mem)
 		}
 	}
-
-	// mutate flips each listed edge of the live graph in place and
-	// refreshes with the net delta, as Oracle.Update does with the one
-	// spanner.Incremental reports.
-	mutate := func(stage string, toggle []graph.Edge) {
-		t.Helper()
-		var delta spanner.Delta
-		for _, e := range toggle {
-			e = e.Normalize()
-			if live.HasEdge(e.U, e.V) {
-				live.Delete(e.U, e.V)
-				delta.Removed = append(delta.Removed, e)
-			} else {
-				live.Insert(e.U, e.V)
-				delta.Added = append(delta.Added, e)
-			}
+	for _, name := range []string{BackendExactCached, BackendSparseHub} {
+		o, err := NewDynamic(g, DynamicOptions{Oracle: Options{Backend: name}})
+		if o != nil || !errors.Is(err, ErrDynamicBackend) || !strings.Contains(err.Error(), name) {
+			t.Errorf("backend %q: NewDynamic built %v, error %v; want a refusal naming it", name, o != nil, err)
 		}
-		b.refresh(delta)
-		check(stage)
 	}
-
-	// Pure insertions exercise the min-rule patch alone.
-	mutate("insert", []graph.Edge{{U: 0, V: 39}, {U: 3, V: 30}, {U: 11, V: 25}})
-	// A small deletion exercises the affected-row rewrite.
-	mutate("delete", live.Edges()[:2])
-	// Mixed add/remove in one refresh.
-	mutate("mixed", []graph.Edge{{U: 0, V: 39}, {U: 1, V: 38}, live.Edges()[4]})
-	// Delete most edges at once: nearly every row is affected, driving
-	// the >n/2 full-resweep fallback and plenty of Unreachable pairs.
-	bulk := live.Edges()[:live.M()*3/4]
-	mutate("bulk-delete", bulk)
-	// Reconnect.
-	mutate("reinsert", bulk)
 }
 
-// Landmark-bibfs and exact-cached refreshes, driven by update streams
-// through Oracle.Update: after every update both must answer every pair
-// as an exact table freshly built on the current spanner does. The three
-// streams reach a hub move (H's highest-degree vertex changes), rows of
-// the exact table that deletions disconnect and insertions reconnect, and
-// deltas of several spanner edges from cluster moves.
+// A landmark-bibfs oracle driven by update streams through Oracle.Update:
+// after every update it must answer every pair as an exact table freshly
+// built on the current spanner does. The three streams reach a hub move
+// (H's highest-degree vertex changes), pairs that deletions disconnect
+// and insertions reconnect, and deltas of several spanner edges from
+// cluster moves.
 func TestLandmarkRefreshMatchesFreshBuild(t *testing.T) {
 	reg, err1 := gen.RandomRegular(64, 6, rng.New(9))
 	cubic, err2 := gen.RandomRegular(48, 3, rng.New(4))
@@ -151,12 +124,12 @@ func TestLandmarkRefreshMatchesFreshBuild(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sopt := spanner.IncrementalOptions{Seed: 0xfeed}
-			lmOpts := Options{Backend: BackendLandmarkBiBFS, SampleEvery: -1}
-			exOpts := Options{Backend: BackendExactCached, SampleEvery: -1}
-			lm, err1 := NewDynamic(tc.base, DynamicOptions{Spanner: sopt, Oracle: lmOpts})
-			ex, err2 := NewDynamic(tc.base, DynamicOptions{Spanner: sopt, Oracle: exOpts})
-			if err1 != nil || err2 != nil {
-				t.Fatal(err1, err2)
+			lm, err := NewDynamic(tc.base, DynamicOptions{
+				Spanner: sopt,
+				Oracle:  Options{Backend: BackendLandmarkBiBFS, SampleEvery: -1},
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
 			// mirror takes the same updates, to read the deltas they make.
 			mirror := spanner.NewIncremental(tc.base, sopt)
@@ -190,13 +163,12 @@ func TestLandmarkRefreshMatchesFreshBuild(t *testing.T) {
 				if len(delta.Added)+len(delta.Removed) > 1 {
 					multi++
 				}
-				for _, o := range []*Oracle{lm, ex} {
-					if res, err := o.Update(u, v, add); err != nil || !res.Applied {
-						t.Fatalf("step %d: %s update (%d,%d,add=%v) = %+v, %v", step, o.Backend(), u, v, add, res, err)
-					}
+				if res, err := lm.Update(u, v, add); err != nil || !res.Applied {
+					t.Fatalf("step %d: update (%d,%d,add=%v) = %+v, %v", step, u, v, add, res, err)
 				}
 				s := mirror.Spanner()
-				freshEx, err := NewFromGraphs(s.Base, s.H, spanner.IncrementalAlpha, exOpts)
+				freshEx, err := NewFromGraphs(s.Base, s.H, spanner.IncrementalAlpha,
+					Options{Backend: BackendExactCached, SampleEvery: -1})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -212,11 +184,9 @@ func TestLandmarkRefreshMatchesFreshBuild(t *testing.T) {
 				for a := int32(0); a < n; a++ {
 					for b := a + 1; b < n; b++ {
 						want, _ := freshEx.Dist(a, b)
-						for _, o := range []*Oracle{lm, ex} {
-							if got, _ := o.Dist(a, b); got != want {
-								t.Fatalf("step %d pair (%d,%d): refreshed %s answer %+v, fresh exact build %+v",
-									step, a, b, o.Backend(), got, want)
-							}
+						if got, _ := lm.Dist(a, b); got != want {
+							t.Fatalf("step %d pair (%d,%d): live answer %+v, fresh exact build %+v",
+								step, a, b, got, want)
 						}
 					}
 				}
@@ -230,46 +200,25 @@ func TestLandmarkRefreshMatchesFreshBuild(t *testing.T) {
 	}
 }
 
-// Sparse-hub refresh rebuilds hubs and bunches in place, over the live
-// graph an update has mutated, to exactly the structures a fresh build
-// would hold, and publishes the size a fresh build reports.
-func TestSparseRefreshMatchesFreshBuild(t *testing.T) {
-	live := graph.NewDynGraph(gen.ErdosRenyi(56, 0.08, rng.New(13)))
-	opts := Options{Seed: 23, SparseHubs: 7}
-	b := newSparseBackend(&live.Graph, opts, 2)
-	var delta spanner.Delta
-	edges := live.Edges()
-	for _, e := range edges[len(edges)-3:] {
-		live.Delete(e.U, e.V)
-		delta.Removed = append(delta.Removed, e)
-	}
-	if ok, err := live.Insert(2, 55); !ok || err != nil {
-		t.Fatalf("Insert(2, 55) = %v, %v", ok, err)
-	}
-	delta.Added = []graph.Edge{{U: 2, V: 55}}
-	b.refresh(delta)
-	fresh := newSparseBackend(live.Snapshot(), opts, 2)
-	if string(b.hubs.Bytes()) != string(fresh.hubs.Bytes()) {
-		t.Fatal("refreshed hub table differs from a fresh build")
-	}
-	if !slices.Equal(b.bunchOff, fresh.bunchOff) || !slices.Equal(b.bunchW, fresh.bunchW) ||
-		!slices.Equal(b.bunchD, fresh.bunchD) {
-		t.Fatal("refreshed bunch CSR differs from a fresh build")
-	}
-	if got, want := b.MemoryBytes(), fresh.MemoryBytes(); got != want {
-		t.Fatalf("refreshed MemoryBytes = %d, fresh build %d", got, want)
-	}
-}
-
 // Reporting reads no state an update changes, so it never waits for
 // one: with the oracle's lock held exclusively, as Update holds it, the
 // stats snapshot, the backend's contract and a /metrics render all
-// return, for every backend.
+// return, for every backend — the dynamic landmark-bibfs oracle and the
+// table backends, which serve static oracles only.
 func TestReportingDoesNotWaitForUpdates(t *testing.T) {
 	base := gen.ErdosRenyi(48, 0.1, rng.New(6))
 	for _, name := range BackendNames() {
 		t.Run(name, func(t *testing.T) {
-			o, err := NewDynamic(base, DynamicOptions{Oracle: Options{Backend: name, SampleEvery: -1}})
+			opts := Options{Backend: name, SampleEvery: -1}
+			var (
+				o   *Oracle
+				err error
+			)
+			if name == BackendLandmarkBiBFS {
+				o, err = NewDynamic(base, DynamicOptions{Oracle: opts})
+			} else {
+				o, err = NewFromGraphs(base, base, 1, opts)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -302,7 +251,7 @@ func TestReportingDoesNotWaitForUpdates(t *testing.T) {
 // must error without mutating anything.
 func TestDynamicNoOpAndInvalidUpdates(t *testing.T) {
 	base := gen.Cycle(16)
-	d, err := NewDynamic(base, DynamicOptions{Oracle: Options{Backend: BackendExactCached}})
+	d, err := NewDynamic(base, DynamicOptions{Oracle: Options{Backend: BackendLandmarkBiBFS}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,8 +272,8 @@ func TestDynamicNoOpAndInvalidUpdates(t *testing.T) {
 	}
 }
 
-// Each update-stage histogram observes every applied update once and
-// no no-op; a static oracle registers none of them.
+// The repair histogram observes every applied update once and no
+// no-op; a static oracle does not register it.
 func TestUpdateStageHistograms(t *testing.T) {
 	reg := obs.NewRegistry()
 	d, err := NewDynamic(gen.Cycle(24), DynamicOptions{Oracle: Options{Registry: reg}})
@@ -350,32 +299,25 @@ func TestUpdateStageHistograms(t *testing.T) {
 			applied++
 		}
 	}
-	stages := []string{metricUpdateRepair, metricUpdateRefresh}
-	snap := reg.Snapshot()
-	for _, name := range stages {
-		if h, ok := snap.Histograms[name]; !ok || h.Count != applied {
-			t.Errorf("%s: registered=%v count=%d, want %d applied updates", name, ok, h.Count, applied)
-		}
+	if h, ok := reg.Snapshot().Histograms[metricUpdateRepair]; !ok || h.Count != applied {
+		t.Errorf("%s: registered=%v count=%d, want %d applied updates", metricUpdateRepair, ok, h.Count, applied)
 	}
 
 	static := obs.NewRegistry()
 	if _, err := NewFromGraphs(gen.Cycle(24), gen.Cycle(24), 1, Options{Registry: static}); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range stages {
-		if _, ok := static.Snapshot().Histograms[name]; ok {
-			t.Errorf("a static oracle registers %s", name)
-		}
+	if _, ok := static.Snapshot().Histograms[metricUpdateRepair]; ok {
+		t.Errorf("a static oracle registers %s", metricUpdateRepair)
 	}
 }
 
-// An applied update is the repair plus the backend's refresh over the
-// live graphs, with no copy of either (one copy of H would be 18 KiB at
-// n=256 and 138 KiB at n=2048 on these 8-regular graphs), and on
-// landmark-bibfs it allocates nothing at all: toggling a base edge
-// outside the spanner gives an empty H-edge delta, toggling a spanner
-// edge a non-empty one, and toggling a spanner edge at H's
-// highest-degree vertex also moves which vertex that is.
+// An applied update is the spanner repair over the live graphs, with no
+// copy of either (one copy of H would be 18 KiB at n=256 and 138 KiB at
+// n=2048 on these 8-regular graphs), and it allocates nothing at all:
+// toggling a base edge outside the spanner gives an empty H-edge delta,
+// toggling a spanner edge a non-empty one, and toggling a spanner edge
+// at H's highest-degree vertex also moves which vertex that is.
 func TestUpdateAllocatesNoCopy(t *testing.T) {
 	for _, n := range []int{256, 2048} {
 		g, err := gen.RandomRegular(n, 8, rng.New(uint64(n)))

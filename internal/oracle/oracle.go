@@ -14,7 +14,8 @@
 //     O(n^{3/2}) space at the default √n hubs, stretch bound 3.
 //
 // Options.Backend "auto" benchmarks the candidates on a sampled query
-// mix at startup and serves the fastest one within the memory budget.
+// mix at startup and serves the fastest one within the memory budget;
+// a dynamic oracle runs no tuner and serves landmark-bibfs.
 //
 // Because H is an (α, β)-DC-spanner, the exact-on-H distance is within
 // the certified α of the true distance on G; the oracle verifies this
@@ -26,8 +27,10 @@
 // deterministic.
 //
 // An oracle built by NewDynamic also serves a live graph: Update applies
-// one edge mutation to the base graph, an incrementally maintained
-// spanner (spanner.Incremental), and the backend's tables in place. One
+// one edge mutation to the base graph and an incrementally maintained
+// spanner (spanner.Incremental) in place. A dynamic oracle serves
+// landmark-bibfs only, which searches the live spanner and precomputes
+// nothing, so an update has no backend table to bring up to date. One
 // RWMutex inside the Oracle guards exactly that mutable state — queries
 // take it shared, Update exclusively — and a static oracle is the
 // zero-update case of the same type. Reporting (Stats, BackendStats, the
@@ -76,9 +79,8 @@ const (
 	metricBackendBound  = "oracle_backend_stretch_bound"
 	metricBackendMemory = "oracle_backend_memory_bytes"
 
-	// Update-stage histograms, registered by NewDynamic only.
-	metricUpdateRepair  = "oracle_update_stage_repair_seconds"
-	metricUpdateRefresh = "oracle_update_stage_refresh_seconds"
+	// The update-stage histogram, registered by NewDynamic only.
+	metricUpdateRepair = "oracle_update_stage_repair_seconds"
 )
 
 // Options configures New. The zero value serves the landmark-bibfs
@@ -88,11 +90,14 @@ type Options struct {
 	// Backend selects the distance-resolution engine: one of
 	// BackendLandmarkBiBFS, BackendExactCached, BackendSparseHub, or
 	// BackendAuto to benchmark them at startup and serve the fastest
-	// within MemoryBudget. Empty means BackendLandmarkBiBFS.
+	// within MemoryBudget. Empty means BackendLandmarkBiBFS. NewDynamic
+	// serves BackendLandmarkBiBFS under "" and BackendAuto, and refuses
+	// the other two with ErrDynamicBackend.
 	Backend string
 	// SparseHubs is the sparse-hub backend's hub count — its space/query
 	// knob: more hubs mean bigger rows but smaller bunches and tighter
 	// bounds. 0 means ⌈√n⌉, the point balancing rows against bunches.
+	// A dynamic oracle, which never serves sparse-hub, ignores it.
 	SparseHubs int
 	// Seed keys sparse-hub's hub selection; 0 inherits the spanner's build
 	// seed (so oracle determinism follows spanner determinism).
@@ -107,10 +112,12 @@ type Options struct {
 	// MemoryBudget caps the precomputed state of auto-tuned backends in
 	// bytes; candidates over it are skipped. 0 means the 128 MiB
 	// default; negative disables the gate. Ignored when Backend names a
-	// concrete engine — an explicit choice is always honored.
+	// concrete engine — an explicit choice is always honored — and by a
+	// dynamic oracle, which runs no tuner.
 	MemoryBudget int64
 	// TunerProbes is the number of sampled queries the auto-tuner times
-	// each candidate on; 0 means the default 2048.
+	// each candidate on; 0 means the default 2048. A dynamic oracle runs
+	// no tuner and ignores it.
 	TunerProbes int
 	// Registry receives the oracle's serving metrics (query/path counters,
 	// latency and frontier histograms, stretch gauges). Nil means a
@@ -186,11 +193,11 @@ type Stats struct {
 // pluggable resolution backend.
 type Oracle struct {
 	// mu guards the state an Update changes: on a dynamic oracle the
-	// adjacency of g and h themselves, which inc mutates in place, and
-	// the backend's precomputed tables. Dist, AnswerBatch, Route,
-	// Snapshot and HM take it shared, for as long as they read a graph,
-	// and Update exclusively; on a static oracle it is never taken
-	// exclusively. Reporting never takes it.
+	// adjacency of g and h themselves, which inc mutates in place (the
+	// landmark-bibfs backend keeps no table to go stale). Dist,
+	// AnswerBatch, Route, Snapshot and HM take it shared, for as long as
+	// they read a graph, and Update exclusively; on a static oracle it is
+	// never taken exclusively. Reporting never takes it.
 	mu    sync.RWMutex
 	g     *graph.Graph // base graph G; on a dynamic oracle inc's live graph
 	h     *graph.Graph // spanner H (the serving graph); on a dynamic oracle inc's live spanner
@@ -199,10 +206,10 @@ type Oracle struct {
 
 	inc    *spanner.Incremental       // live-graph maintenance; nil on a static oracle
 	sopt   spanner.IncrementalOptions // inc's options, for Snapshot's verify rebuild
-	stages *updateStages              // per-stage update timings; nil on a static oracle
+	repair *stats.Histogram           // applied-update repair times; nil on a static oracle
 
 	backend Backend
-	tuner   *TunerReport // non-nil only under Backend "auto"
+	tuner   *TunerReport // non-nil only under Backend "auto" on a static oracle
 	workers int
 
 	sampleEvery int64
@@ -370,7 +377,7 @@ func (o *Oracle) HM() int {
 func (o *Oracle) Backend() string { return o.backend.Name() }
 
 // TunerReport returns the startup auto-tuning report, or nil when
-// Options.Backend named a concrete backend.
+// Options.Backend named a concrete backend or the oracle is dynamic.
 func (o *Oracle) TunerReport() *TunerReport { return o.tuner }
 
 // BackendStats reports the serving backend's declared contract and

@@ -21,7 +21,7 @@ func testDynamicServer(t testing.TB) *Server {
 	t.Helper()
 	base := gen.ErdosRenyi(64, 0.08, rng.New(4))
 	o, err := oracle.NewDynamic(base, oracle.DynamicOptions{
-		Oracle: oracle.Options{Backend: oracle.BackendExactCached, Seed: 5},
+		Oracle: oracle.Options{Backend: oracle.BackendLandmarkBiBFS, Seed: 5},
 	})
 	if err != nil {
 		t.Fatalf("NewDynamic: %v", err)
@@ -215,11 +215,11 @@ func TestBinaryConcurrentUpdatesAndQueries(t *testing.T) {
 	}
 }
 
-// Updates racing every reader of the state they change, once per
-// backend (sparse-hub rebuilds its hubs and bunches on each): queries
-// whose every answer the stretch sampler re-checks on the live G, routes
-// searched on the live H, a 128-query batch that the landmark backend
-// answers by sweeping the live H with two workers, and snapshots, which
+// Updates racing every reader of the state they change, on the one
+// backend a dynamic oracle serves: queries whose every answer the
+// stretch sampler re-checks on the live G, routes searched on the live
+// H, a 128-query batch that the landmark backend answers by sweeping the
+// live H with two workers, and snapshots, which
 // copy both live graphs, all of which take the oracle's lock; and the
 // stats line (text "stats" and MsgStats), Stats, BackendStats and a
 // /metrics scrape, which take none and read only fixed fields, atomics
@@ -233,87 +233,85 @@ func TestDynamicUpdatesRaceStatsAndMetrics(t *testing.T) {
 	for i := range bulk {
 		bulk[i] = oracle.Query{U: int32(i % 4), V: int32(8 + i%56)}
 	}
-	for _, name := range oracle.BackendNames() {
-		t.Run(name, func(t *testing.T) {
-			reg := obs.NewRegistry()
-			o, err := oracle.NewDynamic(base, oracle.DynamicOptions{
-				Oracle: oracle.Options{Backend: name, Seed: 5, Registry: reg, SampleEvery: 1, Workers: 2},
-			})
-			if err != nil {
-				t.Fatalf("NewDynamic: %v", err)
-			}
-			srv := New(o, Config{Registry: reg})
-			stop := make(chan struct{})
-			done := make(chan struct{})
-			var reads atomic.Int64
-			go func() {
-				defer close(done)
-				qs := []oracle.Query{{U: 0, V: 1}, {U: 2, V: 60}, {U: 5, V: 40}}
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					if line := srv.statsLine(); !strings.HasPrefix(line, "backend="+name) {
-						t.Errorf("stats line = %q", line)
-						return
-					}
-					if err := reg.WritePrometheus(io.Discard); err != nil {
-						t.Errorf("WritePrometheus: %v", err)
-						return
-					}
-					if s := o.Stats(); s.Backend != name {
-						t.Errorf("Stats().Backend = %q", s.Backend)
-						return
-					}
-					if bs := o.BackendStats(); bs.Name != name {
-						t.Errorf("BackendStats().Name = %q", bs.Name)
-						return
-					}
-					if _, err := o.Dist(3, 33); err != nil {
-						t.Errorf("Dist: %v", err)
-						return
-					}
-					if _, _, err := o.Route(3, 33); err != nil {
-						t.Errorf("Route: %v", err)
-						return
-					}
-					o.AnswerBatch(qs)
-					o.AnswerBatch(bulk)
-					if info := o.Snapshot(false); info.N != 64 {
-						t.Errorf("snapshot during updates: %+v", info)
-						return
-					}
-					reads.Add(1)
-				}
-			}()
-			r := rng.New(8)
-		updates:
-			for i := 0; i < 40 || reads.Load() < 5; i++ {
+	name := oracle.BackendLandmarkBiBFS
+	t.Run(name, func(t *testing.T) {
+		reg := obs.NewRegistry()
+		o, err := oracle.NewDynamic(base, oracle.DynamicOptions{
+			Oracle: oracle.Options{Backend: name, Seed: 5, Registry: reg, SampleEvery: 1, Workers: 2},
+		})
+		if err != nil {
+			t.Fatalf("NewDynamic: %v", err)
+		}
+		srv := New(o, Config{Registry: reg})
+		stop := make(chan struct{})
+		done := make(chan struct{})
+		var reads atomic.Int64
+		go func() {
+			defer close(done)
+			qs := []oracle.Query{{U: 0, V: 1}, {U: 2, V: 60}, {U: 5, V: 40}}
+			for {
 				select {
-				case <-done: // the reader failed and stopped
-					break updates
+				case <-stop:
+					return
 				default:
 				}
-				u, v := int32(r.Intn(64)), int32(r.Intn(64))
-				if u == v {
-					continue
+				if line := srv.statsLine(); !strings.HasPrefix(line, "backend="+name) {
+					t.Errorf("stats line = %q", line)
+					return
 				}
-				if _, err := o.Update(u, v, r.Bernoulli(0.5)); err != nil {
-					t.Errorf("update %d: %v", i, err)
-					break
+				if err := reg.WritePrometheus(io.Discard); err != nil {
+					t.Errorf("WritePrometheus: %v", err)
+					return
 				}
+				if s := o.Stats(); s.Backend != name {
+					t.Errorf("Stats().Backend = %q", s.Backend)
+					return
+				}
+				if bs := o.BackendStats(); bs.Name != name {
+					t.Errorf("BackendStats().Name = %q", bs.Name)
+					return
+				}
+				if _, err := o.Dist(3, 33); err != nil {
+					t.Errorf("Dist: %v", err)
+					return
+				}
+				if _, _, err := o.Route(3, 33); err != nil {
+					t.Errorf("Route: %v", err)
+					return
+				}
+				o.AnswerBatch(qs)
+				o.AnswerBatch(bulk)
+				if info := o.Snapshot(false); info.N != 64 {
+					t.Errorf("snapshot during updates: %+v", info)
+					return
+				}
+				reads.Add(1)
 			}
-			close(stop)
-			<-done
-			if info := o.Snapshot(true); !info.Verified || !info.Consistent {
-				t.Fatalf("verify snapshot after racing updates: %+v", info)
+		}()
+		r := rng.New(8)
+	updates:
+		for i := 0; i < 40 || reads.Load() < 5; i++ {
+			select {
+			case <-done: // the reader failed and stopped
+				break updates
+			default:
 			}
-			if name == oracle.BackendLandmarkBiBFS &&
-				reg.Snapshot().Counters[`oracle_path_bulk{backend="landmark-bibfs"}`] == 0 {
-				t.Fatal("no batch took the landmark backend's bulk sweep")
+			u, v := int32(r.Intn(64)), int32(r.Intn(64))
+			if u == v {
+				continue
 			}
-		})
-	}
+			if _, err := o.Update(u, v, r.Bernoulli(0.5)); err != nil {
+				t.Errorf("update %d: %v", i, err)
+				break
+			}
+		}
+		close(stop)
+		<-done
+		if info := o.Snapshot(true); !info.Verified || !info.Consistent {
+			t.Fatalf("verify snapshot after racing updates: %+v", info)
+		}
+		if reg.Snapshot().Counters[`oracle_path_bulk{backend="landmark-bibfs"}`] == 0 {
+			t.Fatal("no batch took the landmark backend's bulk sweep")
+		}
+	})
 }

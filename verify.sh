@@ -172,75 +172,81 @@ echo "fleet e2e: router drained cleanly"
 
 echo "== dynamic churn e2e (race-built dcserve -dynamic + dcload update mix + /metrics scrapes, verified end state)"
 # The server is built with -race and halts on the first report: updates
-# edit the live spanner and the backend tables that queries read under
-# the oracle's lock, while stats and the /metrics scrape take no lock and
-# may read only fixed fields, atomics and the registry, so a reader of
-# mutable state that skips the lock fails this step. It runs with
-# exact-cached, whose refresh patches its table from the H-edge delta;
-# with landmark-bibfs, which precomputes nothing but is the dynamic
-# default and churn_rw's backend, whose searches and bulk sweeps read the
-# live H that every update edits; and with sparse-hub, which rebuilds its
-# hubs and bunches on every applied update while the scrape reads the
-# bunch-entry count that each rebuild publishes.
+# edit the live spanner that queries read under the oracle's lock, while
+# stats and the /metrics scrape take no lock and may read only fixed
+# fields, atomics and the registry, so a reader of mutable state that
+# skips the lock fails this step. It runs with default flags: -dynamic
+# serves landmark-bibfs, whose searches and bulk sweeps read the live H
+# that every update edits, without running the tuner.
 go build -race -o /tmp/dcserve.race.verify ./cmd/dcserve
-for be in exact-cached landmark-bibfs sparse-hub; do
-    rm -f /tmp/dcserve.dyn.log
-    : >/tmp/dcserve.dyn.scrapes
-    # No expander regime needed here: dynamic mode maintains the
-    # incremental cluster spanner, so a thin regular graph exercises real
-    # topology churn.
-    GORACE=halt_on_error=1 /tmp/dcserve.race.verify -dynamic -n 256 -d 8 -listen 127.0.0.1:0 \
-        -debug-addr 127.0.0.1:0 -oracle-backend "$be" \
-        >/tmp/dcserve.dyn.log 2>&1 &
-    DYN_PID=$!
-    trap 'kill "$DYN_PID" 2>/dev/null || true' EXIT
-    DYN_ADDR=""
-    for _ in $(seq 1 300); do
-        DYN_ADDR=$(sed -n 's/^serving on \([^ ]*\).*/\1/p' /tmp/dcserve.dyn.log)
-        [ -n "$DYN_ADDR" ] && break
-        sleep 0.1
-    done
-    [ -n "$DYN_ADDR" ] || { echo "dynamic dcserve ($be) never started serving"; cat /tmp/dcserve.dyn.log; exit 1; }
-    DYN_DEBUG=$(sed -n 's/^debug listening on //p' /tmp/dcserve.dyn.log)
-    [ -n "$DYN_DEBUG" ] || { echo "dynamic dcserve ($be) never announced its debug address"; cat /tmp/dcserve.dyn.log; exit 1; }
-    # Scrape /metrics for as long as the server answers; the loop ends on
-    # its own if the race detector halts the server.
-    while curl -fsS "http://$DYN_DEBUG/metrics" >/dev/null 2>&1; do
-        echo >>/tmp/dcserve.dyn.scrapes
-    done &
-    SCRAPE_PID=$!
-    trap 'kill "$SCRAPE_PID" "$DYN_PID" 2>/dev/null || true' EXIT
-    # -updates drives edge mutations on a dedicated connection while
-    # queries race them; dcload's exit status asserts the final verify
-    # snapshot shows the maintained spanner equal to a from-scratch
-    # rebuild.
-    /tmp/dcload.verify -addr "$DYN_ADDR" -duration 2s -conns 2 -batch 1:3,8:1 -updates 50 \
-        >/tmp/dcload.dyn.out 2>&1 \
-        || { echo "dcload churn run ($be) failed"; cat /tmp/dcload.dyn.out /tmp/dcserve.dyn.log; exit 1; }
-    kill "$SCRAPE_PID" 2>/dev/null || true
-    wait "$SCRAPE_PID" 2>/dev/null || true
-    cat /tmp/dcload.dyn.out
-    grep -q '^update consistency: .*verified=true consistent=true' /tmp/dcload.dyn.out \
-        || { echo "dynamic server ($be) end state not verified consistent"; exit 1; }
-    grep -Eq '^updates: sent=[1-9][0-9]* applied=[1-9]' /tmp/dcload.dyn.out \
-        || { echo "no updates were applied during the churn run ($be)"; exit 1; }
-    SCRAPES=$(wc -l </tmp/dcserve.dyn.scrapes)
-    [ "$SCRAPES" -gt 0 ] || { echo "no /metrics scrape completed during the churn run ($be)"; exit 1; }
-    # Every applied update observes both stage histograms: the spanner
-    # repair and the backend refresh (an update copies no graph).
-    curl -fsS "http://$DYN_DEBUG/metrics" >/tmp/dcserve.dyn.metrics
-    for stage in repair refresh; do
-        grep -Eq "^oracle_update_stage_${stage}_seconds_count [1-9]" /tmp/dcserve.dyn.metrics \
-            || { echo "metric family oracle_update_stage_${stage}_seconds missing or empty on /metrics ($be)"; exit 1; }
-    done
-    kill -INT "$DYN_PID"
-    wait "$DYN_PID" || { echo "dynamic dcserve ($be) did not drain cleanly"; cat /tmp/dcserve.dyn.log; exit 1; }
-    trap - EXIT
-    if grep -q 'DATA RACE' /tmp/dcserve.dyn.log; then
-        echo "race detector reported a data race in dynamic dcserve ($be)"; cat /tmp/dcserve.dyn.log; exit 1
-    fi
-    echo "dynamic churn e2e ($be): verified consistent end state, $SCRAPES /metrics scrapes, update-stage histograms present, no data race"
+rm -f /tmp/dcserve.dyn.log
+: >/tmp/dcserve.dyn.scrapes
+# No expander regime needed here: dynamic mode maintains the incremental
+# cluster spanner, so a thin regular graph exercises real topology churn.
+GORACE=halt_on_error=1 /tmp/dcserve.race.verify -dynamic -n 256 -d 8 -listen 127.0.0.1:0 \
+    -debug-addr 127.0.0.1:0 \
+    >/tmp/dcserve.dyn.log 2>&1 &
+DYN_PID=$!
+trap 'kill "$DYN_PID" 2>/dev/null || true' EXIT
+DYN_ADDR=""
+for _ in $(seq 1 300); do
+    DYN_ADDR=$(sed -n 's/^serving on \([^ ]*\).*/\1/p' /tmp/dcserve.dyn.log)
+    [ -n "$DYN_ADDR" ] && break
+    sleep 0.1
 done
+[ -n "$DYN_ADDR" ] || { echo "dynamic dcserve never started serving"; cat /tmp/dcserve.dyn.log; exit 1; }
+DYN_DEBUG=$(sed -n 's/^debug listening on //p' /tmp/dcserve.dyn.log)
+[ -n "$DYN_DEBUG" ] || { echo "dynamic dcserve never announced its debug address"; cat /tmp/dcserve.dyn.log; exit 1; }
+grep -q '^oracle: backend=landmark-bibfs ' /tmp/dcserve.dyn.log \
+    || { echo "dynamic dcserve does not serve landmark-bibfs by default"; cat /tmp/dcserve.dyn.log; exit 1; }
+if grep -q '^oracle tuner:' /tmp/dcserve.dyn.log; then
+    echo "dynamic dcserve ran the backend tuner"; cat /tmp/dcserve.dyn.log; exit 1
+fi
+# Scrape /metrics for as long as the server answers; the loop ends on its
+# own if the race detector halts the server.
+while curl -fsS "http://$DYN_DEBUG/metrics" >/dev/null 2>&1; do
+    echo >>/tmp/dcserve.dyn.scrapes
+done &
+SCRAPE_PID=$!
+trap 'kill "$SCRAPE_PID" "$DYN_PID" 2>/dev/null || true' EXIT
+# -updates drives edge mutations on a dedicated connection while queries
+# race them; dcload's exit status asserts the final verify snapshot shows
+# the maintained spanner equal to a from-scratch rebuild.
+/tmp/dcload.verify -addr "$DYN_ADDR" -duration 2s -conns 2 -batch 1:3,8:1 -updates 50 \
+    >/tmp/dcload.dyn.out 2>&1 \
+    || { echo "dcload churn run failed"; cat /tmp/dcload.dyn.out /tmp/dcserve.dyn.log; exit 1; }
+kill "$SCRAPE_PID" 2>/dev/null || true
+wait "$SCRAPE_PID" 2>/dev/null || true
+cat /tmp/dcload.dyn.out
+grep -q '^update consistency: .*verified=true consistent=true' /tmp/dcload.dyn.out \
+    || { echo "dynamic server end state not verified consistent"; exit 1; }
+grep -Eq '^updates: sent=[1-9][0-9]* applied=[1-9]' /tmp/dcload.dyn.out \
+    || { echo "no updates were applied during the churn run"; exit 1; }
+SCRAPES=$(wc -l </tmp/dcserve.dyn.scrapes)
+[ "$SCRAPES" -gt 0 ] || { echo "no /metrics scrape completed during the churn run"; exit 1; }
+# Every applied update observes the repair histogram (an update copies no
+# graph and leaves no backend table to refresh).
+curl -fsS "http://$DYN_DEBUG/metrics" >/tmp/dcserve.dyn.metrics
+grep -Eq '^oracle_update_stage_repair_seconds_count [1-9]' /tmp/dcserve.dyn.metrics \
+    || { echo "metric family oracle_update_stage_repair_seconds missing or empty on /metrics"; exit 1; }
+kill -INT "$DYN_PID"
+wait "$DYN_PID" || { echo "dynamic dcserve did not drain cleanly"; cat /tmp/dcserve.dyn.log; exit 1; }
+trap - EXIT
+if grep -q 'DATA RACE' /tmp/dcserve.dyn.log; then
+    echo "race detector reported a data race in dynamic dcserve"; cat /tmp/dcserve.dyn.log; exit 1
+fi
+echo "dynamic churn e2e: landmark-bibfs untuned, verified consistent end state, $SCRAPES /metrics scrapes, repair histogram present, no data race"
+
+echo "== dynamic dcserve refuses the table backends (exit non-zero, stderr names the backend)"
+for be in exact-cached sparse-hub; do
+    if /tmp/dcserve.race.verify -dynamic -n 64 -d 6 -oracle-backend "$be" \
+        </dev/null >/dev/null 2>/tmp/dcserve.refuse.err; then
+        echo "dcserve -dynamic -oracle-backend $be started"; exit 1
+    fi
+    grep -q "\"$be\"" /tmp/dcserve.refuse.err \
+        || { echo "dcserve -dynamic -oracle-backend $be: stderr does not name the backend"; cat /tmp/dcserve.refuse.err; exit 1; }
+done
+echo "dynamic dcserve: exact-cached and sparse-hub refused"
 
 echo "== dcspan CPU profile smoke"
 rm -f /tmp/dcspan.verify.pprof
