@@ -5,14 +5,18 @@
 //
 // Usage:
 //
-//	dccheck [-quick] [-seed N] [-families a,b,...] [-list] [-v]
+//	dccheck [-quick] [-seed N] [-families a,b,...] [-backend NAME] [-tally FILE] [-list] [-v]
 //
 // Runs are deterministic in -seed: a reported divergence prints the
 // family and seed that reproduce it, and
 //
 //	dccheck -families <family> -seed <seed>
 //
-// replays exactly the failing inputs. See DESIGN.md §10.
+// replays exactly the failing inputs. -tally writes the number of
+// assertions per (family, check) label, sorted, one tab-separated line
+// each; verify.sh diffs a fresh -quick tally against the committed
+// quick.tally, so a change in any count shows as that diff. See
+// DESIGN.md §10.
 package main
 
 import (
@@ -32,6 +36,7 @@ func main() {
 		families = flag.String("families", "", "comma-separated family names (default: all)")
 		list     = flag.Bool("list", false, "list generator families and exit")
 		backend  = flag.String("backend", "", "restrict the oracle-backend sweep to one backend (landmark-bibfs|exact-cached|sparse-hub) and force it through the router differential; empty sweeps all")
+		tally    = flag.String("tally", "", "write per-(family, check) assertion counts, sorted, to this file")
 		verbose  = flag.Bool("v", false, "per-family progress lines")
 	)
 	seed := cliutil.RegisterSeedFlag(flag.CommandLine, check.DefaultSeed)
@@ -63,6 +68,12 @@ func main() {
 		os.Exit(2)
 	}
 	fmt.Printf("dccheck: %s in %.1fs (seed %d)\n", rep, time.Since(t0).Seconds(), *seed)
+	if *tally != "" {
+		if err := os.WriteFile(*tally, rep.TallyTSV(), 0o644); err != nil {
+			fmt.Fprintf(os.Stderr, "dccheck: tally: %v\n", err)
+			os.Exit(2)
+		}
+	}
 	if !rep.OK() {
 		for _, d := range rep.Divergences {
 			fmt.Printf("DIVERGENCE %s\n", d)

@@ -24,7 +24,11 @@
 // tests. See DESIGN.md §10.
 package check
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+	"strings"
+)
 
 // Divergence records one optimized-vs-reference disagreement found by the
 // runner, with enough context to reproduce it from the command line.
@@ -48,7 +52,14 @@ type Report struct {
 	Families    int // generator families swept
 	Checks      int // individual assertions evaluated
 	Divergences []Divergence
+	// tally counts the assertions evaluated per (family, check) label;
+	// its values sum to Checks.
+	tally map[label]int
 }
+
+// label names one (family, check) context of the runner; family is ""
+// for family-independent checks.
+type label struct{ family, check string }
 
 // OK reports whether the run found no divergences.
 func (r Report) OK() bool { return len(r.Divergences) == 0 }
@@ -56,4 +67,22 @@ func (r Report) OK() bool { return len(r.Divergences) == 0 }
 func (r Report) String() string {
 	return fmt.Sprintf("families=%d checks=%d divergences=%d",
 		r.Families, r.Checks, len(r.Divergences))
+}
+
+// TallyTSV renders the number of assertions per (family, check) label as
+// one "family<TAB>check<TAB>count" line each, sorted by family then check,
+// with "-" for a family-independent check. Two runs evaluated the same
+// assertions exactly when their tallies are byte-identical, so a diff of
+// two tallies itemizes a count change.
+func (r Report) TallyTSV() []byte {
+	lines := make([]string, 0, len(r.tally))
+	for l, n := range r.tally {
+		fam := l.family
+		if fam == "" {
+			fam = "-"
+		}
+		lines = append(lines, fmt.Sprintf("%s\t%s\t%d\n", fam, l.check, n))
+	}
+	sort.Strings(lines) // '\t' sorts below every name character
+	return []byte(strings.Join(lines, ""))
 }

@@ -28,6 +28,13 @@ func TestQuickRunNoDivergences(t *testing.T) {
 	if rep.Checks == 0 {
 		t.Error("run evaluated zero checks")
 	}
+	sum := 0
+	for _, n := range rep.tally {
+		sum += n
+	}
+	if sum != rep.Checks {
+		t.Errorf("per-label tally sums to %d, Checks = %d", sum, rep.Checks)
+	}
 }
 
 // TestRunDeterministic pins the reproducibility contract: two runs with

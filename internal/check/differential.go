@@ -87,6 +87,10 @@ type checker struct {
 
 func (c *checker) assert(ok bool, format string, args ...any) bool {
 	c.rep.Checks++
+	if c.rep.tally == nil {
+		c.rep.tally = make(map[label]int)
+	}
+	c.rep.tally[label{c.family, c.check}]++
 	if !ok {
 		c.rep.Divergences = append(c.rep.Divergences, Divergence{
 			Family: c.family,

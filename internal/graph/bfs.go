@@ -43,8 +43,9 @@ func (g *Graph) bfsInto(src int32, dist, parent []int32) {
 // Dist returns the hop distance between u and v, or Unreachable if they are
 // in different components. It runs a plain unidirectional BFS from u that
 // exits as soon as v is discovered; callers that need the bidirectional
-// machinery (meet-in-the-middle frontiers) use the oracle's bounded
-// bidirectional search, which carries its own scratch.
+// machinery (meet-in-the-middle frontiers) use the oracle's bidirectional
+// search, which returns at its frontiers' first meeting and carries its
+// own scratch.
 func (g *Graph) Dist(u, v int32) int32 {
 	if u == v {
 		return 0

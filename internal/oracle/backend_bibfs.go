@@ -144,5 +144,5 @@ func (b *bibfsBackend) attachMetrics(reg *obs.Registry) {
 	reg.CounterFuncLabeled(metricPathBulk, "Batch queries answered exactly by the bulk multi-source BFS sweep.",
 		"backend", label, b.pathBulk.Load)
 	reg.RegisterHistogram(metricFrontierMax,
-		"Largest single-side BFS frontier per exact search (vertices).", b.frontier)
+		"Largest single-side BFS frontier per exact search (vertices), counting the partial level the search stopped in at its first meeting.", b.frontier)
 }

@@ -10,9 +10,10 @@ import (
 
 // These tests pin the two bidirectional-search behaviors the differential
 // harness was built to interrogate: the stopping rule when the frontiers
-// meet, and the Unreachable sentinel on disconnected graphs. The sweep
-// found no divergence — the stopping rule `depthU+depthV >= best-1` is
-// sound — and these seed-pinned sweeps keep it that way.
+// meet, and the Unreachable sentinel on disconnected graphs. The search
+// returns at the first vertex reached from both sides, at the level it
+// is expanding, and these seed-pinned sweeps hold that answer to a plain
+// BFS.
 
 // exactDistContract sweeps every pair of g through an oracle and asserts
 // every answer exact and equal to the true spanner distance from a plain
@@ -40,12 +41,11 @@ func exactDistContract(t *testing.T, g *graph.Graph, seed uint64) {
 }
 
 // TestSearchMeetingPoints drives the frontiers to meet at every distance:
-// on a cycle, antipodal pairs sit at every distance up to n/2, and on a
-// path at every distance up to n-1, so the sweep exercises the
-// `depthU+depthV >= best-1` cutoff at each meeting depth. The odd cycle
-// adds meeting points where the two frontiers stop at unequal depths.
-// Structured graphs, no randomness — any stopping-rule off-by-one fails
-// deterministically.
+// on a cycle, pairs sit at every distance up to n/2, and on a path at
+// every distance up to n-1, so the sweep returns at a first meeting on
+// every level count, odd and even. The odd cycle adds distances the two
+// frontiers reach at unequal depths. Structured graphs, no randomness —
+// any stopping-rule off-by-one fails deterministically.
 func TestSearchMeetingPoints(t *testing.T) {
 	exactDistContract(t, gen.Cycle(24), 9)
 	exactDistContract(t, gen.Path(20), 9)

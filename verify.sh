@@ -32,12 +32,17 @@ go test -race -count=1 \
 echo "== server fault-injection suite under -race (oversized lines, slow loris, disconnects, shutdown drain)"
 go test -race -count=1 ./internal/server/
 
-echo "== go test + dccheck differential sweep at GOMAXPROCS 1, 2 and 8 (optimized == naive references, all gen families)"
+echo "== go test + dccheck differential sweep at GOMAXPROCS 1, 2 and 8 (optimized == naive references, all gen families; per-check counts == cmd/dccheck/quick.tally)"
+# A change that alters any dccheck count updates quick.tally
+# (go run ./cmd/dccheck -quick -tally cmd/dccheck/quick.tally), and the
+# diff of that file itemizes the change.
 for procs in 1 2 8; do
     GOMAXPROCS=$procs go test -count=1 ./... \
         || { echo "go test failed at GOMAXPROCS=$procs"; exit 1; }
-    GOMAXPROCS=$procs go run ./cmd/dccheck -quick \
+    GOMAXPROCS=$procs go run ./cmd/dccheck -quick -tally /tmp/dccheck.verify.tally \
         || { echo "dccheck failed at GOMAXPROCS=$procs"; exit 1; }
+    diff -u cmd/dccheck/quick.tally /tmp/dccheck.verify.tally \
+        || { echo "dccheck -quick counts at GOMAXPROCS=$procs differ from cmd/dccheck/quick.tally"; exit 1; }
 done
 
 echo "== dccheck per-backend sweep (each oracle backend forced, stretch bounds enforced)"
